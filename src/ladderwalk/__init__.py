@@ -10,7 +10,6 @@ experiment commands.
 
 from .core import (
     DEFAULT_GAMMA_Y,
-    CoinOperator,
     CoinSpinor,
     Conventional,
     Ladder,
@@ -22,14 +21,7 @@ from .core import (
     evolve,
     localized_ladder,
     localized_walker,
-    make_coin,
     position_distribution,
-    shift_full,
-    shift_half_down,
-    shift_half_up,
-    step_conventional,
-    step_ladder,
-    step_splitstep,
 )
 from .observables import (
     MagnetizationTriple,

@@ -45,13 +45,13 @@ import numpy as np
 from .core import (
     DEFAULT_GAMMA_Y,
     CoinSpinor,
+    Conventional,
     Ladder,
     LatticeOverflowError,
+    evolve,
     localized_ladder,
     localized_walker,
     position_distribution,
-    step_conventional,
-    step_ladder,
 )
 from .observables import second_moment, side_marginals, total_variation
 from .sectors import (
@@ -260,13 +260,14 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
         raise UsageError("half_width must exceed steps + 1")
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
+    spec = Conventional(gamma.radians)
     sites = state.sites()
 
     dist_rows = []
     step_rows = []
     for step in range(steps + 1):
         if step > 0:
-            state = step_conventional(state, gamma.radians)
+            state = evolve(state, spec, 1)
         probs = position_distribution(state)
         total = float(np.sum(probs))
         _check_step_sum(step, total)
@@ -329,7 +330,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     step_rows = []
     for step in range(steps + 1):
         if step > 0:
-            state = step_ladder(state, spec)
+            state = evolve(state, spec, 1)
         joint = position_distribution(state)
         total = float(np.sum(joint))
         _check_step_sum(step, total)
@@ -438,26 +439,6 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
     }
 
 
-def _table1_simulate_sides(beta: Angle, steps: int) -> list[tuple[float, float]]:
-    state = localized_ladder(half_width=steps + 2, side=0)
-    spec = Ladder(alpha=-math.pi / 4, beta=beta.radians)
-    masses = []
-    for _ in range(steps):
-        state = step_ladder(state, spec)
-        side0, side1 = side_marginals(state)
-        masses.append((float(np.sum(side0)), float(np.sum(side1))))
-    return masses
-
-
-def _tv_at(beta: Angle, steps: int) -> float:
-    state = localized_ladder(half_width=steps + 2, side=0)
-    spec = Ladder(alpha=-math.pi / 4, beta=beta.radians)
-    for _ in range(steps):
-        state = step_ladder(state, spec)
-    side0, side1 = side_marginals(state)
-    return total_variation(side0 / np.sum(side0), side1 / np.sum(side1))
-
-
 def run_table1(steps: int = 64) -> dict:
     """Verify the four qualitative regimes at alpha = -pi/4.
 
@@ -472,6 +453,10 @@ def run_table1(steps: int = 64) -> dict:
     def check(row: str, quantity: str, expected, measured, passed: bool) -> None:
         rows.append([row, quantity, expected, measured, bool(passed)])
 
+    def ladder_steps(beta: Angle) -> list:
+        """``run_ladder``'s per-step rows for steps 1 .. ``steps``."""
+        return run_ladder(alpha, beta, steps)["tables"]["steps"]["rows"][1:]
+
     # beta = 0: the walker hops sides deterministically; even steps on the
     # starting side, odd steps on the other.
     beta = Angle(0.0, Fraction(0))
@@ -480,8 +465,8 @@ def run_table1(steps: int = 64) -> dict:
           pattern.value, pattern is WalkPattern.ALTERNATING)
     diff = abs(summary.magnetization.m1 - summary.magnetization.m2)
     check("alternating", "m1_minus_m2", 0.0, diff, diff == 0.0)
-    masses = _table1_simulate_sides(beta, steps)
-    off = max(m[(step + 1) % 2] for step, m in enumerate(masses, start=1))
+    off = max((mass0, mass1)[(step + 1) % 2]
+              for step, mass0, mass1, *_ in ladder_steps(beta))
     check("alternating", "max_resident_side_miss", 0.0, off, off <= 1e-12)
 
     # beta = pi: the walker never leaves the starting side.
@@ -491,8 +476,7 @@ def run_table1(steps: int = 64) -> dict:
           pattern.value, pattern is WalkPattern.ONE_SIDED)
     diff = abs(summary.magnetization.m1 - summary.magnetization.m2)
     check("one-sided", "m1_minus_m2", 0.0, diff, diff == 0.0)
-    masses = _table1_simulate_sides(beta, steps)
-    off = max(m[1] for m in masses)
+    off = max(mass1 for _, _, mass1, *_ in ladder_steps(beta))
     check("one-sided", "max_off_side_mass", 0.0, off, off < 1e-10)
 
     # beta = pi/4: the second sector coin is extremal, M2 vanishes and the
@@ -504,7 +488,7 @@ def run_table1(steps: int = 64) -> dict:
           pattern.value, pattern is WalkPattern.IDENTICAL_DOMINATED)
     check("identical-m2-zero", "m2", 0.0, summary.magnetization.m2,
           summary.magnetization.m2 == 0.0)
-    tv = _tv_at(beta, steps)
+    tv = ladder_steps(beta)[-1][-1]
     check("identical-m2-zero", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
     # beta = 3pi/4: M1 is maximized and again the side profiles agree.
@@ -514,7 +498,7 @@ def run_table1(steps: int = 64) -> dict:
           pattern.value, pattern is WalkPattern.IDENTICAL_DOMINATED)
     check("identical-m1-max", "m1", 1.0, summary.magnetization.m1,
           summary.magnetization.m1 == 1.0)
-    tv = _tv_at(beta, steps)
+    tv = ladder_steps(beta)[-1][-1]
     check("identical-m1-max", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
     params = {
@@ -552,6 +536,16 @@ def _csv_path(base: Path, table: str, main_table: str) -> Path:
     return stem.parent / f"{stem.name}.{table}{base.suffix or '.csv'}"
 
 
+def _open_for_writing(path: Path, newline: str | None = None):
+    """Open ``path`` for writing, creating its directory; a path that
+    cannot be written is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     """Write a dataset as one JSON document or one CSV file per table.
 
@@ -560,10 +554,8 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     Returns the paths written.
     """
     base = Path(out)
-    if base.parent and not base.parent.exists():
-        base.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        with open(base, "w", encoding="utf-8") as fh:
+        with _open_for_writing(base) as fh:
             json.dump(dataset, fh, indent=2)
             fh.write("\n")
         return [base]
@@ -574,7 +566,7 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     main_table = next(iter(tables))
     for name, table in tables.items():
         path = _csv_path(base, name, main_table)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open_for_writing(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(table["columns"])
             for row in table["rows"]:
@@ -582,7 +574,7 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
         written.append(path)
     params = dataset["params"]
     path = _csv_path(base, "params", main_table)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(params))
         writer.writerow([_format_cell(v) for v in params.values()])
@@ -667,6 +659,22 @@ def _bloch_angle(settings: dict, key: str) -> float:
     return parse_angle(value).radians if value is not None else 0.0
 
 
+def _count(settings: dict, key: str) -> int | None:
+    """An integer setting.  A JSON bool, a fractional number or a string
+    ``int()`` rejects is a usage error, never truncated or coerced."""
+    value = settings.get(key)
+    if value is None:
+        return None
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{key} must be an integer, got {value!r}")
+
+
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     settings = _merge_config(args)
 
@@ -684,16 +692,14 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
             beta_grid = parse_grid(settings["beta_grid"])
         elif settings.get("beta") is not None:
             beta_grid = [parse_angle(settings["beta"])]
-    steps = settings.get("steps")
-    half_width = settings.get("half_width")
     return ExperimentConfig(
         command=args.command,
         alpha=angle_or_none("alpha"),
         beta=angle_or_none("beta"),
         gamma=angle_or_none("gamma"),
         gamma_y=angle_or_none("gamma_y"),
-        steps=int(steps) if steps is not None else None,
-        half_width=int(half_width) if half_width is not None else None,
+        steps=_count(settings, "steps"),
+        half_width=_count(settings, "half_width"),
         initial_theta=_bloch_angle(settings, "initial_theta"),
         initial_phi=_bloch_angle(settings, "initial_phi"),
         out=settings.get("out"),

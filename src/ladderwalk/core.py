@@ -9,8 +9,8 @@ keeps the finite array an exact model of the infinite lattice.  The short
 (x) direction of the ladder is an exact two-site ring, so shifts along it
 are periodic.
 
-All step functions are pure: they return a new state and never mutate
-their input.
+:func:`evolve` is the single stepping entry point.  It is pure: it returns
+a new state and never mutates its input.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "LatticeOverflowError",
     "CoinSpinor",
-    "CoinOperator",
     "WalkerState1D",
     "LadderState",
     "Conventional",
@@ -32,15 +31,8 @@ __all__ = [
     "Ladder",
     "ProtocolSpec",
     "DEFAULT_GAMMA_Y",
-    "make_coin",
     "localized_walker",
     "localized_ladder",
-    "shift_full",
-    "shift_half_up",
-    "shift_half_down",
-    "step_conventional",
-    "step_splitstep",
-    "step_ladder",
     "evolve",
     "position_distribution",
 ]
@@ -87,32 +79,6 @@ class CoinSpinor:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.up, self.down], dtype=np.complex128)
-
-
-@dataclass(frozen=True, eq=False)
-class CoinOperator:
-    """Real rotation ``[[c, -s], [s, c]]`` with ``c = cos(gamma/2)``, ``s = sin(gamma/2)``."""
-
-    gamma: float
-    entries: np.ndarray
-
-    def __call__(self, spinor: np.ndarray) -> np.ndarray:
-        return self.entries @ spinor
-
-
-def make_coin(gamma: float) -> CoinOperator:
-    """Build the coin rotation for coin angle ``gamma`` (radians).
-
-    The matrix mixes the up/down amplitudes through the half angle
-    ``gamma/2``; ``gamma = 0`` gives the identity and ``gamma = pi`` the
-    quarter-turn ``[[0, -1], [1, 0]]``.
-    """
-    gamma = _require_finite("gamma", gamma)
-    c = math.cos(gamma / 2)
-    s = math.sin(gamma / 2)
-    entries = np.array([[c, -s], [s, c]], dtype=np.float64)
-    entries.setflags(write=False)
-    return CoinOperator(gamma=gamma, entries=entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,139 +201,98 @@ def localized_ladder(coin: CoinSpinor | None = None,
     return LadderState(amplitudes=amps, origin=origin, steps_taken=0)
 
 
-def _apply_coin_1d(amps: np.ndarray, coin: CoinOperator) -> np.ndarray:
-    return coin.entries @ amps
+def _coin(name: str, angle: float) -> np.ndarray:
+    """Real rotation ``C(angle/2) = [[c, -s], [s, c]]`` with ``c = cos(angle/2)``,
+    ``s = sin(angle/2)``: the identity at 0 and a quarter turn at pi."""
+    angle = _require_finite(name, angle)
+    c = math.cos(angle / 2)
+    s = math.sin(angle / 2)
+    return np.array([[c, -s], [s, c]])
 
 
-def _apply_coin_ladder(amps: np.ndarray, coin: CoinOperator) -> np.ndarray:
-    return np.einsum("st,txy->sxy", coin.entries, amps)
+def _ladder_unitary(spec: Ladder) -> np.ndarray:
+    """The rung-local part of a ladder step as one 4x4 (spin, side) matrix.
 
-
-def _shifted(amps: np.ndarray, move_up: bool, move_down: bool) -> np.ndarray:
-    """Shift up components to the right and/or down components to the left.
-
-    Raises if a moved component has amplitude on its leading edge; untouched
-    lattice entries are exactly zero so the check is exact.
+    Applied right to left, the step is coin(alpha); periodic side swap of
+    the up component; coin(beta); side swap of the down component;
+    coin(gamma_y).  Each spin block of the product is ``p I + q X`` on the
+    side index, where ``X`` swaps the sides: ``q`` collects the paths
+    that swapped once and ``p`` those that swapped twice or never.
     """
-    out = np.zeros_like(amps)
-    if move_up:
-        if amps[0, -1] != 0:
-            raise LatticeOverflowError(
-                "up amplitude reached the +edge; enlarge half_width")
-        out[0, 1:] = amps[0, :-1]
-    else:
-        out[0] = amps[0]
-    if move_down:
-        if amps[1, 0] != 0:
-            raise LatticeOverflowError(
-                "down amplitude reached the -edge; enlarge half_width")
-        out[1, :-1] = amps[1, 1:]
-    else:
-        out[1] = amps[1]
-    return out
+    a = _coin("alpha", spec.alpha)
+    b = _coin("beta", spec.beta)
+    g = _coin("gamma_y", spec.gamma_y)
+    # Row t before g: b[t, 1 - t] * a[1 - t] in p, b[t, t] * a[t] in q.
+    p = g @ (b[:, ::-1].diagonal()[:, None] * a[::-1])
+    q = g @ (b.diagonal()[:, None] * a)
+    u = np.empty((2, 2, 2, 2))
+    u[:, 0, :, 0] = u[:, 1, :, 1] = p
+    u[:, 0, :, 1] = u[:, 1, :, 0] = q
+    return u.reshape(4, 4)
 
 
-def shift_full(state: WalkerState1D) -> WalkerState1D:
-    """Move up amplitudes one site right and down amplitudes one site left."""
-    return replace(state, amplitudes=_shifted(state.amplitudes, True, True))
-
-
-def shift_half_up(state: WalkerState1D) -> WalkerState1D:
-    """Move only the up component one site right; the down component is held."""
-    return replace(state, amplitudes=_shifted(state.amplitudes, True, False))
-
-
-def shift_half_down(state: WalkerState1D) -> WalkerState1D:
-    """Move only the down component one site left; the up component is held."""
-    return replace(state, amplitudes=_shifted(state.amplitudes, False, True))
-
-
-def step_conventional(state: WalkerState1D, gamma: float) -> WalkerState1D:
-    """One conventional step: coin with angle ``gamma``, then a full shift."""
-    coin = make_coin(gamma)
-    amps = _apply_coin_1d(state.amplitudes, coin)
-    amps = _shifted(amps, True, True)
-    return replace(state, amplitudes=amps, steps_taken=state.steps_taken + 1)
-
-
-def step_splitstep(state: WalkerState1D, alpha: float, beta: float) -> WalkerState1D:
-    """One split step: coin(alpha), up half-shift, coin(beta), down half-shift.
-
-    At ``beta = 0`` the second coin is the identity and the two half-shifts
-    compose to a full shift, so the step reduces to a conventional step
-    with angle ``alpha``.
-    """
-    amps = _apply_coin_1d(state.amplitudes, make_coin(alpha))
-    amps = _shifted(amps, True, False)
-    amps = _apply_coin_1d(amps, make_coin(beta))
-    amps = _shifted(amps, False, True)
-    return replace(state, amplitudes=amps, steps_taken=state.steps_taken + 1)
-
-
-def _swap_side(amps: np.ndarray, spin: int) -> np.ndarray:
-    """Periodic x-shift on the two-site ring for one spin component."""
-    out = amps.copy()
-    out[spin] = amps[spin, ::-1, :]
-    return out
-
-
-def _shift_rungs(amps: np.ndarray) -> np.ndarray:
-    """Full spin-conditioned shift along the rungs (open boundary)."""
-    if np.any(amps[0, :, -1] != 0):
-        raise LatticeOverflowError(
-            "up amplitude reached the +rung edge; enlarge half_width")
-    if np.any(amps[1, :, 0] != 0):
-        raise LatticeOverflowError(
-            "down amplitude reached the -rung edge; enlarge half_width")
-    out = np.zeros_like(amps)
-    out[0, :, 1:] = amps[0, :, :-1]
-    out[1, :, :-1] = amps[1, :, 1:]
-    return out
-
-
-def step_ladder(state: LadderState, spec: Ladder) -> LadderState:
-    """One step of the mixed ladder protocol.
-
-    Applied right to left: coin(alpha); periodic x half-shift of the up
-    component; coin(beta); periodic x half-shift of the down component;
-    coin(gamma_y); full shift along the rungs.
-    """
-    if not isinstance(spec, Ladder):
-        raise TypeError(f"expected Ladder spec, got {type(spec).__name__}")
-    if not isinstance(state, LadderState):
-        raise TypeError(f"expected LadderState, got {type(state).__name__}")
-    amps = _apply_coin_ladder(state.amplitudes, make_coin(spec.alpha))
-    amps = _swap_side(amps, 0)
-    amps = _apply_coin_ladder(amps, make_coin(spec.beta))
-    amps = _swap_side(amps, 1)
-    amps = _apply_coin_ladder(amps, make_coin(spec.gamma_y))
-    amps = _shift_rungs(amps)
-    return replace(state, amplitudes=amps, steps_taken=state.steps_taken + 1)
-
-
-def _step_once(state, spec):
+def _stages(state, spec: ProtocolSpec) -> list[tuple[np.ndarray, bool, bool]]:
+    """One step of ``spec`` as (local unitary, move up, move down) stages."""
     if isinstance(spec, Conventional):
         if not isinstance(state, WalkerState1D):
             raise TypeError("conventional protocol needs a WalkerState1D")
-        return step_conventional(state, spec.gamma)
+        return [(_coin("gamma", spec.gamma), True, True)]
     if isinstance(spec, SplitStep):
         if not isinstance(state, WalkerState1D):
             raise TypeError("split-step protocol needs a WalkerState1D")
-        return step_splitstep(state, spec.alpha, spec.beta)
+        return [(_coin("alpha", spec.alpha), True, False),
+                (_coin("beta", spec.beta), False, True)]
     if isinstance(spec, Ladder):
         if not isinstance(state, LadderState):
             raise TypeError("ladder protocol needs a LadderState")
-        return step_ladder(state, spec)
+        return [(_ladder_unitary(spec), True, True)]
     raise TypeError(f"unknown protocol spec {spec!r}")
 
 
+def _shifted(amps: np.ndarray, move_up: bool, move_down: bool) -> np.ndarray:
+    """Shift the up rows (first half) right and/or the down rows left.
+
+    ``amps`` is ``(rows, sites)``.  Raises if a moved row has amplitude on
+    its leading edge; untouched lattice entries are exactly zero so the
+    check is exact.  The check reads the one or two edge values as Python
+    numbers, which costs a fraction of a numpy reduction.
+    """
+    h = amps.shape[0] // 2
+    out = np.zeros_like(amps)
+    if move_up:
+        if any(amps[:h, -1].tolist()):
+            raise LatticeOverflowError(
+                "up amplitude reached the +edge; enlarge half_width")
+        out[:h, 1:] = amps[:h, :-1]
+    else:
+        out[:h] = amps[:h]
+    if move_down:
+        if any(amps[h:, 0].tolist()):
+            raise LatticeOverflowError(
+                "down amplitude reached the -edge; enlarge half_width")
+        out[h:, :-1] = amps[h:, 1:]
+    else:
+        out[h:] = amps[h:]
+    return out
+
+
 def evolve(state, spec: ProtocolSpec, n_steps: int):
-    """Apply ``n_steps`` repetitions of the one-step unitary for ``spec``."""
+    """Apply ``n_steps`` repetitions of the one-step unitary for ``spec``.
+
+    Each step is a sequence of stages, a site-local unitary followed by a
+    spin-conditioned shift: one stage for the conventional and the ladder
+    walk, two (one per half-shift) for the split-step walk.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    stages = _stages(state, spec)
+    shape = state.amplitudes.shape
+    amps = state.amplitudes.reshape(-1, shape[-1])
     for _ in range(n_steps):
-        state = _step_once(state, spec)
-    return state
+        for unitary, move_up, move_down in stages:
+            amps = _shifted(unitary @ amps, move_up, move_down)
+    return replace(state, amplitudes=amps.reshape(shape),
+                   steps_taken=state.steps_taken + n_steps)
 
 
 def position_distribution(state) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoinSpinor, WalkerState1D
+from .core import CoinSpinor, Conventional, WalkerState1D, evolve, localized_walker
 from .observables import MagnetizationTriple, magnetization
 from .sectors import EffectiveAngles, effective_angles, reduce_angle
 
@@ -282,15 +282,14 @@ def cesaro_rho(gamma: float, n_steps: int,
     converges to :func:`asymptotic_rho` and is the right finite-time
     object to compare against it.
     """
-    from .core import localized_walker, step_conventional
-
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     state = localized_walker(initial, half_width=n_steps + 2)
     acc11 = acc22 = 0.0
     acc12 = 0j
+    spec = Conventional(gamma)
     for _ in range(n_steps):
-        state = step_conventional(state, gamma)
+        state = evolve(state, spec, 1)
         rho = finite_n_rho(state)
         acc11 += rho.rho11
         acc22 += rho.rho22

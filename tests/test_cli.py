@@ -82,6 +82,22 @@ class TestExperimentConfig:
         with pytest.raises(cli.UsageError):
             cli.ExperimentConfig(command="walk1d", format="xml")
 
+    @pytest.mark.parametrize("key,value", [
+        ("steps", "abc"), ("steps", 3.7), ("steps", True),
+        ("half_width", 12.5), ("half_width", False), ("half_width", "1e3"),
+    ])
+    def test_config_counts_must_be_integers(self, tmp_path, key, value):
+        config = tmp_path / "cfg.json"
+        settings = {"gamma": "1/2pi", "steps": 4, "out": str(tmp_path / "x.csv")}
+        settings[key] = value
+        config.write_text(json.dumps(settings))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ladderwalk", "walk1d", "--config", str(config)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ladderwalk: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestWalk1d:
     def test_single_step_rows(self, tmp_path):
@@ -291,6 +307,14 @@ class TestOutputPlumbing:
         monkeypatch.setattr(cli, "run_walk1d", boom)
         assert cli.main(["walk1d", "--gamma", "0", "--steps", "1",
                          "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (tmp_path, blocker / "x.csv"):
+            assert cli.main(["walk1d", "--gamma", "0", "--steps", "1",
+                             "--out", str(out)]) == 1
+            assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_bad_half_width_rejected(self, tmp_path):
         assert cli.main(["walk1d", "--gamma", "0", "--steps", "5",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,28 +19,47 @@ def down_at(state, m):
     return state.amplitudes[1, m + state.half_width]
 
 
+def coin_matrix(gamma):
+    """Coin of ``Conventional(gamma)`` read off one step: column j holds the
+    (up at +1, down at -1) amplitudes of a walker started in basis state j."""
+    columns = []
+    for spinor in (lw.CoinSpinor(1, 0), lw.CoinSpinor(0, 1)):
+        out = lw.evolve(lw.localized_walker(spinor, half_width=2),
+                        lw.Conventional(gamma), 1)
+        columns.append([up_at(out, 1), down_at(out, -1)])
+    return np.array(columns).T
+
+
 class TestCoin:
     def test_zero_rotation_is_identity(self):
-        assert np.allclose(lw.make_coin(0.0).entries, np.eye(2), atol=1e-15)
+        # The identity coin leaves a pure shift, in both one-stage and
+        # two-stage protocols.
+        coin = lw.CoinSpinor(0.6, 0.8j)
+        for spec in (lw.Conventional(0.0), lw.SplitStep(0.0, 0.0)):
+            out = lw.evolve(lw.localized_walker(coin, half_width=3), spec, 1)
+            assert up_at(out, 1) == coin.up and down_at(out, -1) == coin.down
+            assert lw.position_distribution(out)[out.half_width] == 0.0
 
     def test_pi_is_quarter_turn(self):
         expected = np.array([[0.0, -1.0], [1.0, 0.0]])
-        assert np.allclose(lw.make_coin(math.pi).entries, expected, atol=1e-15)
+        assert np.allclose(coin_matrix(math.pi), expected, atol=1e-15)
 
     def test_half_pi_on_up_state(self):
-        out = lw.make_coin(math.pi / 2)(np.array([1.0, 0.0]))
-        assert out == pytest.approx([math.sqrt(2) / 2, math.sqrt(2) / 2], abs=1e-15)
+        out = lw.evolve(lw.localized_walker(half_width=2),
+                        lw.Conventional(math.pi / 2), 1)
+        assert [up_at(out, 1), down_at(out, -1)] == pytest.approx(
+            [math.sqrt(2) / 2, math.sqrt(2) / 2], abs=1e-15)
 
     @given(ANGLES)
     def test_orthogonal_unit_determinant(self, gamma):
-        c = lw.make_coin(gamma).entries
-        assert np.allclose(c.T @ c, np.eye(2), atol=1e-12)
+        c = coin_matrix(gamma)
+        assert np.allclose(c.conj().T @ c, np.eye(2), atol=1e-12)
         assert np.linalg.det(c) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            lw.make_coin(bad)
+            lw.evolve(lw.localized_walker(half_width=2), lw.Conventional(bad), 1)
 
 
 class TestSpinorAndFactories:
@@ -62,48 +82,56 @@ class TestSpinorAndFactories:
 
 
 class TestShifts:
+    # Zero coin angles make every stage a pure shift, and a split step
+    # with beta = pi turns the spin between its two half-shifts, which
+    # shows what each half-shift moved and what it held.
+
     def test_full_shift_moves_up_right(self):
-        out = lw.shift_full(lw.localized_walker(half_width=3))
+        out = lw.evolve(lw.localized_walker(half_width=3), lw.Conventional(0.0), 1)
         assert up_at(out, 1) == 1.0
 
     def test_full_shift_moves_down_left(self):
-        out = lw.shift_full(lw.localized_walker(lw.CoinSpinor(0, 1), half_width=3))
+        out = lw.evolve(lw.localized_walker(lw.CoinSpinor(0, 1), half_width=3),
+                        lw.Conventional(0.0), 1)
         assert down_at(out, -1) == 1.0
 
     def test_full_shift_is_linear(self):
         coin = lw.CoinSpinor(1 / math.sqrt(2), 1 / math.sqrt(2))
-        out = lw.shift_full(lw.localized_walker(coin, half_width=3))
+        out = lw.evolve(lw.localized_walker(coin, half_width=3), lw.Conventional(0.0), 1)
         assert up_at(out, 1) == pytest.approx(1 / math.sqrt(2))
         assert down_at(out, -1) == pytest.approx(1 / math.sqrt(2))
 
     def test_half_up_holds_down_component(self):
-        state = lw.localized_walker(lw.CoinSpinor(0, 1), half_width=3)
-        out = lw.shift_half_up(state)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        # Down stays at 0 through the up half-shift, is turned up, and the
+        # down half-shift then holds it.
+        out = lw.evolve(lw.localized_walker(lw.CoinSpinor(0, 1), half_width=3),
+                        lw.SplitStep(0.0, math.pi), 1)
+        assert up_at(out, 0) == -1.0
 
     def test_half_up_moves_up_component(self):
-        out = lw.shift_half_up(lw.localized_walker(half_width=3))
-        assert up_at(out, 1) == 1.0
+        # Up moves to +1, is turned down, and comes back to 0.
+        out = lw.evolve(lw.localized_walker(half_width=3), lw.SplitStep(0.0, math.pi), 1)
+        assert down_at(out, 0) == 1.0
 
     def test_half_down_moves_down_component(self):
         state = lw.localized_walker(lw.CoinSpinor(0, 1), half_width=4, origin=2)
-        out = lw.shift_half_down(state)
+        out = lw.evolve(state, lw.SplitStep(0.0, 0.0), 1)
         assert down_at(out, 1) == 1.0
 
     def test_overflow_raises_instead_of_wrapping(self):
         state = lw.localized_walker(half_width=2, origin=2)
         with pytest.raises(lw.LatticeOverflowError):
-            lw.shift_full(state)
+            lw.evolve(state, lw.Conventional(0.0), 1)
 
     def test_norm_preserved_exactly(self):
         coin = lw.CoinSpinor(0.6, 0.8j)
         state = lw.localized_walker(coin, half_width=3)
-        assert lw.shift_full(state).norm_sq() == state.norm_sq()
+        assert lw.evolve(state, lw.Conventional(0.0), 1).norm_sq() == state.norm_sq()
 
 
 class TestConventionalStep:
     def test_one_step_half_half(self):
-        out = lw.step_conventional(lw.localized_walker(half_width=3), math.pi / 2)
+        out = lw.evolve(lw.localized_walker(half_width=3), lw.Conventional(math.pi / 2), 1)
         dist = lw.position_distribution(out)
         r = out.half_width
         assert dist[r - 1] == pytest.approx(0.5, abs=1e-12)
@@ -127,8 +155,9 @@ class TestConventionalStep:
         # cos(pi/2) is ~6e-17 rather than 0 in floats, so confinement holds
         # up to a ~1e-33 probability leak that still spreads ballistically.
         state = lw.localized_walker(half_width=102)
+        spec = lw.Conventional(math.pi)
         for n in range(1, 101):
-            state = lw.step_conventional(state, math.pi)
+            state = lw.evolve(state, spec, 1)
             dist = lw.position_distribution(state)
             support = state.sites()[dist > 1e-20]
             assert set(support.tolist()) <= {-1, 0, 1}
@@ -146,13 +175,13 @@ class TestSplitStep:
         assert np.max(np.abs(split.amplitudes - conv.amplitudes)) < 1e-12
 
     def test_trivial_angles_shift_up(self):
-        out = lw.step_splitstep(lw.localized_walker(half_width=3), 0.0, 0.0)
+        out = lw.evolve(lw.localized_walker(half_width=3), lw.SplitStep(0.0, 0.0), 1)
         assert up_at(out, 1) == 1.0
 
     def test_single_step_hand_enumeration(self):
         # Four-factor product at alpha = beta = pi/2 from the up state.
-        out = lw.step_splitstep(lw.localized_walker(half_width=3),
-                                math.pi / 2, math.pi / 2)
+        out = lw.evolve(lw.localized_walker(half_width=3),
+                        lw.SplitStep(math.pi / 2, math.pi / 2), 1)
         c2 = 0.5  # cos(pi/4)**2
         assert up_at(out, 1) == pytest.approx(c2, abs=1e-12)
         assert up_at(out, 0) == pytest.approx(-c2, abs=1e-12)
@@ -164,14 +193,14 @@ class TestSplitStep:
 
 class TestLadderStep:
     def test_operator_bookkeeping_all_identity_coins(self):
-        out = lw.step_ladder(lw.localized_ladder(half_width=3),
-                             lw.Ladder(0.0, 0.0, gamma_y=0.0))
+        out = lw.evolve(lw.localized_ladder(half_width=3),
+                        lw.Ladder(0.0, 0.0, gamma_y=0.0), 1)
         # up moves across before being shifted along the rung
         assert out.amplitudes[0, 1, out.half_width + 1] == 1.0
 
     def test_splitstep_spreads_to_both_sides(self):
         state = lw.localized_ladder(half_width=5)
-        state = lw.step_ladder(state, lw.Ladder(-math.pi / 4, -math.pi / 2))
+        state = lw.evolve(state, lw.Ladder(-math.pi / 4, -math.pi / 2), 1)
         side0, side1 = np.sum(lw.position_distribution(state), axis=1)
         assert side0 > 0 and side1 > 0
 
@@ -185,9 +214,11 @@ class TestLadderStep:
 
     def test_requires_matching_state(self):
         with pytest.raises(TypeError):
-            lw.step_ladder(lw.localized_walker(half_width=3), lw.Ladder(0.1, 0.2))
+            lw.evolve(lw.localized_walker(half_width=3), lw.Ladder(0.1, 0.2), 1)
         with pytest.raises(TypeError):
             lw.evolve(lw.localized_ladder(half_width=3), lw.Conventional(0.1), 1)
+        with pytest.raises(TypeError):
+            lw.evolve(lw.localized_ladder(half_width=3), lw.SplitStep(0.1, 0.2), 1)
 
 
 class TestEvolve:
@@ -216,6 +247,28 @@ class TestEvolve:
         support = state.sites()[dist > 0]
         assert np.max(np.abs(support)) <= 31
         assert np.all(support % 2 != 0)
+
+
+class TestEdgesAndAngles:
+    @pytest.mark.parametrize("localized,spec,identity", [
+        (lw.localized_walker, lw.Conventional(0.7), lw.Conventional(0.0)),
+        (lw.localized_walker, lw.SplitStep(0.7, -0.4), lw.SplitStep(0.0, 0.0)),
+        (lw.localized_ladder, lw.Ladder(-0.7, 1.1), lw.Ladder(0.0, 0.0, gamma_y=0.0)),
+    ], ids=["conventional", "splitstep", "ladder"])
+    def test_edges_and_non_finite_angles(self, localized, spec, identity):
+        r = 6
+        state = lw.evolve(localized(half_width=r), spec, r)
+        with pytest.raises(lw.LatticeOverflowError):
+            lw.evolve(state, spec, 1)
+        # A down spinor on the -edge overflows in the shift that moves down:
+        # the split step's second half-shift, the full shift otherwise.
+        at_minus_edge = localized(lw.CoinSpinor(0, 1), half_width=r, origin=-r)
+        with pytest.raises(lw.LatticeOverflowError, match="-edge"):
+            lw.evolve(at_minus_edge, identity, 1)
+        for field in dataclasses.fields(spec):
+            bad = dataclasses.replace(spec, **{field.name: math.nan})
+            with pytest.raises(ValueError, match=field.name):
+                lw.evolve(localized(half_width=r), bad, 1)
 
 
 class TestInvariants:

@@ -108,8 +108,8 @@ class TestSideMarginals:
         assert np.sum(side0) == 1.0 and np.sum(side1) == 0.0
 
     def test_alternating_first_step(self):
-        state = lw.step_ladder(lw.localized_ladder(half_width=4),
-                               lw.Ladder(alpha=0.9, beta=0.0))
+        state = lw.evolve(lw.localized_ladder(half_width=4),
+                          lw.Ladder(alpha=0.9, beta=0.0), 1)
         side0, side1 = lw.side_marginals(state)
         assert np.sum(side1) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(side0) <= 1e-12

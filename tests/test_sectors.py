@@ -156,7 +156,7 @@ class TestSectorProject:
             state = lw.localized_ladder(half_width=34)
             spec = lw.Ladder(alpha=0.777, beta=beta)
             for _ in range(32):
-                state = lw.step_ladder(state, spec)
+                state = lw.evolve(state, spec, 1)
                 off_side = float(np.sum(lw.position_distribution(state)[1]))
                 assert off_side < 1e-10
 
@@ -164,7 +164,7 @@ class TestSectorProject:
         state = lw.localized_ladder(half_width=10)
         spec = lw.Ladder(alpha=-math.pi / 4, beta=0.0)
         for step in range(1, 9):
-            state = lw.step_ladder(state, spec)
+            state = lw.evolve(state, spec, 1)
             side_mass = np.sum(lw.position_distribution(state), axis=1)
             resident = step % 2  # odd steps on the far side
             assert side_mass[resident] == pytest.approx(1.0, abs=1e-12)
