@@ -25,21 +25,19 @@ from .core import (
 )
 from .observables import (
     MagnetizationTriple,
-    SpreadReport,
     discriminant,
     magnetization,
     second_moment,
     side_marginals,
-    spread_report,
     total_variation,
 )
 from .sectors import (
     EMPTY_SECTOR_WEIGHT,
+    Angle,
     EffectiveAngles,
     SectorPair,
     WalkPattern,
     classify_pattern,
-    effective_angle_fractions,
     effective_angles,
     reconstruct_ladder,
     reduce_angle,
@@ -63,7 +61,6 @@ from .spectral import (
     mutual_information,
     rho_eigenvalues,
     walk_summary,
-    walk_summary_from_angles,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DEFAULT_GAMMA_Y,
     CoinSpinor,
     Conventional,
     Ladder,
@@ -53,29 +52,18 @@ from .core import (
     localized_walker,
     position_distribution,
 )
-from .observables import second_moment, side_marginals, total_variation
-from .sectors import (
-    EffectiveAngles,
-    WalkPattern,
-    classify_pattern,
-    effective_angle_fractions,
-    effective_angles,
-    reduce_angle,
-    reduce_pi_fraction,
-    sector_project,
-)
+from .observables import magnetization, second_moment, side_marginals, total_variation
+from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, sector_project
 from .spectral import (
-    WalkSummary,
     asymptotic_rho,
-    average_rho,
     cesaro_rho,
     entropy,
     finite_n_rho,
-    walk_summary_from_angles,
+    mutual_information,
+    walk_summary,
 )
 
 __all__ = [
-    "Angle",
     "ExperimentConfig",
     "UsageError",
     "NumericInvariantError",
@@ -111,14 +99,6 @@ class NumericInvariantError(Exception):
 
 class Table1Failure(Exception):
     """One or more table1 checks failed."""
-
-
-@dataclass(frozen=True)
-class Angle:
-    """An angle in radians, remembering its exact pi-fraction if it has one."""
-
-    radians: float
-    pi_fraction: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -220,30 +200,6 @@ def parse_grid(text: str) -> list[Angle]:
     return [Angle(radians=float(v)) for v in values]
 
 
-def _summary_for(alpha: Angle, beta: Angle,
-                 gamma_y: Angle | None = None) -> tuple[WalkSummary, WalkPattern]:
-    """Sector summary for one parameter point, exact where possible."""
-    gy = gamma_y.radians if gamma_y is not None else DEFAULT_GAMMA_Y
-    exact = (alpha.pi_fraction is not None and beta.pi_fraction is not None
-             and gy == DEFAULT_GAMMA_Y)
-    if exact:
-        g1f, g2f = effective_angle_fractions(alpha.pi_fraction, beta.pi_fraction)
-        phif = 2 - 2 * beta.pi_fraction
-        eff = EffectiveAngles(
-            gamma1=float(g1f) * math.pi,
-            gamma2=float(g2f) * math.pi,
-            phi=float(phif) * math.pi,
-        )
-        g1r = float(reduce_pi_fraction(g1f)) * math.pi
-        g2r = float(reduce_pi_fraction(g2f)) * math.pi
-        summary = walk_summary_from_angles(eff, g1r, g2r)
-    else:
-        eff = effective_angles(alpha.radians, beta.radians, gy)
-        summary = walk_summary_from_angles(
-            eff, reduce_angle(eff.gamma1), reduce_angle(eff.gamma2))
-    return summary, classify_pattern(alpha.radians, beta.radians)
-
-
 def _check_step_sum(step: int, total: float) -> None:
     if abs(total - 1.0) > _SUM_TOL:
         raise NumericInvariantError(
@@ -289,7 +245,7 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
         "half_width": r,
         "initial_theta": float(initial_theta),
         "initial_phi": float(initial_phi),
-        "predicted_spread_coefficient": 1.0 - abs(math.sin(gamma.radians / 2.0)),
+        "predicted_spread_coefficient": magnetization(gamma.radians, gamma.radians).m,
         "asymptotic_rho11": rho_inf.rho11,
         "asymptotic_rho22": rho_inf.rho22,
         "asymptotic_entropy": entropy(rho_inf),
@@ -320,7 +276,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     r = half_width if half_width is not None else steps + 2
     if r <= steps + 1:
         raise UsageError("half_width must exceed steps + 1")
-    gy = gamma_y if gamma_y is not None else Angle(DEFAULT_GAMMA_Y, Fraction(-1, 2))
+    gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
@@ -347,14 +303,11 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         pair = sector_project(state)
         step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
 
-    summary, pattern = _summary_for(alpha, beta, gy)
-    g1r = reduce_angle(summary.effective.gamma1)
-    g2r = reduce_angle(summary.effective.gamma2)
+    summary = walk_summary(alpha, beta, gy)
+    eff = summary.effective
     if steps >= 1:
-        rho1_n = cesaro_rho(g1r, steps, coin)
-        rho2_n = cesaro_rho(g2r, steps, coin)
-        i_finite = (entropy(rho1_n) + entropy(rho2_n)
-                    - entropy(average_rho(rho1_n, rho2_n)))
+        i_finite = mutual_information(cesaro_rho(eff.gamma1_reduced, steps, coin),
+                                      cesaro_rho(eff.gamma2_reduced, steps, coin))
     else:
         i_finite = None
     params = {
@@ -366,9 +319,9 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "half_width": r,
         "initial_theta": float(initial_theta),
         "initial_phi": float(initial_phi),
-        "gamma1": summary.effective.gamma1,
-        "gamma2": summary.effective.gamma2,
-        "phi": summary.effective.phi,
+        "gamma1": eff.gamma1,
+        "gamma2": eff.gamma2,
+        "phi": eff.phi,
         "m1": summary.magnetization.m1,
         "m2": summary.magnetization.m2,
         "m": summary.magnetization.m,
@@ -378,7 +331,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "s2": summary.s2,
         "mutual_information": summary.mutual_information,
         "mutual_information_finite_n": i_finite,
-        "pattern": pattern.value,
+        "pattern": eff.pattern.value,
     }
     return {
         "command": "ladder",
@@ -404,7 +357,7 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
     rows = []
     for alpha in alpha_grid:
         for beta in beta_grid:
-            summary, pattern = _summary_for(alpha, beta)
+            summary = walk_summary(alpha, beta)
             rows.append([
                 alpha.radians,
                 beta.radians,
@@ -418,7 +371,7 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
                 summary.s1,
                 summary.s2,
                 summary.mutual_information,
-                pattern.value,
+                summary.effective.pattern.value,
             ])
     params = {
         "command": "sweep",
@@ -460,7 +413,8 @@ def run_table1(steps: int = 64) -> dict:
     # beta = 0: the walker hops sides deterministically; even steps on the
     # starting side, odd steps on the other.
     beta = Angle(0.0, Fraction(0))
-    summary, pattern = _summary_for(alpha, beta)
+    summary = walk_summary(alpha, beta)
+    pattern = summary.effective.pattern
     check("alternating", "pattern", WalkPattern.ALTERNATING.value,
           pattern.value, pattern is WalkPattern.ALTERNATING)
     diff = abs(summary.magnetization.m1 - summary.magnetization.m2)
@@ -471,7 +425,8 @@ def run_table1(steps: int = 64) -> dict:
 
     # beta = pi: the walker never leaves the starting side.
     beta = Angle(math.pi, Fraction(1))
-    summary, pattern = _summary_for(alpha, beta)
+    summary = walk_summary(alpha, beta)
+    pattern = summary.effective.pattern
     check("one-sided", "pattern", WalkPattern.ONE_SIDED.value,
           pattern.value, pattern is WalkPattern.ONE_SIDED)
     diff = abs(summary.magnetization.m1 - summary.magnetization.m2)
@@ -483,7 +438,8 @@ def run_table1(steps: int = 64) -> dict:
     # two side profiles agree up to a 1/sqrt(n) interference tail.
     tv_ceiling = _IDENTICAL_TV_COEFF / math.sqrt(steps)
     beta = Angle(math.pi / 4, Fraction(1, 4))
-    summary, pattern = _summary_for(alpha, beta)
+    summary = walk_summary(alpha, beta)
+    pattern = summary.effective.pattern
     check("identical-m2-zero", "pattern", WalkPattern.IDENTICAL_DOMINATED.value,
           pattern.value, pattern is WalkPattern.IDENTICAL_DOMINATED)
     check("identical-m2-zero", "m2", 0.0, summary.magnetization.m2,
@@ -493,7 +449,8 @@ def run_table1(steps: int = 64) -> dict:
 
     # beta = 3pi/4: M1 is maximized and again the side profiles agree.
     beta = Angle(3 * math.pi / 4, Fraction(3, 4))
-    summary, pattern = _summary_for(alpha, beta)
+    summary = walk_summary(alpha, beta)
+    pattern = summary.effective.pattern
     check("identical-m1-max", "pattern", WalkPattern.IDENTICAL_DOMINATED.value,
           pattern.value, pattern is WalkPattern.IDENTICAL_DOMINATED)
     check("identical-m1-max", "m1", 1.0, summary.magnetization.m1,
@@ -764,6 +721,9 @@ def main(argv=None) -> int:
     except Table1Failure as exc:
         print(f"ladderwalk: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"ladderwalk: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except (NumericInvariantError, LatticeOverflowError) as exc:
         print(f"ladderwalk: numeric invariant violated: {exc}", file=sys.stderr)
         return 3

@@ -10,25 +10,13 @@ import numpy as np
 from .core import LadderState
 
 __all__ = [
-    "SpreadReport",
     "MagnetizationTriple",
     "second_moment",
-    "spread_report",
     "magnetization",
     "discriminant",
     "side_marginals",
     "total_variation",
 ]
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    """Second moment of a distribution after ``n`` steps, with the
-    ballistic coefficient predicted for the coin angle."""
-
-    n: int
-    second_moment: float
-    predicted_coefficient: float
 
 
 @dataclass(frozen=True)
@@ -54,26 +42,16 @@ def second_moment(probs: np.ndarray, sites: np.ndarray, origin: float = 0.0) -> 
     return float(np.sum(probs * (sites - origin) ** 2))
 
 
-def spread_report(probs: np.ndarray, sites: np.ndarray, n: int, gamma: float,
-                  origin: float = 0.0) -> SpreadReport:
-    """Bundle the measured second moment with the ballistic prediction
-    ``1 - |sin(gamma/2)|`` for the squared spread per step squared."""
-    return SpreadReport(
-        n=n,
-        second_moment=second_moment(probs, sites, origin),
-        predicted_coefficient=1.0 - abs(math.sin(gamma / 2.0)),
-    )
-
-
 def magnetization(gamma1: float, gamma2: float) -> MagnetizationTriple:
     """``M_i = 1 - |sin(gamma_i / 2)|`` for each sector, and their average.
 
     ``M`` measures the asymptotic imbalance between up and down coin
     occupation; it is even in the angle and invariant under
-    ``gamma -> 2*pi - gamma``.
+    ``gamma -> 2*pi - gamma``.  For a single conventional walk with coin
+    angle ``gamma``, ``M`` is also the ballistic coefficient of its second
+    moment, ``<m^2> / n^2 -> 1 - |sin(gamma/2)|``.
     """
-    m1 = 1.0 - abs(math.sin(gamma1 / 2.0))
-    m2 = 1.0 - abs(math.sin(gamma2 / 2.0))
+    m1, m2 = (1.0 - abs(math.sin(gamma / 2.0)) for gamma in (gamma1, gamma2))
     return MagnetizationTriple(m1=m1, m2=m2, m=(m1 + m2) / 2.0)
 
 

@@ -17,15 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_GAMMA_Y, LadderState, WalkerState1D
+from .core import DEFAULT_GAMMA_Y, LadderState, WalkerState1D, _require_finite
 
 __all__ = [
     "EMPTY_SECTOR_WEIGHT",
+    "Angle",
     "EffectiveAngles",
     "SectorPair",
     "WalkPattern",
     "effective_angles",
-    "effective_angle_fractions",
     "reduce_angle",
     "reduce_pi_fraction",
     "sector_project",
@@ -40,42 +40,114 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
+class Angle:
+    """An angle in radians, remembering its exact pi-fraction if it has one."""
+
+    radians: float
+    pi_fraction: Fraction | None = None
+
+
+# The default long-side coin with its exact pi-fraction, so that the
+# default keeps pi-rational alpha and beta on the exact path.
+_DEFAULT_GAMMA_Y = Angle(DEFAULT_GAMMA_Y, Fraction(-1, 2))
+
+
+class WalkPattern(enum.Enum):
+    """Qualitative ladder walk regimes as a function of the coin angles."""
+
+    ALTERNATING = "alternating"
+    ONE_SIDED = "one-sided"
+    IDENTICAL_DOMINATED = "identical-dominated"
+    HADAMARD_DEGENERATE = "hadamard-degenerate"
+    GENERIC = "generic"
+
+
+_ANGLE_TOL = 1e-9
+
+
+def _congruent(angle: float, target: float, period: float) -> bool:
+    return abs(math.remainder(angle - target, period)) < _ANGLE_TOL
+
+
+@dataclass(frozen=True)
 class EffectiveAngles:
-    """Coin angles of the two sector walks and their phase difference."""
+    """Coin angles of the two sector walks and their phase difference.
+
+    ``gamma1`` and ``gamma2`` are unreduced; ``gamma1_reduced`` and
+    ``gamma2_reduced`` are the same angles reduced into ``(-pi, pi]``.
+    """
 
     gamma1: float
     gamma2: float
     phi: float
+    gamma1_reduced: float
+    gamma2_reduced: float
+
+    @property
+    def pattern(self) -> WalkPattern:
+        """Qualitative regime; earlier rules win on ties.
+
+        ``beta = 0`` (``phi/2 = pi - beta = pi``): the walker hops sides
+        deterministically each step.  ``beta = pi``: the walker never
+        leaves its starting side.  When a sector coin angle is a multiple
+        of ``pi`` that sector is extremal, the other sector dominates the
+        spreading and both sides show identical profiles.  When
+        ``alpha + gamma_y = (gamma1 + gamma2)/2 - pi`` is a multiple of
+        ``pi`` the two sector magnetizations coincide for every ``beta``
+        and no sector can dominate.  Congruences hold to ``1e-9`` rad.
+        """
+        half_phi = self.phi / 2.0
+        if _congruent(half_phi, math.pi, 2.0 * math.pi):
+            return WalkPattern.ALTERNATING
+        if _congruent(half_phi, 0.0, 2.0 * math.pi):
+            return WalkPattern.ONE_SIDED
+        if _congruent(self.gamma1, 0.0, math.pi) or _congruent(self.gamma2, 0.0, math.pi):
+            return WalkPattern.IDENTICAL_DOMINATED
+        if _congruent((self.gamma1 + self.gamma2) / 2.0, 0.0, math.pi):
+            return WalkPattern.HADAMARD_DEGENERATE
+        return WalkPattern.GENERIC
 
 
-def effective_angles(alpha: float, beta: float,
-                     gamma_y: float = DEFAULT_GAMMA_Y) -> EffectiveAngles:
+def _as_angle(name: str, value: Angle | float) -> Angle:
+    angle = value if isinstance(value, Angle) else Angle(float(value))
+    _require_finite(name, angle.radians)
+    return angle
+
+
+def effective_angles(alpha: Angle | float, beta: Angle | float,
+                     gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> EffectiveAngles:
     """Effective 1D coin angles of the ``k_x = 0`` and ``k_x = pi`` sectors.
 
-    With the default long-side coin, ``gamma1 = alpha + beta - pi/2`` and
-    ``gamma2 = gamma1 + phi = alpha - beta + 3*pi/2`` where
-    ``phi = 2*pi - 2*beta``.  The angles are returned unreduced; reduce
-    them modulo ``2*pi`` before evaluating quantities with a restricted
-    domain.
+    ``gamma1 = alpha + beta + gamma_y`` and ``gamma2 = gamma1 + phi`` with
+    ``phi = 2*pi - 2*beta``; with the default long-side coin
+    ``gamma_y = -pi/2`` that is ``gamma2 = alpha - beta + 3*pi/2``.
+
+    Each angle is a float in radians or an :class:`Angle`.  When all
+    three carry a pi-fraction the angles are added and reduced in exact
+    ``Fraction`` arithmetic, so identities such as ``gamma1 = 0`` at
+    ``(alpha, beta) = (-pi/4, 3*pi/4)`` hold exactly; otherwise in floats.
     """
-    for name, value in (("alpha", alpha), ("beta", beta), ("gamma_y", gamma_y)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    gamma1 = alpha + beta + gamma_y
-    phi = 2.0 * math.pi - 2.0 * beta
-    return EffectiveAngles(gamma1=gamma1, gamma2=gamma1 + phi, phi=phi)
+    angles = [_as_angle(name, value) for name, value in
+              (("alpha", alpha), ("beta", beta), ("gamma_y", gamma_y))]
+    if all(angle.pi_fraction is not None for angle in angles):
+        a, b, gy = (angle.pi_fraction for angle in angles)
+        half_turn, reduce = Fraction(1), reduce_pi_fraction
 
-
-def effective_angle_fractions(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
-    """Sector coin angles in exact units of pi, for pi-rational inputs.
-
-    Equivalent to :func:`effective_angles` with the default long-side coin
-    but free of float rounding, so identities such as ``gamma1 = 0`` at
-    ``(alpha, beta) = (-1/4, 3/4)`` hold exactly.
-    """
-    gamma1 = alpha + beta - Fraction(1, 2)
-    gamma2 = alpha - beta + Fraction(3, 2)
-    return gamma1, gamma2
+        def radians(f: Fraction) -> float:
+            return float(f) * math.pi
+    else:
+        a, b, gy = (angle.radians for angle in angles)
+        half_turn, reduce, radians = math.pi, reduce_angle, float
+    gamma1 = a + b + gy
+    phi = 2 * (half_turn - b)
+    gamma2 = gamma1 + phi
+    return EffectiveAngles(
+        gamma1=radians(gamma1),
+        gamma2=radians(gamma2),
+        phi=radians(phi),
+        gamma1_reduced=radians(reduce(gamma1)),
+        gamma2_reduced=radians(reduce(gamma2)),
+    )
 
 
 def reduce_angle(gamma: float) -> float:
@@ -153,45 +225,7 @@ def reconstruct_ladder(pair: SectorPair, origin: int | None = None) -> LadderSta
     )
 
 
-class WalkPattern(enum.Enum):
-    """Qualitative ladder walk regimes as a function of the two coin angles."""
-
-    ALTERNATING = "alternating"
-    ONE_SIDED = "one-sided"
-    IDENTICAL_DOMINATED = "identical-dominated"
-    HADAMARD_DEGENERATE = "hadamard-degenerate"
-    GENERIC = "generic"
-
-
-_ANGLE_TOL = 1e-9
-
-
-def _congruent(angle: float, target: float, tol: float = _ANGLE_TOL) -> bool:
-    return abs(math.remainder(angle - target, 2.0 * math.pi)) < tol
-
-
-def classify_pattern(alpha: float, beta: float) -> WalkPattern:
-    """Classify the ladder walk regime; earlier rules win on ties.
-
-    ``beta = 0``: the walker hops sides deterministically each step.
-    ``beta = pi``: the walker never leaves its starting side.  When
-    ``alpha + beta`` or ``alpha - beta`` is an odd multiple of ``pi/2``,
-    one sector coin is extremal, the other sector dominates the spreading
-    and both sides show identical profiles.  At ``alpha = +-pi/2`` the two
-    sector magnetizations coincide for every ``beta`` and no sector can
-    dominate.
-    """
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    half_pi = math.pi / 2
-    if _congruent(beta, 0.0):
-        return WalkPattern.ALTERNATING
-    if _congruent(beta, math.pi):
-        return WalkPattern.ONE_SIDED
-    for combo in (alpha + beta, alpha - beta):
-        if _congruent(combo, half_pi) or _congruent(combo, -half_pi):
-            return WalkPattern.IDENTICAL_DOMINATED
-    if _congruent(alpha, half_pi) or _congruent(alpha, -half_pi):
-        return WalkPattern.HADAMARD_DEGENERATE
-    return WalkPattern.GENERIC
+def classify_pattern(alpha: Angle | float, beta: Angle | float,
+                     gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> WalkPattern:
+    """Qualitative regime of the ladder walk; see :attr:`EffectiveAngles.pattern`."""
+    return effective_angles(alpha, beta, gamma_y).pattern

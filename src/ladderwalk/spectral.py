@@ -4,10 +4,15 @@ The one-step unitary of a conventional walk is diagonal in quasi-momentum,
 ``U(k) = T(k) C(gamma/2)`` with ``T(k) = diag(e^{ik}, e^{-ik})``.  Its
 eigenphases obey ``cos(omega) = cos(gamma/2) cos(k)``, which yields a
 closed-form n-step propagator and, after dephasing between the two bands,
-closed forms for the long-time coin density matrix, its eigenvalues and
-its entropy.  :func:`evolve_spectral` uses the propagator on a discrete
-momentum grid as an oracle that is independent of the position-space
-stepping in :mod:`ladderwalk.core`.
+closed forms for the long-time coin density matrix and its entropy.
+Every 2x2 density matrix is diagonalized in closed form,
+``lambda = (tr rho +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)) / 2``.
+
+:func:`mode_eigensystem` is the single eigensystem of ``U(k)``, evaluated
+on a whole momentum grid at once; :func:`evolve_spectral` applies it on a
+discrete ring as an oracle that is independent of the position-space
+stepping in :mod:`ladderwalk.core`.  :func:`walk_summary` is the single
+path from ``(alpha, beta, gamma_y)`` to the sector analytics.
 """
 
 from __future__ import annotations
@@ -17,9 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoinSpinor, Conventional, WalkerState1D, evolve, localized_walker
+from .core import (
+    CoinSpinor,
+    Conventional,
+    WalkerState1D,
+    _require_finite,
+    evolve,
+    localized_walker,
+)
 from .observables import MagnetizationTriple, magnetization
-from .sectors import EffectiveAngles, effective_angles, reduce_angle
+from .sectors import _DEFAULT_GAMMA_Y, Angle, EffectiveAngles, effective_angles, reduce_angle
 
 __all__ = [
     "AliasingError",
@@ -38,7 +50,6 @@ __all__ = [
     "finite_n_rho",
     "cesaro_rho",
     "walk_summary",
-    "walk_summary_from_angles",
 ]
 
 _DEGENERATE_TOL = 1e-12
@@ -88,18 +99,21 @@ class DensityMatrix2:
 
 @dataclass(frozen=True, eq=False)
 class MomentumMode:
-    """Eigensystem of the one-step unitary at quasi-momentum ``k``.
+    """Eigensystem of the one-step unitary on quasi-momenta ``k``.
 
     ``e_plus`` carries eigenvalue ``e^{-i omega}`` and ``e_minus`` carries
     ``e^{+i omega}``, matching the spectral form of the n-step propagator.
+    ``k``, ``omega`` and the eigenvalues have the shape of the momenta
+    given; the eigenvectors hold the spin index first, shape
+    ``(2,) + k.shape``.
     """
 
-    k: float
-    omega: float
+    k: np.ndarray
+    omega: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
-    lambda_plus: complex
-    lambda_minus: complex
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
 
 
 def dispersion(gamma: float, k: float):
@@ -116,39 +130,39 @@ def _unitary_at(gamma: float, k: float) -> np.ndarray:
     return t @ coin
 
 
-def mode_eigensystem(gamma: float, k: float) -> MomentumMode:
+def mode_eigensystem(gamma: float, k) -> MomentumMode:
     """Closed-form eigenvectors and eigenvalues of ``U(k) = T(k) C(gamma/2)``.
 
-    The unnormalized eigenvector for eigenvalue ``lambda`` is
-    ``(e^{ik}, e^{ik} cot(gamma/2) - lambda / sin(gamma/2))``; the
-    normalizer is ``sin(gamma/2) / sqrt(2 (sin^2 omega +- cos(gamma/2) sin k sin omega))``
-    with the plus sign for the ``e^{-i omega}`` branch.
+    ``k`` is one momentum or an array of them.  The unnormalized
+    eigenvector for eigenvalue ``lambda`` is
+    ``(e^{ik}, (cos(gamma/2) e^{ik} - lambda) / sin(gamma/2))``; each is
+    scaled to unit norm.
     """
-    if not (math.isfinite(gamma) and math.isfinite(k)):
-        raise ValueError("gamma and k must be finite")
+    gamma = _require_finite("gamma", gamma)
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
+        raise ValueError("k must be finite")
     s = math.sin(gamma / 2.0)
     c = math.cos(gamma / 2.0)
     if abs(s) < _DEGENERATE_TOL:
         raise DegenerateCoinError(
             "coin angle congruent to 0 mod 2*pi: U(k) is diagonal")
-    omega = float(dispersion(gamma, k))
+    omega = dispersion(gamma, k)
     lam_plus = np.exp(-1j * omega)
     lam_minus = np.exp(1j * omega)
     u = np.exp(1j * k)
-    sw = math.sin(omega)
 
-    def vector(lam: complex, sign: float) -> np.ndarray:
-        raw = np.array([u, (c * u - lam) / s])
-        norm = abs(s) / math.sqrt(2.0 * (sw * sw + sign * c * math.sin(k) * sw))
-        return raw * norm
+    def vector(lam: np.ndarray) -> np.ndarray:
+        raw = np.stack([u, (c * u - lam) / s])
+        return raw / np.linalg.norm(raw, axis=0)
 
     return MomentumMode(
-        k=float(k),
+        k=k,
         omega=omega,
-        e_plus=vector(lam_plus, +1.0),
-        e_minus=vector(lam_minus, -1.0),
-        lambda_plus=complex(lam_plus),
-        lambda_minus=complex(lam_minus),
+        e_plus=vector(lam_plus),
+        e_minus=vector(lam_minus),
+        lambda_plus=lam_plus,
+        lambda_minus=lam_minus,
     )
 
 
@@ -162,6 +176,7 @@ def evolve_spectral(initial: CoinSpinor, gamma: float, n: int,
     ``ring_size > 2 n`` the wave front cannot wrap, so the result equals
     open-lattice evolution.
     """
+    gamma = _require_finite("gamma", gamma)
     if ring_size % 2 != 0:
         raise AliasingError("ring_size must be even")
     if n < 0:
@@ -183,16 +198,11 @@ def evolve_spectral(initial: CoinSpinor, gamma: float, n: int,
         down_hat = chi[1] * (c * np.exp(-1j * k)) ** n
         psi_hat = np.stack([up_hat, down_hat])
     else:
-        omega = dispersion(gamma, k)
-        u = np.exp(1j * k)
-        e_plus = np.stack([u, (c * u - np.exp(-1j * omega)) / s])
-        e_minus = np.stack([u, (c * u - np.exp(1j * omega)) / s])
-        e_plus /= np.linalg.norm(e_plus, axis=0)
-        e_minus /= np.linalg.norm(e_minus, axis=0)
-        coef_plus = np.sum(np.conj(e_plus) * chi[:, None], axis=0)
-        coef_minus = np.sum(np.conj(e_minus) * chi[:, None], axis=0)
-        psi_hat = (np.exp(-1j * omega * n) * coef_plus * e_plus
-                   + np.exp(1j * omega * n) * coef_minus * e_minus)
+        mode = mode_eigensystem(gamma, k)
+        coef_plus = np.sum(np.conj(mode.e_plus) * chi[:, None], axis=0)
+        coef_minus = np.sum(np.conj(mode.e_minus) * chi[:, None], axis=0)
+        psi_hat = (np.exp(-1j * mode.omega * n) * coef_plus * mode.e_plus
+                   + np.exp(1j * mode.omega * n) * coef_minus * mode.e_minus)
 
     # psi(m) = (1/L) sum_j psi_hat(k_j) e^{-i k_j m}; ring index 0 is the
     # starting site, so roll it to the array center afterwards.
@@ -214,9 +224,7 @@ def asymptotic_rho(gamma: float) -> DensityMatrix2:
     mapped through conjugation by ``diag(1, -1)``, which flips the sign of
     ``rho12``.  At ``|gamma| = pi`` the off-diagonal limit is zero.
     """
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    reduced = reduce_angle(gamma)
+    reduced = reduce_angle(_require_finite("gamma", gamma))
     a = abs(reduced)
     s = math.sin(a / 2.0)
     rho11 = 1.0 - 0.5 * s
@@ -231,11 +239,16 @@ def asymptotic_rho(gamma: float) -> DensityMatrix2:
 
 def rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
     """Eigenvalues ``(lambda_plus, lambda_minus)`` with
-    ``lambda_plus >= lambda_minus >= 0``, by direct diagonalization."""
-    lo, hi = np.linalg.eigvalsh(rho.matrix())
+    ``lambda_plus >= lambda_minus >= 0``, each clamped into ``[0, 1]``.
+
+    Closed form ``(tr rho +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)) / 2``.
+    """
+    trace = rho.rho11 + rho.rho22
+    root = math.hypot(rho.rho11 - rho.rho22, 2.0 * abs(rho.rho12))
+    lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
     if lo < -_PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
-    return float(np.clip(hi, 0.0, 1.0)), float(np.clip(lo, 0.0, 1.0))
+    return min(max(hi, 0.0), 1.0), min(max(lo, 0.0), 1.0)
 
 
 def entropy(rho: DensityMatrix2) -> float:
@@ -311,39 +324,28 @@ class WalkSummary:
     s2: float
 
 
-def walk_summary_from_angles(effective: EffectiveAngles,
-                             gamma1_reduced: float,
-                             gamma2_reduced: float) -> WalkSummary:
-    """Summary computed from already-reduced sector angles.
+def walk_summary(alpha: Angle | float, beta: Angle | float,
+                 gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> WalkSummary:
+    """Sector angles, magnetizations, eigenvalue gaps, entropies and mutual
+    information for one ``(alpha, beta, gamma_y)`` parameter point.
 
-    Split out from :func:`walk_summary` so callers that reduce the angles
-    in exact arithmetic can feed the results straight in.
+    Angles are floats in radians or :class:`~ladderwalk.sectors.Angle`;
+    when all three carry a pi-fraction the sector angles are reduced in
+    exact arithmetic (see :func:`~ladderwalk.sectors.effective_angles`).
+    Everything else is evaluated on the reduced angles; ``d1, d2`` are the
+    eigenvalue gaps of the sector density matrices.
     """
-    triple = magnetization(gamma1_reduced, gamma2_reduced)
-    rho1 = asymptotic_rho(gamma1_reduced)
-    rho2 = asymptotic_rho(gamma2_reduced)
+    eff = effective_angles(alpha, beta, gamma_y)
+    rho1 = asymptotic_rho(eff.gamma1_reduced)
+    rho2 = asymptotic_rho(eff.gamma2_reduced)
     lam1 = rho_eigenvalues(rho1)
     lam2 = rho_eigenvalues(rho2)
-    s1 = entropy(rho1)
-    s2 = entropy(rho2)
     return WalkSummary(
-        effective=effective,
-        magnetization=triple,
+        effective=eff,
+        magnetization=magnetization(eff.gamma1_reduced, eff.gamma2_reduced),
         d1=lam1[0] - lam1[1],
         d2=lam2[0] - lam2[1],
-        mutual_information=s1 + s2 - entropy(average_rho(rho1, rho2)),
-        s1=s1,
-        s2=s2,
+        mutual_information=mutual_information(rho1, rho2),
+        s1=entropy(rho1),
+        s2=entropy(rho2),
     )
-
-
-def walk_summary(alpha: float, beta: float) -> WalkSummary:
-    """Sector angles, magnetizations, eigenvalue gaps, entropies and mutual
-    information for one ``(alpha, beta)`` parameter point.
-
-    The eigenvalue gaps ``d1, d2`` are those of the sector density
-    matrices, i.e. the discriminant evaluated on the reduced angles.
-    """
-    eff = effective_angles(alpha, beta)
-    return walk_summary_from_angles(
-        eff, reduce_angle(eff.gamma1), reduce_angle(eff.gamma2))

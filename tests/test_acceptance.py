@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ladderwalk as lw
-from ladderwalk.cli import _summary_for, parse_grid
+from ladderwalk.cli import parse_grid
 
 
 def report(number, name, elapsed=None):
@@ -129,7 +129,7 @@ def test_07_mutual_information_structure():
     alpha = parse_grid("-1/4pi:-1/4pi:1")[0]
     grid = parse_grid("-pi:pi:65")
     assert len(grid) == 65
-    summaries = [_summary_for(alpha, beta)[0] for beta in grid]
+    summaries = [lw.walk_summary(alpha, beta) for beta in grid]
     information = [s.mutual_information for s in summaries]
 
     at_zero = next(i for i, b in enumerate(grid) if b.pi_fraction == 0)

@@ -135,6 +135,13 @@ class TestWalk1d:
             sums[step] = sums.get(step, 0.0) + p
         assert all(abs(total - 1.0) <= 1e-9 for total in sums.values())
 
+    def test_predicted_spread_coefficient(self):
+        dataset = cli.run_walk1d(cli.parse_angle("1/2pi"), steps=5)
+        predicted = dataset["params"]["predicted_spread_coefficient"]
+        assert predicted == pytest.approx(1 - math.sqrt(2) / 2)
+        for step, m2, _entropy, _total in dataset["tables"]["steps"]["rows"]:
+            assert 0.0 <= m2 <= step**2 + 1e-12
+
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         assert cli.main(["walk1d", "--steps", "3",
                          "--out", str(tmp_path / "x.csv")]) == 1
@@ -172,6 +179,18 @@ class TestLadderCmd:
         assert tv_final < 1e-6
         assert data["params"]["m1"] == 1.0
         assert data["params"]["gamma1"] == 0.0
+
+    @pytest.mark.parametrize("argv,pattern", [
+        (["--alpha=1/2pi", "--beta", "0.3", "--gamma-y", "0"], "generic"),
+        (["--alpha", "0.3", "--beta", "0.9", "--gamma-y=-0.3"], "hadamard-degenerate"),
+        (["--alpha=1/2pi", "--beta", "0.3"], "hadamard-degenerate"),
+    ])
+    def test_pattern_follows_long_side_coin(self, capsys, argv, pattern):
+        assert cli.main(["ladder", *argv, "--steps", "2"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert params["pattern"] == pattern
+        equal = params["m1"] == pytest.approx(params["m2"], abs=1e-12)
+        assert equal == (pattern == "hadamard-degenerate")
 
     def test_sector_weights_constant(self, tmp_path):
         out = tmp_path / "ladder.json"
@@ -315,6 +334,15 @@ class TestOutputPlumbing:
             assert cli.main(["walk1d", "--gamma", "0", "--steps", "1",
                              "--out", str(out)]) == 1
             assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_unallocatable_half_width_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ladderwalk", "ladder", "--alpha", "0.3",
+             "--beta", "0.9", "--steps", "2", "--half-width", "1000000000000000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ladderwalk: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_half_width_rejected(self, tmp_path):
         assert cli.main(["walk1d", "--gamma", "0", "--steps", "5",

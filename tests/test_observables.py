@@ -38,14 +38,6 @@ class TestSecondMoment:
         m2 = lw.second_moment(lw.position_distribution(state), state.sites())
         assert m2 / n**2 == pytest.approx(0.2929, abs=0.02)
 
-    def test_spread_report_bundles_prediction(self):
-        state = lw.evolve(lw.localized_walker(half_width=7),
-                          lw.Conventional(math.pi / 2), 5)
-        rep = lw.spread_report(lw.position_distribution(state), state.sites(),
-                               n=5, gamma=math.pi / 2)
-        assert rep.predicted_coefficient == pytest.approx(1 - math.sqrt(2) / 2)
-        assert 0.0 <= rep.second_moment <= 25.0
-
 
 class TestMagnetization:
     def test_zero_angle_is_maximal(self):

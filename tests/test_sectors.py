@@ -37,15 +37,32 @@ class TestEffectiveAngles:
         assert eff.phi == pytest.approx(2 * math.pi - 2 * beta, abs=1e-12)
 
     def test_fraction_variant_matches_float(self):
-        g1, g2 = lw.effective_angle_fractions(Fraction(-1, 4), Fraction(3, 4))
-        assert g1 == 0 and g2 == Fraction(1, 2)
+        exact = lw.effective_angles(lw.Angle(-math.pi / 4, Fraction(-1, 4)),
+                                    lw.Angle(3 * math.pi / 4, Fraction(3, 4)))
+        assert exact.gamma1 == 0.0 and exact.gamma1_reduced == 0.0
+        assert exact.gamma2 == exact.gamma2_reduced == math.pi / 2
         eff = lw.effective_angles(-math.pi / 4, 3 * math.pi / 4)
-        assert float(g1) * math.pi == pytest.approx(eff.gamma1, abs=1e-12)
-        assert float(g2) * math.pi == pytest.approx(eff.gamma2, abs=1e-12)
+        for field in ("gamma1", "gamma2", "phi", "gamma1_reduced", "gamma2_reduced"):
+            assert getattr(exact, field) == pytest.approx(getattr(eff, field), abs=1e-12)
+
+    def test_exact_only_when_every_angle_has_a_fraction(self):
+        alpha = lw.Angle(-math.pi / 4, Fraction(-1, 4))
+        beta = lw.Angle(3 * math.pi / 4, Fraction(3, 4))
+        assert lw.effective_angles(alpha, beta, lw.Angle(-math.pi / 2, Fraction(-1, 2))) \
+            == lw.effective_angles(alpha, beta)
+        # a float long-side coin, even -pi/2 itself, takes the float path
+        floats = lw.effective_angles(alpha, beta, -math.pi / 2)
+        assert floats == lw.effective_angles(-math.pi / 4, 3 * math.pi / 4)
+        # pi-fraction reduction: gamma2 = 1/4 + 3/4 + 1/2 + 2 - 3/2 = 2 -> 0
+        eff = lw.effective_angles(lw.Angle(math.pi / 4, Fraction(1, 4)), beta,
+                                  lw.Angle(math.pi / 2, Fraction(1, 2)))
+        assert eff.gamma1_reduced == -math.pi / 2 and eff.gamma2_reduced == 0.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             lw.effective_angles(math.nan, 0.0)
+        with pytest.raises(ValueError, match="gamma_y"):
+            lw.effective_angles(0.0, 0.0, lw.Angle(math.inf))
 
 
 class TestReduction:
@@ -186,6 +203,31 @@ class TestClassifyPattern:
     ])
     def test_examples(self, alpha, beta, expected):
         assert lw.classify_pattern(alpha, beta) is expected
+
+    @pytest.mark.parametrize("alpha,beta,gamma_y,expected", [
+        # alpha = pi/2 is degenerate only for the default gamma_y = -pi/2
+        (math.pi / 2, 0.3, 0.0, WalkPattern.GENERIC),
+        (0.3, 0.9, -0.3, WalkPattern.HADAMARD_DEGENERATE),
+        (0.3, 0.9, math.pi - 0.3, WalkPattern.HADAMARD_DEGENERATE),
+        # gamma1 = alpha + beta + gamma_y = pi, gamma2 = 0.8 - 2.0 + 2 pi
+        (0.8, 1.0, math.pi - 1.8, WalkPattern.IDENTICAL_DOMINATED),
+        # gamma2 = 0.8 - 1.0 + 0.2 + 2 pi = 2 pi
+        (0.8, 1.0, 0.2, WalkPattern.IDENTICAL_DOMINATED),
+        (0.8, 0.0, 0.2, WalkPattern.ALTERNATING),
+        (0.8, math.pi, 1.1, WalkPattern.ONE_SIDED),
+    ])
+    def test_custom_long_side_coin(self, alpha, beta, gamma_y, expected):
+        assert lw.classify_pattern(alpha, beta, gamma_y) is expected
+
+    @given(ANGLES, ANGLES)
+    @settings(max_examples=80)
+    def test_degenerate_long_side_coin_equalizes_sectors(self, alpha, beta):
+        # alpha + gamma_y = 0: the rule fires (unless an earlier rule wins)
+        # exactly where the two sector magnetizations coincide
+        summary = lw.walk_summary(alpha, beta, -alpha)
+        assert summary.magnetization.m1 == pytest.approx(summary.magnetization.m2,
+                                                         abs=1e-12)
+        assert summary.effective.pattern is not WalkPattern.GENERIC
 
     def test_tie_break_follows_listed_order(self):
         # beta rules come before the identical and Hadamard rules

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
+from ladderwalk.cli import parse_grid
 from ladderwalk.spectral import _unitary_at
 
 SQRT2 = math.sqrt(2.0)
@@ -57,6 +58,27 @@ class TestModeEigensystem:
         assert mode.lambda_plus == pytest.approx(-1j, abs=1e-12)
         assert mode.lambda_minus == pytest.approx(1j, abs=1e-12)
 
+    def test_array_of_momenta_matches_pointwise(self):
+        gamma = -2.1
+        ks = np.linspace(-math.pi, math.pi, 17)
+        modes = lw.mode_eigensystem(gamma, ks)
+        assert modes.e_plus.shape == modes.e_minus.shape == (2, 17)
+        for j, k in enumerate(ks):
+            mode = lw.mode_eigensystem(gamma, k)
+            u = _unitary_at(gamma, k)
+            for vec, lam in ((modes.e_plus[:, j], modes.lambda_plus[j]),
+                             (modes.e_minus[:, j], modes.lambda_minus[j])):
+                assert np.linalg.norm(u @ vec - lam * vec) < 1e-12
+            assert np.array_equal(mode.e_plus, modes.e_plus[:, j])
+            assert np.array_equal(mode.e_minus, modes.e_minus[:, j])
+            assert mode.omega == modes.omega[j]
+
+    @pytest.mark.parametrize("gamma,k", [(math.nan, 0.3), (math.inf, 0.3),
+                                         (1.0, [0.1, math.nan])])
+    def test_rejects_non_finite(self, gamma, k):
+        with pytest.raises(ValueError, match="gamma" if k == 0.3 else "k"):
+            lw.mode_eigensystem(gamma, k)
+
     def test_degenerate_coin_rejected(self):
         with pytest.raises(lw.DegenerateCoinError):
             lw.mode_eigensystem(0.0, 0.3)
@@ -83,6 +105,11 @@ class TestEvolveSpectral:
         state = lw.evolve_spectral(lw.CoinSpinor(), 0.0, 5, 16)
         dist = lw.position_distribution(state)
         assert dist[state.half_width + 5] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            lw.evolve_spectral(lw.CoinSpinor(), gamma, 4, 16)
 
     def test_ring_too_small(self):
         with pytest.raises(lw.AliasingError):
@@ -157,6 +184,23 @@ class TestRhoEigenvalues:
         for gamma in np.linspace(1e-3, math.pi - 1e-3, 50):
             lam = lw.rho_eigenvalues(lw.asymptotic_rho(gamma))
             assert lam[0] - lam[1] == pytest.approx(lw.discriminant(gamma), abs=1e-12)
+
+    def test_matches_eigvalsh_on_random_density_matrices(self):
+        rng = np.random.default_rng(11)
+        for rank in (1, 2):
+            for _ in range(500):
+                a = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+                m = a @ a.conj().T
+                m /= np.trace(m).real
+                rho = lw.DensityMatrix2(m[0, 0].real, m[1, 1].real, complex(m[0, 1]))
+                lo, hi = np.clip(np.linalg.eigvalsh(rho.matrix()), 0.0, 1.0)
+                lam = lw.rho_eigenvalues(rho)
+                assert lam[0] >= lam[1] >= 0.0
+                assert abs(lam[0] - hi) <= 1e-15 and abs(lam[1] - lo) <= 1e-15
+
+    def test_roundoff_outside_unit_interval_is_clamped(self):
+        rho = lw.DensityMatrix2(1.0 + 5e-13, -5e-13, 0.0)
+        assert lw.rho_eigenvalues(rho) == (1.0, 0.0)
 
     def test_closed_form_quarter_angle(self):
         # The eigenvalues follow 1/(1 + tan(gamma/4)) and 1/(1 + cot(gamma/4)).
@@ -256,6 +300,41 @@ class TestWalkSummary:
         summary = lw.walk_summary(-math.pi / 4, math.pi / 4)
         assert summary.magnetization.m2 == 0.0
         assert summary.d2 == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_and_float_angles_agree_on_grid(self):
+        grid = parse_grid("-pi:pi:129")
+        fields = ("d1", "d2", "s1", "s2", "mutual_information")
+        worst = 0.0
+        for alpha in grid:
+            for beta in grid:
+                exact = lw.walk_summary(alpha, beta)
+                floats = lw.walk_summary(alpha.radians, beta.radians)
+                e, f = exact.effective, floats.effective
+                assert e.pattern is f.pattern
+                values = [(getattr(exact, k), getattr(floats, k)) for k in fields]
+                values += [(getattr(exact.magnetization, k), getattr(floats.magnetization, k))
+                           for k in ("m1", "m2", "m")]
+                values += [(e.gamma1, f.gamma1), (e.gamma2, f.gamma2), (e.phi, f.phi)]
+                worst = max(worst, max(abs(x - y) for x, y in values))
+                for x, y in ((e.gamma1_reduced, f.gamma1_reduced),
+                             (e.gamma2_reduced, f.gamma2_reduced)):
+                    assert abs(math.remainder(x - y, 2 * math.pi)) <= 1e-12
+        assert worst <= 1e-12
+
+    def test_gaps_match_discriminant(self):
+        # The gap (1 - sin(a/2)) / cos(a/2) is read off asymptotic_rho's
+        # entries, whose rounding grows as 1/cos(a/2) towards |gamma| = pi;
+        # discriminant evaluates it without that cancellation.
+        grid = parse_grid("-pi:pi:129")
+        for alpha in grid[::4]:
+            for beta in grid:
+                for summary in (lw.walk_summary(alpha, beta),
+                                lw.walk_summary(alpha.radians, beta.radians, 0.7)):
+                    eff = summary.effective
+                    for d, gamma in ((summary.d1, eff.gamma1_reduced),
+                                     (summary.d2, eff.gamma2_reduced)):
+                        tol = 1e-15 / abs(math.cos(gamma / 2))
+                        assert abs(d - lw.discriminant(gamma)) <= tol, gamma
 
     def test_m1_maximized(self):
         summary = lw.walk_summary(-math.pi / 4, 3 * math.pi / 4)
