@@ -37,7 +37,6 @@ from .sectors import (
     EffectiveAngles,
     SectorPair,
     WalkPattern,
-    classify_pattern,
     effective_angles,
     reconstruct_ladder,
     reduce_angle,

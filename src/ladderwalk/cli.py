@@ -24,19 +24,28 @@ beta = pi/4, for instance) hold bit-exactly in the outputs.  Datasets are
 written as a single JSON document or as CSV files, one per table, with
 floats at 17 significant digits.
 
-Exit codes: 0 success, 1 usage error, 2 failed table1 check, 3 numeric
-invariant violation.
+Each command's options are the parameters of its ``run_*`` function
+(``--half-width`` for ``half_width``; a parameter without a default is
+required), plus ``--out``, ``--format`` and ``--config``; ``sweep`` also
+takes ``--alpha``/``--beta`` as one-point grids.  A JSON config file
+holds the same keys, and a flag overrides the key of the same name.  A
+flag or config key the command does not take is a usage error.  Each
+value goes through one parser per key; range checks live once, in the
+``run_*`` functions, which are also the library entry points.
+
+Exit codes: 0 success, 1 usage error (also a value the library refuses),
+2 failed table1 check, 3 numeric invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,10 +73,8 @@ from .spectral import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "UsageError",
     "NumericInvariantError",
-    "Table1Failure",
     "parse_angle",
     "parse_grid",
     "run_walk1d",
@@ -97,80 +104,38 @@ class NumericInvariantError(Exception):
     """A numeric invariant of an emitted dataset was violated."""
 
 
-class Table1Failure(Exception):
-    """One or more table1 checks failed."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated batch-job settings after merging config file and flags."""
-
-    command: str
-    alpha: Angle | None = None
-    beta: Angle | None = None
-    gamma: Angle | None = None
-    gamma_y: Angle | None = None
-    steps: int | None = None
-    half_width: int | None = None
-    initial_theta: float = 0.0
-    initial_phi: float = 0.0
-    out: str | None = None
-    format: str = "csv"
-    alpha_grid: list[Angle] | None = None
-    beta_grid: list[Angle] | None = None
-
-    def __post_init__(self):
-        if self.steps is not None and self.steps < 0:
-            raise UsageError("steps must be >= 0")
-        if self.half_width is not None:
-            if self.steps is None:
-                raise UsageError("half_width given without steps")
-            if self.half_width <= self.steps + 1:
-                raise UsageError("half_width must exceed steps + 1")
-        for name, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
-            if grid is not None and len(grid) < 1:
-                raise UsageError(f"{name} grid must hold at least one point")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"unknown format {self.format!r}")
-
-
 _PI_RE = re.compile(r"^([+-]?[0-9./]*)pi(/([0-9]+))?$")
 
 
 def parse_angle(value) -> Angle:
-    """Parse raw radians or a rational multiple of pi."""
-    if isinstance(value, (int, float)):
-        if not math.isfinite(float(value)):
-            raise UsageError(f"angle must be finite, got {value!r}")
-        return Angle(radians=float(value))
-    text = str(value).strip().lower().replace(" ", "")
-    if "pi" in text:
-        m = _PI_RE.match(text)
-        if m is None:
-            raise UsageError(f"cannot parse angle {value!r}")
-        prefix = m.group(1)
-        if prefix in ("", "+"):
-            frac = Fraction(1)
-        elif prefix == "-":
-            frac = Fraction(-1)
-        else:
-            try:
-                frac = Fraction(prefix)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"cannot parse angle {value!r}") from exc
-        if m.group(3) is not None:
-            denom = int(m.group(3))
-            if denom == 0:
-                raise UsageError(f"zero denominator in angle {value!r}")
-            frac /= denom
-        return Angle(radians=float(frac) * math.pi, pi_fraction=frac)
+    """Parse raw radians or a rational multiple of pi; a bool is refused."""
+    if isinstance(value, bool):
+        raise UsageError(f"cannot parse angle {value!r}")
+    frac = None
     try:
-        radians = float(text)
-    except ValueError as exc:
+        if isinstance(value, (int, float)):
+            radians = float(value)
+        else:
+            text = str(value).strip().lower().replace(" ", "")
+            m = _PI_RE.match(text)
+            if m is None:
+                radians = float(text)
+            else:
+                prefix = m.group(1)
+                if prefix in ("", "+"):
+                    frac = Fraction(1)
+                elif prefix == "-":
+                    frac = Fraction(-1)
+                else:
+                    frac = Fraction(prefix)
+                if m.group(3) is not None:
+                    frac /= int(m.group(3))
+                radians = float(frac) * math.pi
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse angle {value!r}") from exc
     if not math.isfinite(radians):
         raise UsageError(f"angle must be finite, got {value!r}")
-    return Angle(radians=radians)
+    return Angle(radians=radians, pi_fraction=frac)
 
 
 def parse_grid(text: str) -> list[Angle]:
@@ -196,8 +161,56 @@ def parse_grid(text: str) -> list[Angle]:
         fracs = [start.pi_fraction + Fraction(j, count - 1) * span
                  for j in range(count)]
         return [Angle(radians=float(f) * math.pi, pi_fraction=f) for f in fracs]
-    values = np.linspace(start.radians, stop.radians, count)
+    # stop - start can overflow although both ends are finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(start.radians, stop.radians, count)
+    if not np.isfinite(values).all():
+        raise UsageError(f"grid {text!r} has points that are not finite")
     return [Angle(radians=float(v)) for v in values]
+
+
+def _count(value) -> int:
+    """An integer.  A bool, a fractional number or a string ``int()``
+    rejects is a usage error, never truncated or coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"must be an integer, got {value!r}")
+
+
+def _radians(value) -> float:
+    return parse_angle(value).radians
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"must be a string, got {value!r}")
+    return value
+
+
+_FORMATS = ("csv", "json")
+
+
+def _format(value) -> str:
+    if value not in _FORMATS:
+        raise UsageError(f"must be one of {', '.join(_FORMATS)}, got {value!r}")
+    return value
+
+
+def _half_width(steps: int, half_width: int | None) -> int:
+    """The lattice half width of a ``steps``-step walk; ``steps + 2``
+    unless given."""
+    if steps < 0:
+        raise UsageError("steps must be >= 0")
+    if half_width is None:
+        return steps + 2
+    if half_width <= steps + 1:
+        raise UsageError("half_width must exceed steps + 1")
+    return half_width
 
 
 def _check_step_sum(step: int, total: float) -> None:
@@ -209,11 +222,7 @@ def _check_step_sum(step: int, total: float) -> None:
 def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate a 1D conventional walk and collect its per-step datasets."""
-    if steps < 0:
-        raise UsageError("steps must be >= 0")
-    r = half_width if half_width is not None else steps + 2
-    if r <= steps + 1:
-        raise UsageError("half_width must exceed steps + 1")
+    r = _half_width(steps, half_width)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
     spec = Conventional(gamma.radians)
@@ -271,11 +280,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
                half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate the mixed ladder protocol and collect per-step datasets."""
-    if steps < 0:
-        raise UsageError("steps must be >= 0")
-    r = half_width if half_width is not None else steps + 2
-    if r <= steps + 1:
-        raise UsageError("half_width must exceed steps + 1")
+    r = _half_width(steps, half_width)
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
@@ -510,14 +515,14 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     the scalar parameters at sibling files named ``<out stem>.<table>.csv``.
     Returns the paths written.
     """
+    if fmt not in _FORMATS:
+        raise UsageError(f"unknown format {fmt!r}")
     base = Path(out)
     if fmt == "json":
         with _open_for_writing(base) as fh:
             json.dump(dataset, fh, indent=2)
             fh.write("\n")
         return [base]
-    if fmt != "csv":
-        raise UsageError(f"unknown format {fmt!r}")
     written = []
     tables = dataset["tables"]
     main_table = next(iter(tables))
@@ -558,169 +563,119 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ladderwalk",
-                     description="Discrete-time quantum walk experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
+# A flag and the config key of the same name go through one parser.
+_OPTIONS = {
+    "alpha": (parse_angle, "split-step first coin angle"),
+    "beta": (parse_angle, "split-step second coin angle"),
+    "gamma": (parse_angle, "conventional coin angle"),
+    "gamma_y": (parse_angle, "ladder long-side coin angle (default -1/2pi)"),
+    "steps": (_count, "number of steps"),
+    "half_width": (_count, "lattice half width (default steps + 2)"),
+    "initial_theta": (_radians, "initial coin Bloch polar angle (default 0)"),
+    "initial_phi": (_radians, "initial coin Bloch azimuthal angle (default 0)"),
+    "alpha_grid": (parse_grid, "alpha grid as start:stop:count"),
+    "beta_grid": (parse_grid, "beta grid as start:stop:count"),
+    "out": (_text, "output file path (default: JSON on stdout)"),
+    "format": (_format, f"output format, one of {', '.join(_FORMATS)} (default csv)"),
+}
+
+# sweep's one-point grids: --alpha A stands for --alpha-grid A:A:1.
+_SWEEP_POINTS = {"alpha": "alpha_grid", "beta": "beta_grid"}
+
+# Each command takes the parameters of its run_* function, read here once
+# so that a rebound run_* (a tracing wrapper, a test double) keeps them.
+_COMMANDS = {
+    name: (doc, inspect.signature(globals()[f"run_{name}"]).parameters)
     for name, doc in (
         ("walk1d", "one-dimensional conventional walk"),
         ("ladder", "mixed-protocol walk on the two-rail ladder"),
         ("sweep", "analytic summary over an (alpha, beta) grid"),
         ("table1", "verify the qualitative walk regimes at alpha = -pi/4"),
-    ):
-        p = sub.add_parser(name, help=doc)
+    )
+}
+
+
+def _option_names(command: str) -> list[str]:
+    names = list(_COMMANDS[command][1])
+    if command == "sweep":
+        names += list(_SWEEP_POINTS)
+    return names + ["out", "format"]
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="ladderwalk",
+                     description="Discrete-time quantum walk experiments")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (doc, _params) in _COMMANDS.items():
+        p = sub.add_parser(command, help=doc)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--alpha", help="split-step first coin angle")
-        p.add_argument("--beta", help="split-step second coin angle")
-        p.add_argument("--gamma", help="conventional coin angle")
-        p.add_argument("--gamma-y", dest="gamma_y",
-                       help="ladder long-side coin angle (default -1/2pi)")
-        p.add_argument("--steps", type=int, help="number of steps")
-        p.add_argument("--half-width", dest="half_width", type=int,
-                       help="lattice half width (default steps + 2)")
-        p.add_argument("--initial-theta", dest="initial_theta",
-                       help="initial coin Bloch polar angle (default 0)")
-        p.add_argument("--initial-phi", dest="initial_phi",
-                       help="initial coin Bloch azimuthal angle (default 0)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        if name == "sweep":
-            p.add_argument("--alpha-grid", dest="alpha_grid",
-                           help="alpha grid as start:stop:count")
-            p.add_argument("--beta-grid", dest="beta_grid",
-                           help="beta grid as start:stop:count")
+        for name in _option_names(command):
+            p.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name][1])
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    settings: dict = {}
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's keyword arguments plus ``out`` and ``format``: the
+    config file merged with the flags, each value through its parser."""
+    allowed = _option_names(args.command)
+    raw: dict = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        settings.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
+        unknown = [key for key in raw if key not in allowed]
+        if unknown:
+            raise UsageError(f"{args.command} does not take config key {unknown[0]!r}")
+    raw.update((name, getattr(args, name)) for name in allowed
+               if getattr(args, name) is not None)
+    settings = {}
+    for key, value in raw.items():
+        if value is None:  # JSON null leaves the option unset
             continue
-        if value is not None:
-            settings[key] = value
-    return settings
-
-
-def _bloch_angle(settings: dict, key: str) -> float:
-    value = settings.get(key)
-    return parse_angle(value).radians if value is not None else 0.0
-
-
-def _count(settings: dict, key: str) -> int | None:
-    """An integer setting.  A JSON bool, a fractional number or a string
-    ``int()`` rejects is a usage error, never truncated or coerced."""
-    value = settings.get(key)
-    if value is None:
-        return None
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return int(value)
-        except ValueError:
-            pass
-    raise UsageError(f"{key} must be an integer, got {value!r}")
-
-
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    settings = _merge_config(args)
-
-    def angle_or_none(key: str) -> Angle | None:
-        value = settings.get(key)
-        return parse_angle(value) if value is not None else None
-
-    alpha_grid = beta_grid = None
+            settings[key] = _OPTIONS[key][0](value)
+        except UsageError as exc:
+            raise UsageError(f"{key}: {exc}") from None
     if args.command == "sweep":
-        if settings.get("alpha_grid") is not None:
-            alpha_grid = parse_grid(settings["alpha_grid"])
-        elif settings.get("alpha") is not None:
-            alpha_grid = [parse_angle(settings["alpha"])]
-        if settings.get("beta_grid") is not None:
-            beta_grid = parse_grid(settings["beta_grid"])
-        elif settings.get("beta") is not None:
-            beta_grid = [parse_angle(settings["beta"])]
-    return ExperimentConfig(
-        command=args.command,
-        alpha=angle_or_none("alpha"),
-        beta=angle_or_none("beta"),
-        gamma=angle_or_none("gamma"),
-        gamma_y=angle_or_none("gamma_y"),
-        steps=_count(settings, "steps"),
-        half_width=_count(settings, "half_width"),
-        initial_theta=_bloch_angle(settings, "initial_theta"),
-        initial_phi=_bloch_angle(settings, "initial_phi"),
-        out=settings.get("out"),
-        format=settings.get("format", "csv"),
-        alpha_grid=alpha_grid,
-        beta_grid=beta_grid,
-    )
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"missing required option {flag}")
-    return value
+        for point, grid in _SWEEP_POINTS.items():
+            if point in settings:
+                if grid in settings:
+                    raise UsageError(f"give {point} or {grid}, not both")
+                settings[grid] = [settings.pop(point)]
+    for name, param in _COMMANDS[args.command][1].items():
+        if param.default is param.empty and name not in settings:
+            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+    return settings
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if cfg.command == "walk1d":
-            dataset = run_walk1d(
-                gamma=_require(cfg.gamma, "--gamma"),
-                steps=_require(cfg.steps, "--steps"),
-                half_width=cfg.half_width,
-                initial_theta=cfg.initial_theta,
-                initial_phi=cfg.initial_phi,
-            )
-        elif cfg.command == "ladder":
-            dataset = run_ladder(
-                alpha=_require(cfg.alpha, "--alpha"),
-                beta=_require(cfg.beta, "--beta"),
-                steps=_require(cfg.steps, "--steps"),
-                gamma_y=cfg.gamma_y,
-                half_width=cfg.half_width,
-                initial_theta=cfg.initial_theta,
-                initial_phi=cfg.initial_phi,
-            )
-        elif cfg.command == "sweep":
-            dataset = run_sweep(
-                _require(cfg.alpha_grid, "--alpha-grid or --alpha"),
-                _require(cfg.beta_grid, "--beta-grid or --beta"),
-            )
-        else:
-            dataset = run_table1(steps=cfg.steps if cfg.steps is not None else 64)
-
-        if cfg.out is not None:
-            write_dataset(dataset, cfg.out, cfg.format)
-        if cfg.command == "table1":
+        settings = _settings(args)
+        out = settings.pop("out", None)
+        fmt = settings.pop("format", "csv")
+        dataset = globals()[f"run_{args.command}"](**settings)
+        if out is not None:
+            write_dataset(dataset, out, fmt)
+        if args.command == "table1":
             for row, quantity, expected, measured, passed in \
                     dataset["tables"]["checks"]["rows"]:
                 label = "PASS" if passed else "FAIL"
                 print(f"table1 {row} {quantity}: {label} "
                       f"(expected {expected!r}, measured {measured!r})")
             if not dataset["params"]["all_passed"]:
-                raise Table1Failure("table1 checks failed")
-        elif cfg.out is None:
+                print("ladderwalk: table1 checks failed", file=sys.stderr)
+                return 2
+        elif out is None:
             json.dump(dataset, sys.stdout, indent=2)
             sys.stdout.write("\n")
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"ladderwalk: error: {exc}", file=sys.stderr)
         return 1
-    except Table1Failure as exc:
-        print(f"ladderwalk: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"ladderwalk: error: out of memory: {exc}", file=sys.stderr)
         return 1

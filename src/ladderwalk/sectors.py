@@ -30,7 +30,6 @@ __all__ = [
     "reduce_pi_fraction",
     "sector_project",
     "reconstruct_ladder",
-    "classify_pattern",
 ]
 
 # Sector weights below this are treated as empty sectors.
@@ -141,10 +140,13 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
     gamma1 = a + b + gy
     phi = 2 * (half_turn - b)
     gamma2 = gamma1 + phi
+    # finite inputs can still add up past the float range
+    g1, ph, g2 = (_require_finite(name, radians(value)) for name, value in
+                  (("gamma1", gamma1), ("phi", phi), ("gamma2", gamma2)))
     return EffectiveAngles(
-        gamma1=radians(gamma1),
-        gamma2=radians(gamma2),
-        phi=radians(phi),
+        gamma1=g1,
+        gamma2=g2,
+        phi=ph,
         gamma1_reduced=radians(reduce(gamma1)),
         gamma2_reduced=radians(reduce(gamma2)),
     )
@@ -224,8 +226,3 @@ def reconstruct_ladder(pair: SectorPair, origin: int | None = None) -> LadderSta
         steps_taken=pair.sector_k0.steps_taken,
     )
 
-
-def classify_pattern(alpha: Angle | float, beta: Angle | float,
-                     gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> WalkPattern:
-    """Qualitative regime of the ladder walk; see :attr:`EffectiveAngles.pattern`."""
-    return effective_angles(alpha, beta, gamma_y).pattern

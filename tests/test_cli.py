@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ladderwalk as lw
 from ladderwalk import cli
@@ -36,7 +41,10 @@ class TestParseAngle:
     def test_numbers_pass_through(self):
         assert cli.parse_angle(1.25).radians == 1.25
 
-    @pytest.mark.parametrize("bad", ["pie", "x", "1/0pi", "--", "nan", "pi/0"])
+    @pytest.mark.parametrize("bad", ["pie", "x", "1/0pi", "--", "nan", "pi/0",
+                                     True, False,
+                                     pytest.param(10**400, id="huge-int"),
+                                     pytest.param("1" + "0" * 400 + "pi", id="huge-pi")])
     def test_rejects_garbage(self, bad):
         with pytest.raises(cli.UsageError):
             cli.parse_angle(bad)
@@ -56,7 +64,8 @@ class TestParseGrid:
         grid = cli.parse_grid("0:1:3")
         assert [a.radians for a in grid] == pytest.approx([0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("bad", ["0:1", "0:1:0", "0:1:x", "a:b:3"])
+    @pytest.mark.parametrize("bad", ["0:1", "0:1:0", "0:1:x", "a:b:3",
+                                     "-1e308:1e308:3"])
     def test_rejects_bad_grids(self, bad):
         with pytest.raises(cli.UsageError):
             cli.parse_grid(bad)
@@ -67,20 +76,34 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+# run_walk1d and run_ladder with every angle they need: the range checks
+# live in the run_* functions.
+ANGLE = cli.parse_angle("0.3")
+WALKS = [
+    lambda **kw: cli.run_walk1d(gamma=ANGLE, **kw),
+    lambda **kw: cli.run_ladder(alpha=ANGLE, beta=ANGLE, **kw),
+]
+
+
 class TestExperimentConfig:
     def test_negative_steps_rejected(self):
-        with pytest.raises(cli.UsageError):
-            cli.ExperimentConfig(command="walk1d", steps=-1)
+        for run in WALKS:
+            with pytest.raises(cli.UsageError):
+                run(steps=-1)
 
     def test_half_width_must_exceed_steps_plus_one(self):
-        with pytest.raises(cli.UsageError):
-            cli.ExperimentConfig(command="walk1d", steps=5, half_width=6)
-        cfg = cli.ExperimentConfig(command="walk1d", steps=5, half_width=7)
-        assert cfg.half_width == 7
+        for run in WALKS:
+            with pytest.raises(cli.UsageError):
+                run(steps=5, half_width=6)
+            assert run(steps=5, half_width=7)["params"]["half_width"] == 7
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(cli.UsageError):
-            cli.ExperimentConfig(command="walk1d", format="xml")
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"gamma": "1/2pi", "steps": 2, "format": "xml",
+                                      "out": str(tmp_path / "x.csv")}))
+        assert cli.main(["walk1d", "--config", str(config)]) == 1
+        assert "ladderwalk: error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("steps", "abc"), ("steps", 3.7), ("steps", True),
@@ -336,15 +359,170 @@ class TestOutputPlumbing:
             assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_unallocatable_half_width_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ladderwalk", "ladder", "--alpha", "0.3",
-             "--beta", "0.9", "--steps", "2", "--half-width", "1000000000000000"],
-            capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "ladderwalk: error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # the first runs out of memory, the second is past numpy's largest
+        # array dimension and is refused before allocating
+        for argv in (["ladder", "--alpha", "0.3", "--beta", "0.9", "--steps", "2",
+                      "--half-width", "1000000000000000"],
+                     ["walk1d", "--gamma", "1", "--steps", "3",
+                      "--half-width", "1000000000000000000000000000000"]):
+            proc = subprocess.run([sys.executable, "-m", "ladderwalk", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 1
+            assert "ladderwalk: error:" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_bad_half_width_rejected(self, tmp_path):
         assert cli.main(["walk1d", "--gamma", "0", "--steps", "5",
                          "--half-width", "6",
                          "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def run_main(argv):
+    """``main``'s exit code, stdout and stderr; argparse's exit counts."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+WALK1D_CONFIG = {"gamma": "1/2pi", "steps": 2}
+
+
+class TestRejection:
+    """A flag or config key a command does not take, and a value the
+    library refuses, exit 1 with one error line."""
+
+    @pytest.mark.parametrize("argv,config", [
+        pytest.param(["sweep", "--alpha", "0", "--beta-grid", "0:1:3", "--gamma-y", "0"],
+                     None, id="sweep-gamma-y"),
+        pytest.param(["sweep", "--alpha", "0", "--beta", "0", "--steps", "5"],
+                     None, id="sweep-steps"),
+        pytest.param(["table1", "--alpha", "1"], None, id="table1-alpha"),
+        pytest.param(["table1", "--half-width", "100"], None, id="table1-half-width"),
+        pytest.param(["table1", "--steps", "8", "--half-width", "100"],
+                     None, id="table1-steps-half-width"),
+        pytest.param(["walk1d", "--gamma", "1", "--steps", "2", "--alpha", "5"],
+                     None, id="walk1d-alpha"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "stepz": 3}, id="config-stepz"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "command": "walk1d"}, id="config-command"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "config": "c.json"}, id="config-config"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "gamma": True}, id="config-gamma-bool"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "initial_theta": True},
+                     id="config-initial-theta-bool"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "out": 5}, id="config-out-int"),
+        pytest.param(["walk1d"], {**WALK1D_CONFIG, "out": ["a"]}, id="config-out-list"),
+        pytest.param(["sweep", "--alpha", "0", "--alpha-grid", "0:1:2", "--beta", "0"],
+                     None, id="alpha-point-and-grid"),
+        pytest.param(["sweep", "--beta", "0"], {"beta_grid": "0:1:2", "alpha": 0},
+                     id="config-alpha-point-and-grid"),
+        pytest.param(["ladder", "--alpha", "1e308", "--beta", "1e308", "--steps", "2"],
+                     None, id="ladder-angle-sum-overflow"),
+        pytest.param(["sweep", "--alpha", "1e308", "--beta", "1e308"],
+                     None, id="sweep-angle-sum-overflow"),
+        pytest.param(["sweep", "--alpha-grid=-1e308:1e308:3", "--beta", "0"],
+                     None, id="grid-span-overflow"),
+    ])
+    def test_exit_one_with_error_line(self, tmp_path, argv, config):
+        if config is None:
+            argv = [*argv, "--out", str(tmp_path / "x.json")]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"out": str(tmp_path / "x.json"), **config}))
+            argv = [*argv, "--config", str(path)]
+        code, _out, err = run_main(argv)
+        assert code == 1
+        assert err.count("ladderwalk: error:") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_flag_and_config_share_the_parser(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**WALK1D_CONFIG, "steps": "abc"}))
+        from_config = run_main(["walk1d", "--config", str(path)])
+        from_flag = run_main(["walk1d", "--gamma", "1/2pi", "--steps", "abc"])
+        assert from_config[0] == from_flag[0] == 1
+        assert from_config[2] == from_flag[2] == \
+            "ladderwalk: error: steps: must be an integer, got 'abc'\n"
+
+
+# A valid invocation of each command, which drawn options then spoil.
+BASES = {
+    "walk1d": ["--gamma", "1/3pi", "--steps", "3"],
+    "ladder": ["--alpha", "-0.7", "--beta", "1.1", "--steps", "3"],
+    "sweep": ["--alpha-grid", "-pi:pi:3", "--beta", "0.3"],
+    "table1": ["--steps", "2"],
+}
+OPTIONS = ["alpha", "beta", "gamma", "gamma_y", "steps", "half_width",
+           "initial_theta", "initial_phi", "alpha_grid", "beta_grid",
+           "format", "out", "config", "command", "stepz"]
+# Counts are small or malformed only: a huge valid count allocates lazily
+# and then steps for hours.  Drawn text holds no digits for the same reason.
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+COUNTS = st.one_of(st.integers(-3, 8), st.booleans(), NO_DIGITS,
+                   st.sampled_from(["3.5", "1e3", "-1", "0x4", "2.0"]),
+                   st.floats().filter(lambda x: not x.is_integer()))
+ANGLE_TEXT = st.sampled_from(["pi", "-1/4pi", "3pi/4", "0", "0.3", "-2.5", "1e308",
+                              "-1e308", "nan", "inf", "pie", "", "1/0pi", "pi/0"])
+ANGLE_VALUES = st.one_of(ANGLE_TEXT, st.floats(), st.booleans(), NO_DIGITS,
+                         st.integers(-10**400, 10**400))
+GRIDS = st.one_of(
+    st.builds(lambda a, b, n: f"{a}:{b}:{n}", ANGLE_TEXT, ANGLE_TEXT, st.integers(-1, 8)),
+    NO_DIGITS, st.integers(-3, 3))
+FORMATS = st.one_of(st.sampled_from(["csv", "json", "xml", ""]), st.booleans(), st.integers())
+
+
+def option_values(name):
+    if name in ("steps", "half_width"):
+        return COUNTS
+    if name in ("alpha_grid", "beta_grid"):
+        return GRIDS
+    if name == "format":
+        return FORMATS
+    if name in ("out", "config", "command"):
+        return st.one_of(st.sampled_from(["OUT", "walk1d"]), st.integers(), st.none())
+    return ANGLE_VALUES
+
+
+@st.composite
+def invocations(draw):
+    """An argv and a config object drawn from valid, foreign and malformed
+    options; the placeholder ``OUT`` stands for a writable path."""
+    command = draw(st.sampled_from(sorted(BASES)))
+    argv = [command, *draw(st.sampled_from([BASES[command], []]))]
+    for name in draw(st.lists(st.sampled_from(OPTIONS), max_size=3)):
+        value = draw(option_values(name))
+        flag = "--" + name.replace("_", "-")
+        text = value if isinstance(value, str) else json.dumps(value)
+        argv += draw(st.sampled_from([[flag, text], [f"{flag}={text}"]]))
+    keys = draw(st.lists(st.sampled_from(OPTIONS), max_size=3, unique=True))
+    config = draw(st.one_of(
+        st.fixed_dictionaries({key: option_values(key) for key in keys}),
+        st.none(), st.lists(st.integers(), max_size=2)))
+    return argv, config
+
+
+@given(invocations())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, invocation):
+    argv, config = invocation
+    workdir = tmp_path_factory.mktemp("fuzz")
+    out = str(workdir / "out.csv")
+    argv = [out if token == "OUT" else token.replace("=OUT", "=" + out)
+            for token in argv]
+    if config is not None:
+        path = workdir / "cfg.json"
+        path.write_text(json.dumps(
+            {k: out if v == "OUT" else v for k, v in config.items()}
+            if isinstance(config, dict) else config))
+        argv += ["--config", str(path)]
+    cwd = os.getcwd()
+    os.chdir(workdir)  # a drawn --out is a relative path
+    try:
+        code, _out, err = run_main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -64,6 +64,16 @@ class TestEffectiveAngles:
         with pytest.raises(ValueError, match="gamma_y"):
             lw.effective_angles(0.0, 0.0, lw.Angle(math.inf))
 
+    def test_rejects_sums_past_float_range(self):
+        with pytest.raises(ValueError, match="gamma1"):
+            lw.effective_angles(1e308, 1e308)
+        with pytest.raises(ValueError, match="phi"):
+            lw.effective_angles(0.0, -1e308, 1e308)
+        big = Fraction(5 * 10**307)
+        exact = lw.Angle(float(big) * math.pi, big)
+        with pytest.raises(ValueError, match="gamma1"):
+            lw.effective_angles(exact, exact)
+
 
 class TestReduction:
     @pytest.mark.parametrize("angle,expected", [
@@ -202,7 +212,7 @@ class TestClassifyPattern:
         (0.4, 0.3, WalkPattern.GENERIC),
     ])
     def test_examples(self, alpha, beta, expected):
-        assert lw.classify_pattern(alpha, beta) is expected
+        assert lw.effective_angles(alpha, beta).pattern is expected
 
     @pytest.mark.parametrize("alpha,beta,gamma_y,expected", [
         # alpha = pi/2 is degenerate only for the default gamma_y = -pi/2
@@ -217,7 +227,7 @@ class TestClassifyPattern:
         (0.8, math.pi, 1.1, WalkPattern.ONE_SIDED),
     ])
     def test_custom_long_side_coin(self, alpha, beta, gamma_y, expected):
-        assert lw.classify_pattern(alpha, beta, gamma_y) is expected
+        assert lw.effective_angles(alpha, beta, gamma_y).pattern is expected
 
     @given(ANGLES, ANGLES)
     @settings(max_examples=80)
@@ -231,10 +241,10 @@ class TestClassifyPattern:
 
     def test_tie_break_follows_listed_order(self):
         # beta rules come before the identical and Hadamard rules
-        assert lw.classify_pattern(math.pi / 2, 0.0) is WalkPattern.ALTERNATING
-        assert lw.classify_pattern(math.pi / 2, math.pi) is WalkPattern.ONE_SIDED
-        assert lw.classify_pattern(math.pi / 2, 2 * math.pi) is WalkPattern.ALTERNATING
+        assert lw.effective_angles(math.pi / 2, 0.0).pattern is WalkPattern.ALTERNATING
+        assert lw.effective_angles(math.pi / 2, math.pi).pattern is WalkPattern.ONE_SIDED
+        assert lw.effective_angles(math.pi / 2, 2 * math.pi).pattern is WalkPattern.ALTERNATING
 
     def test_modular_tolerance(self):
-        assert lw.classify_pattern(0.4, 2 * math.pi + 1e-12) is WalkPattern.ALTERNATING
-        assert lw.classify_pattern(0.4, 1e-3) is WalkPattern.GENERIC
+        assert lw.effective_angles(0.4, 2 * math.pi + 1e-12).pattern is WalkPattern.ALTERNATING
+        assert lw.effective_angles(0.4, 1e-3).pattern is WalkPattern.GENERIC
