@@ -21,7 +21,7 @@ Angles are accepted either as raw radians (``0.785``) or as rational
 multiples of pi (``pi``, ``-1/4pi``, ``3pi/4``, ``0.5pi``).  Rational
 multiples are tracked exactly so that analytic identities (``M2 = 0`` at
 beta = pi/4, for instance) hold bit-exactly in the outputs.  Datasets are
-written as a single JSON document or as CSV files, one per table, with
+written as a single JSON document or as CSV files, one per table, CSV
 floats at 17 significant digits.
 
 Each command's options are the parameters of its ``run_*`` function
@@ -47,6 +47,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,9 @@ _SIDE_MASS_FLOOR = 1e-12
 # 1/sqrt(n) (interference between the dominated, localized sector and the
 # spreading one); measured coefficient <= 0.71 over n = 1..128.
 _IDENTICAL_TV_COEFF = 0.9
+# Rows of a per-site table formatted per pass: enough that the per-pass
+# cost vanishes, few enough that a pass's text stays a few hundred kB.
+_CHUNK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -219,6 +223,20 @@ def _check_step_sum(step: int, total: float) -> None:
             f"probabilities at step {step} sum to {total!r}")
 
 
+def _per_site_table(**columns: list[np.ndarray]) -> dict:
+    """A per-site table from the nonzero entries of each step: ``step``,
+    then each column's per-step parts concatenated.  The rows are a numpy
+    structured array, int64 except for the float64 ``probability``."""
+    names = ["step", *columns]
+    counts = [len(part) for part in columns["probability"]]
+    rows = np.empty(sum(counts), dtype=[
+        (name, np.float64 if name == "probability" else np.int64) for name in names])
+    rows["step"] = np.repeat(np.arange(len(counts)), counts)
+    for name, parts in columns.items():
+        rows[name] = np.concatenate(parts)
+    return {"columns": names, "rows": rows}
+
+
 def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate a 1D conventional walk and collect its per-step datasets."""
@@ -228,7 +246,7 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
     spec = Conventional(gamma.radians)
     sites = state.sites()
 
-    dist_rows = []
+    site_parts, prob_parts = [], []
     step_rows = []
     for step in range(steps + 1):
         if step > 0:
@@ -236,9 +254,9 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
         probs = position_distribution(state)
         total = float(np.sum(probs))
         _check_step_sum(step, total)
-        for site, p in zip(sites, probs):
-            if p > 0.0:
-                dist_rows.append([step, int(site), float(p)])
+        nonzero = probs > 0.0
+        site_parts.append(sites[nonzero])
+        prob_parts.append(probs[nonzero])
         step_rows.append([
             step,
             second_moment(probs, sites),
@@ -263,10 +281,7 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
         "command": "walk1d",
         "params": params,
         "tables": {
-            "distribution": {
-                "columns": ["step", "site", "probability"],
-                "rows": dist_rows,
-            },
+            "distribution": _per_site_table(site=site_parts, probability=prob_parts),
             "steps": {
                 "columns": ["step", "second_moment", "entropy", "total_probability"],
                 "rows": step_rows,
@@ -282,12 +297,14 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     """Simulate the mixed ladder protocol and collect per-step datasets."""
     r = _half_width(steps, half_width)
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
+    # before the walk: it refuses angles whose sector sums overflow
+    summary = walk_summary(alpha, beta, gy)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
     rungs = state.rungs()
 
-    joint_rows = []
+    side_parts, rung_parts, prob_parts = [], [], []
     step_rows = []
     for step in range(steps + 1):
         if step > 0:
@@ -295,10 +312,10 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         joint = position_distribution(state)
         total = float(np.sum(joint))
         _check_step_sum(step, total)
-        for side in (0, 1):
-            for rung, p in zip(rungs, joint[side]):
-                if p > 0.0:
-                    joint_rows.append([step, side, int(rung), float(p)])
+        side, rung = np.nonzero(joint > 0.0)
+        side_parts.append(side)
+        rung_parts.append(rungs[rung])
+        prob_parts.append(joint[side, rung])
         side0, side1 = side_marginals(state)
         mass0, mass1 = float(np.sum(side0)), float(np.sum(side1))
         if min(mass0, mass1) < _SIDE_MASS_FLOOR:
@@ -308,7 +325,6 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         pair = sector_project(state)
         step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
 
-    summary = walk_summary(alpha, beta, gy)
     eff = summary.effective
     if steps >= 1:
         i_finite = mutual_information(cesaro_rho(eff.gamma1_reduced, steps, coin),
@@ -342,10 +358,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "command": "ladder",
         "params": params,
         "tables": {
-            "joint": {
-                "columns": ["step", "side", "rung", "probability"],
-                "rows": joint_rows,
-            },
+            "joint": _per_site_table(side=side_parts, rung=rung_parts,
+                                     probability=prob_parts),
             "steps": {
                 "columns": ["step", "side0_mass", "side1_mass",
                             "weight_k0", "weight_kpi", "tv_sides"],
@@ -491,6 +505,59 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _cell_formats(rows: np.ndarray, float_format: str) -> list[str]:
+    return [float_format if rows.dtype[name].kind == "f" else "%d"
+            for name in rows.dtype.names]
+
+
+def _formatted_chunks(rows: np.ndarray, row_format: str, sep: str = ""):
+    """``row_format % row`` for each row of a structured table, joined by
+    ``sep``, in pieces of ``_CHUNK_ROWS`` rows, each made in one pass."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS].tolist()
+        text = sep.join([row_format] * len(chunk)) % tuple(chain.from_iterable(chunk))
+        yield sep + text if start else text
+
+
+# Stands in for a structured table's rows in the text ``json`` writes; the
+# NUL keeps it apart from every string a dataset holds.
+_ROWS_MARK = "\0rows"
+
+
+def _write_json(dataset: dict, fh) -> None:
+    """Write ``dataset`` and a newline in ``json.dump(indent=2)``'s layout.
+
+    A structured table's rows are formatted in chunks, ``%d`` and ``%r``
+    (``float.__repr__``, as ``json`` writes floats); ``json`` writes the
+    rest, with a mark in place of those rows.
+    """
+    arrays = []
+    tables = {}
+    for name, table in dataset["tables"].items():
+        if isinstance(table["rows"], np.ndarray):
+            arrays.append(table["rows"])
+            table = {**table, "rows": _ROWS_MARK}
+        tables[name] = table
+    text = json.dumps({**dataset, "tables": tables}, indent=2)
+    pieces = text.split(json.dumps(_ROWS_MARK))
+    fh.write(pieces[0])
+    for rows, before, after in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]   # '<indent>"rows": '
+        indent = line[:line.index('"')]
+        if len(rows):
+            row = indent + "  "
+            row_format = "\n" + row + "[" + ",".join(
+                "\n" + row + "  " + cell for cell in _cell_formats(rows, "%r")
+            ) + "\n" + row + "]"
+            fh.write("[")
+            fh.writelines(_formatted_chunks(rows, row_format, ","))
+            fh.write("\n" + indent + "]")
+        else:
+            fh.write("[]")
+        fh.write(after)
+    fh.write("\n")
+
+
 def _csv_path(base: Path, table: str, main_table: str) -> Path:
     if table == main_table:
         return base
@@ -520,8 +587,7 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     base = Path(out)
     if fmt == "json":
         with _open_for_writing(base) as fh:
-            json.dump(dataset, fh, indent=2)
-            fh.write("\n")
+            _write_json(dataset, fh)
         return [base]
     written = []
     tables = dataset["tables"]
@@ -531,8 +597,13 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
         with _open_for_writing(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(table["columns"])
-            for row in table["rows"]:
-                writer.writerow([_format_cell(v) for v in row])
+            rows = table["rows"]
+            if isinstance(rows, np.ndarray):
+                row_format = ",".join(_cell_formats(rows, "%.17g")) + "\r\n"
+                fh.writelines(_formatted_chunks(rows, row_format))
+            else:
+                for row in rows:
+                    writer.writerow([_format_cell(v) for v in row])
         written.append(path)
     params = dataset["params"]
     path = _csv_path(base, "params", main_table)
@@ -580,7 +651,10 @@ _OPTIONS = {
 }
 
 # sweep's one-point grids: --alpha A stands for --alpha-grid A:A:1.
-_SWEEP_POINTS = {"alpha": "alpha_grid", "beta": "beta_grid"}
+_SWEEP_POINTS = {
+    "alpha": ("alpha_grid", "one-point alpha grid, same as --alpha-grid A:A:1"),
+    "beta": ("beta_grid", "one-point beta grid, same as --beta-grid B:B:1"),
+}
 
 # Each command takes the parameters of its run_* function, read here once
 # so that a rebound run_* (a tracing wrapper, a test double) keeps them.
@@ -610,7 +684,11 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command, help=doc)
         p.add_argument("--config", help="JSON config file; flags override it")
         for name in _option_names(command):
-            p.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name][1])
+            if command == "sweep" and name in _SWEEP_POINTS:
+                text = _SWEEP_POINTS[name][1]
+            else:
+                text = _OPTIONS[name][1]
+            p.add_argument("--" + name.replace("_", "-"), help=text)
     return parser
 
 
@@ -641,7 +719,7 @@ def _settings(args: argparse.Namespace) -> dict:
         except UsageError as exc:
             raise UsageError(f"{key}: {exc}") from None
     if args.command == "sweep":
-        for point, grid in _SWEEP_POINTS.items():
+        for point, (grid, _help) in _SWEEP_POINTS.items():
             if point in settings:
                 if grid in settings:
                     raise UsageError(f"give {point} or {grid}, not both")
@@ -671,8 +749,7 @@ def main(argv=None) -> int:
                 print("ladderwalk: table1 checks failed", file=sys.stderr)
                 return 2
         elif out is None:
-            json.dump(dataset, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            _write_json(dataset, sys.stdout)
     except (UsageError, ValueError) as exc:
         print(f"ladderwalk: error: {exc}", file=sys.stderr)
         return 1

@@ -265,6 +265,14 @@ class TestSweep:
         params = read_csv(out.parent / "sweep.params.csv")
         assert params[0][0] == "command" and params[1][0] == "sweep"
 
+    def test_help_names_one_point_grids(self):
+        code, out, _err = run_main(["sweep", "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        assert "--alpha ALPHA one-point alpha grid, same as --alpha-grid A:A:1" in text
+        assert "--beta BETA one-point beta grid, same as --beta-grid B:B:1" in text
+        assert "coin angle" not in text
+
 
 class TestTable1:
     def test_passes_with_exit_zero(self):
@@ -291,10 +299,23 @@ class TestTable1:
 
 class TestOutputPlumbing:
     def test_json_round_trip_exact(self, tmp_path):
-        out = tmp_path / "walk.json"
-        dataset = cli.run_walk1d(cli.parse_angle("1/2pi"), steps=9)
-        cli.write_dataset(dataset, str(out), "json")
-        assert json.loads(out.read_text()) == dataset
+        out = tmp_path / "data.json"
+        for dataset in (cli.run_walk1d(cli.parse_angle("1/2pi"), steps=9),
+                        cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"),
+                                       steps=7)):
+            cli.write_dataset(dataset, str(out), "json")
+            data = json.loads(out.read_text())
+            assert list(data) == list(dataset)
+            for key in dataset:
+                if key != "tables":
+                    assert data[key] == dataset[key]
+            assert list(data["tables"]) == list(dataset["tables"])
+            for name, table in dataset["tables"].items():
+                rows = table["rows"]
+                if isinstance(rows, np.ndarray):  # a per-site structured table
+                    rows = rows.tolist()
+                assert data["tables"][name] == {"columns": table["columns"],
+                                                "rows": [list(r) for r in rows]}
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -437,6 +458,15 @@ class TestRejection:
         assert err.count("ladderwalk: error:") == 1
         assert "Traceback" not in err
         assert list(tmp_path.glob("x*")) == []
+
+    def test_ladder_refuses_overflowing_angles_before_the_walk(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("evolve called")
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        code, _out, err = run_main(["ladder", "--alpha", "1e308", "--beta", "1e308",
+                                    "--steps", "600"])
+        assert code == 1
+        assert err == "ladderwalk: error: gamma1 must be finite, got inf\n"
 
     def test_flag_and_config_share_the_parser(self, tmp_path):
         path = tmp_path / "cfg.json"
