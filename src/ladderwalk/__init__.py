@@ -40,13 +40,13 @@ from .sectors import (
     effective_angles,
     reconstruct_ladder,
     reduce_angle,
-    reduce_pi_fraction,
     sector_project,
 )
 from .spectral import (
     AliasingError,
     DegenerateCoinError,
     DensityMatrix2,
+    DensityMatrixError,
     MomentumMode,
     WalkSummary,
     asymptotic_rho,

@@ -47,7 +47,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,7 @@ from .core import (
 from .observables import magnetization, second_moment, side_marginals, total_variation
 from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, sector_project
 from .spectral import (
+    DensityMatrixError,
     asymptotic_rho,
     cesaro_rho,
     entropy,
@@ -95,9 +96,9 @@ _SIDE_MASS_FLOOR = 1e-12
 # 1/sqrt(n) (interference between the dominated, localized sector and the
 # spreading one); measured coefficient <= 0.71 over n = 1..128.
 _IDENTICAL_TV_COEFF = 0.9
-# Rows of a per-site table formatted per pass: enough that the per-pass
-# cost vanishes, few enough that a pass's text stays a few hundred kB.
-_CHUNK_ROWS = 4096
+# Rows of a structured table formatted per pass: enough that the per-pass
+# cost vanishes, few enough that a pass's text stays about 100 kB.
+_CHUNK_ROWS = 1024
 
 
 class UsageError(Exception):
@@ -369,29 +370,28 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     }
 
 
+_SWEEP_COLUMNS = ("alpha", "beta", "gamma1", "gamma2", "m1", "m2", "m", "d1", "d2",
+                  "s1", "s2", "mutual_information", "pattern")
+_PATTERN_WIDTH = max(len(pattern.value) for pattern in WalkPattern)
+
+
 def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
-    """Analytic sector summary over the (alpha, beta) product grid."""
+    """Analytic sector summary over the (alpha, beta) product grid.
+
+    The rows are a numpy structured array: float64 fields and a text
+    ``pattern``."""
     if not alpha_grid or not beta_grid:
         raise UsageError("sweep needs nonempty alpha and beta grids")
-    rows = []
-    for alpha in alpha_grid:
-        for beta in beta_grid:
-            summary = walk_summary(alpha, beta)
-            rows.append([
-                alpha.radians,
-                beta.radians,
-                summary.effective.gamma1,
-                summary.effective.gamma2,
-                summary.magnetization.m1,
-                summary.magnetization.m2,
-                summary.magnetization.m,
-                summary.d1,
-                summary.d2,
-                summary.s1,
-                summary.s2,
-                summary.mutual_information,
-                summary.effective.pattern.value,
-            ])
+    rows = np.empty(len(alpha_grid) * len(beta_grid), dtype=[
+        *((name, np.float64) for name in _SWEEP_COLUMNS[:-1]),
+        ("pattern", f"U{_PATTERN_WIDTH}")])
+    for i, (alpha, beta) in enumerate(product(alpha_grid, beta_grid)):
+        summary = walk_summary(alpha, beta)
+        eff, mag = summary.effective, summary.magnetization
+        rows[i] = (alpha.radians, beta.radians, eff.gamma1, eff.gamma2,
+                   mag.m1, mag.m2, mag.m, summary.d1, summary.d2,
+                   summary.s1, summary.s2, summary.mutual_information,
+                   eff.pattern.value)
     params = {
         "command": "sweep",
         "alpha_count": len(alpha_grid),
@@ -401,12 +401,7 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
         "command": "sweep",
         "params": params,
         "tables": {
-            "sweep": {
-                "columns": ["alpha", "beta", "gamma1", "gamma2",
-                            "m1", "m2", "m", "d1", "d2", "s1", "s2",
-                            "mutual_information", "pattern"],
-                "rows": rows,
-            },
+            "sweep": {"columns": list(_SWEEP_COLUMNS), "rows": rows},
         },
     }
 
@@ -505,9 +500,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _cell_formats(rows: np.ndarray, float_format: str) -> list[str]:
-    return [float_format if rows.dtype[name].kind == "f" else "%d"
-            for name in rows.dtype.names]
+# A cell's format by numpy kind: ``%.17g`` for CSV floats, ``%r``
+# (``float.__repr__``) as ``json`` writes them; the text fields hold
+# ``WalkPattern`` values, which need no CSV quoting or JSON escapes.
+_CSV_CELLS = {"f": "%.17g", "i": "%d", "U": "%s"}
+_JSON_CELLS = {"f": "%r", "i": "%d", "U": '"%s"'}
+
+
+def _cell_formats(rows: np.ndarray, formats: dict) -> list[str]:
+    return [formats[rows.dtype[name].kind] for name in rows.dtype.names]
 
 
 def _formatted_chunks(rows: np.ndarray, row_format: str, sep: str = ""):
@@ -527,9 +528,8 @@ _ROWS_MARK = "\0rows"
 def _write_json(dataset: dict, fh) -> None:
     """Write ``dataset`` and a newline in ``json.dump(indent=2)``'s layout.
 
-    A structured table's rows are formatted in chunks, ``%d`` and ``%r``
-    (``float.__repr__``, as ``json`` writes floats); ``json`` writes the
-    rest, with a mark in place of those rows.
+    A structured table's rows are formatted in chunks (``_JSON_CELLS``);
+    ``json`` writes the rest, with a mark in place of those rows.
     """
     arrays = []
     tables = {}
@@ -547,7 +547,7 @@ def _write_json(dataset: dict, fh) -> None:
         if len(rows):
             row = indent + "  "
             row_format = "\n" + row + "[" + ",".join(
-                "\n" + row + "  " + cell for cell in _cell_formats(rows, "%r")
+                "\n" + row + "  " + cell for cell in _cell_formats(rows, _JSON_CELLS)
             ) + "\n" + row + "]"
             fh.write("[")
             fh.writelines(_formatted_chunks(rows, row_format, ","))
@@ -599,7 +599,7 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
             writer.writerow(table["columns"])
             rows = table["rows"]
             if isinstance(rows, np.ndarray):
-                row_format = ",".join(_cell_formats(rows, "%.17g")) + "\r\n"
+                row_format = ",".join(_cell_formats(rows, _CSV_CELLS)) + "\r\n"
                 fh.writelines(_formatted_chunks(rows, row_format))
             else:
                 for row in rows:
@@ -750,15 +750,16 @@ def main(argv=None) -> int:
                 return 2
         elif out is None:
             _write_json(dataset, sys.stdout)
+    # before ValueError, which DensityMatrixError subclasses
+    except (NumericInvariantError, LatticeOverflowError, DensityMatrixError) as exc:
+        print(f"ladderwalk: numeric invariant violated: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ValueError) as exc:
         print(f"ladderwalk: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"ladderwalk: error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except (NumericInvariantError, LatticeOverflowError) as exc:
-        print(f"ladderwalk: numeric invariant violated: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -104,10 +104,6 @@ class WalkerState1D:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def site_amplitudes(self, m: int) -> np.ndarray:
-        """Spinor (up, down) at site ``m``."""
-        return self.amplitudes[:, m + self.half_width].copy()
-
 
 @dataclass(frozen=True, eq=False)
 class LadderState:

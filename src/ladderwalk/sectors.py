@@ -27,7 +27,6 @@ __all__ = [
     "WalkPattern",
     "effective_angles",
     "reduce_angle",
-    "reduce_pi_fraction",
     "sector_project",
     "reconstruct_ladder",
 ]
@@ -122,18 +121,26 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
     ``gamma_y = -pi/2`` that is ``gamma2 = alpha - beta + 3*pi/2``.
 
     Each angle is a float in radians or an :class:`Angle`.  When all
-    three carry a pi-fraction the angles are added and reduced in exact
-    ``Fraction`` arithmetic, so identities such as ``gamma1 = 0`` at
-    ``(alpha, beta) = (-pi/4, 3*pi/4)`` hold exactly; otherwise in floats.
+    three carry a pi-fraction the angles are added and reduced exactly,
+    as integer numerators over the common denominator, so identities
+    such as ``gamma1 = 0`` at ``(alpha, beta) = (-pi/4, 3*pi/4)`` hold
+    exactly; otherwise in floats.
     """
     angles = [_as_angle(name, value) for name, value in
               (("alpha", alpha), ("beta", beta), ("gamma_y", gamma_y))]
     if all(angle.pi_fraction is not None for angle in angles):
-        a, b, gy = (angle.pi_fraction for angle in angles)
-        half_turn, reduce = Fraction(1), reduce_pi_fraction
+        # integers in units of pi/den; int / int is correctly rounded, so
+        # n / den is the float nearest the exact ratio
+        den = math.lcm(*(angle.pi_fraction.denominator for angle in angles))
+        a, b, gy = (angle.pi_fraction.numerator * (den // angle.pi_fraction.denominator)
+                    for angle in angles)
+        half_turn = den
 
-        def radians(f: Fraction) -> float:
-            return float(f) * math.pi
+        def reduce(n: int) -> int:
+            return den - (den - n) % (2 * den)
+
+        def radians(n: int) -> float:
+            return n / den * math.pi
     else:
         a, b, gy = (angle.radians for angle in angles)
         half_turn, reduce, radians = math.pi, reduce_angle, float
@@ -158,11 +165,6 @@ def reduce_angle(gamma: float) -> float:
     if r <= -math.pi:
         r += 2.0 * math.pi
     return r
-
-
-def reduce_pi_fraction(f: Fraction) -> Fraction:
-    """Reduce an angle given in units of pi modulo 2 into ``(-1, 1]``."""
-    return 1 - (1 - f) % 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,15 @@ Every 2x2 density matrix is diagonalized in closed form,
 on a whole momentum grid at once; :func:`evolve_spectral` applies it on a
 discrete ring as an oracle that is independent of the position-space
 stepping in :mod:`ladderwalk.core`.  :func:`walk_summary` is the single
-path from ``(alpha, beta, gamma_y)`` to the sector analytics.
+path from ``(alpha, beta, gamma_y)`` to the sector analytics.  The sector
+closed forms (density matrix, eigenvalue gap, entropy) are evaluated once
+per reduced sector angle and cached, so a grid sweep does per point only
+what depends on both sectors: the entropy of their mixture.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +41,7 @@ __all__ = [
     "AliasingError",
     "DegenerateCoinError",
     "DensityMatrix2",
+    "DensityMatrixError",
     "MomentumMode",
     "WalkSummary",
     "dispersion",
@@ -54,6 +59,9 @@ __all__ = [
 
 _DEGENERATE_TOL = 1e-12
 _PSD_TOL = 1e-12
+# Reduced sector angles whose closed forms are kept; a 129 x 129 grid in
+# steps of pi/64 has at most 257 of them.
+_SECTOR_CACHE_SIZE = 1024
 
 
 class DegenerateCoinError(ValueError):
@@ -63,6 +71,11 @@ class DegenerateCoinError(ValueError):
 
 class AliasingError(ValueError):
     """The momentum ring is too small for the requested number of steps."""
+
+
+class DensityMatrixError(ValueError):
+    """A coin density matrix fails its unit-trace or positivity check; for
+    a computed matrix that is a numeric invariant violation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +92,13 @@ class DensityMatrix2:
 
     def __post_init__(self):
         if abs(self.rho11 + self.rho22 - 1.0) > 1e-12:
-            raise ValueError(f"trace must be 1, got {self.rho11 + self.rho22!r}")
+            raise DensityMatrixError(
+                f"trace must be 1, got {self.rho11 + self.rho22!r}")
         if min(self.rho11, self.rho22) < -_PSD_TOL:
-            raise ValueError("negative diagonal entry")
+            raise DensityMatrixError("negative diagonal entry")
         if self.determinant < -_PSD_TOL:
-            raise ValueError(f"not positive semidefinite, det = {self.determinant!r}")
+            raise DensityMatrixError(
+                f"not positive semidefinite, det = {self.determinant!r}")
 
     @property
     def determinant(self) -> float:
@@ -120,14 +135,6 @@ def dispersion(gamma: float, k: float):
     """Dispersion angle ``omega = arccos(cos(gamma/2) cos k)`` in ``[0, pi]``."""
     cosw = np.cos(gamma / 2.0) * np.cos(k)
     return np.arccos(np.clip(cosw, -1.0, 1.0))
-
-
-def _unitary_at(gamma: float, k: float) -> np.ndarray:
-    c = math.cos(gamma / 2.0)
-    s = math.sin(gamma / 2.0)
-    t = np.array([[np.exp(1j * k), 0.0], [0.0, np.exp(-1j * k)]])
-    coin = np.array([[c, -s], [s, c]])
-    return t @ coin
 
 
 def mode_eigensystem(gamma: float, k) -> MomentumMode:
@@ -251,13 +258,17 @@ def rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
     return min(max(hi, 0.0), 1.0), min(max(lo, 0.0), 1.0)
 
 
-def entropy(rho: DensityMatrix2) -> float:
-    """Von Neumann entropy in bits, with ``0 log 0 = 0``."""
+def _entropy_bits(eigenvalues: tuple[float, float]) -> float:
     result = 0.0
-    for lam in rho_eigenvalues(rho):
+    for lam in eigenvalues:
         if lam > 0.0:
             result -= lam * math.log2(lam)
     return result
+
+
+def entropy(rho: DensityMatrix2) -> float:
+    """Von Neumann entropy in bits, with ``0 log 0 = 0``."""
+    return _entropy_bits(rho_eigenvalues(rho))
 
 
 def average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
@@ -275,7 +286,14 @@ def mutual_information(rho1: DensityMatrix2, rho2: DensityMatrix2) -> float:
     With the mixture in place of a joint state this may come out negative;
     the value is reported as is.
     """
-    return entropy(rho1) + entropy(rho2) - entropy(average_rho(rho1, rho2))
+    return _mutual_information(rho1, entropy(rho1), rho2, entropy(rho2))
+
+
+def _mutual_information(rho1: DensityMatrix2, s1: float,
+                        rho2: DensityMatrix2, s2: float) -> float:
+    """:func:`mutual_information` given the entropies ``s1, s2`` of
+    ``rho1, rho2``."""
+    return s1 + s2 - entropy(average_rho(rho1, rho2))
 
 
 def finite_n_rho(state: WalkerState1D) -> DensityMatrix2:
@@ -336,16 +354,27 @@ def walk_summary(alpha: Angle | float, beta: Angle | float,
     eigenvalue gaps of the sector density matrices.
     """
     eff = effective_angles(alpha, beta, gamma_y)
-    rho1 = asymptotic_rho(eff.gamma1_reduced)
-    rho2 = asymptotic_rho(eff.gamma2_reduced)
-    lam1 = rho_eigenvalues(rho1)
-    lam2 = rho_eigenvalues(rho2)
+    rho1, d1, s1 = _sector_closed_forms(eff.gamma1_reduced)
+    rho2, d2, s2 = _sector_closed_forms(eff.gamma2_reduced)
     return WalkSummary(
         effective=eff,
         magnetization=magnetization(eff.gamma1_reduced, eff.gamma2_reduced),
-        d1=lam1[0] - lam1[1],
-        d2=lam2[0] - lam2[1],
-        mutual_information=mutual_information(rho1, rho2),
-        s1=entropy(rho1),
-        s2=entropy(rho2),
+        d1=d1,
+        d2=d2,
+        mutual_information=_mutual_information(rho1, s1, rho2, s2),
+        s1=s1,
+        s2=s2,
     )
+
+
+@functools.lru_cache(maxsize=_SECTOR_CACHE_SIZE)
+def _sector_closed_forms(gamma_reduced: float) -> tuple[DensityMatrix2, float, float]:
+    """Asymptotic density matrix, eigenvalue gap and entropy of the sector
+    walk with reduced coin angle ``gamma_reduced``.
+
+    ``0.0`` and ``-0.0`` share a cache entry; every value here is the same
+    for both.
+    """
+    rho = asymptotic_rho(gamma_reduced)
+    lam_plus, lam_minus = rho_eigenvalues(rho)
+    return rho, lam_plus - lam_minus, _entropy_bits((lam_plus, lam_minus))

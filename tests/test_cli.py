@@ -258,6 +258,20 @@ class TestSweep:
     def test_needs_grids(self, tmp_path):
         assert cli.main(["sweep", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_rows_are_a_structured_array(self):
+        table = cli.run_sweep([cli.parse_angle("-1/4pi")], cli.parse_grid("1/4pi:3/4pi:2"))
+        rows = table["tables"]["sweep"]["rows"]
+        assert rows.dtype.names == tuple(table["tables"]["sweep"]["columns"])
+        assert [rows.dtype[name].kind for name in rows.dtype.names] == ["f"] * 12 + ["U"]
+        assert rows["pattern"].tolist() == ["identical-dominated"] * 2
+        assert rows["m2"][0] == 0.0 and rows["m1"][1] == 1.0
+
+    def test_pattern_values_need_no_escapes(self):
+        # the writers format the text column as '"%s"' (JSON) and '%s' (CSV)
+        for pattern in lw.WalkPattern:
+            assert json.dumps(pattern.value) == '"%s"' % pattern.value
+            assert not set(pattern.value) & set(',"\r\n')
+
     def test_csv_tables(self, tmp_path):
         out = self.run_sweep(tmp_path, fmt="csv")
         rows = read_csv(out)
@@ -370,6 +384,28 @@ class TestOutputPlumbing:
         monkeypatch.setattr(cli, "run_walk1d", boom)
         assert cli.main(["walk1d", "--gamma", "0", "--steps", "1",
                          "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_density_matrix_drift_exits_three(self, monkeypatch, tmp_path):
+        """A coin density matrix whose trace drifts past 1e-12 is a numeric
+        invariant violation, not a usage error."""
+        real = cli.finite_n_rho
+        calls = []
+
+        def drifting(state):
+            rho = real(state)
+            calls.append(state.steps_taken)
+            return lw.DensityMatrix2(rho11=rho.rho11 + 1e-13 * len(calls),
+                                     rho22=rho.rho22, rho12=rho.rho12)
+
+        monkeypatch.setattr(cli, "finite_n_rho", drifting)
+        code, out, err = run_main(["walk1d", "--gamma", "1/3pi", "--steps", "40",
+                                   "--out", str(tmp_path / "walk.csv")])
+        assert code == 3
+        assert 1 < len(calls) < 41  # tripped by the drift, within the run
+        assert err.startswith("ladderwalk: numeric invariant violated: trace must be 1")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

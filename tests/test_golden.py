@@ -83,11 +83,12 @@ def test_outputs_match_golden_bytes(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["walk1d-csv", "walk1d-json", "ladder-csv", "ladder-json",
-                                  "walk1d-stdout"])
+                                  "sweep-csv", "sweep-json", "walk1d-stdout"])
 def test_chunk_boundaries_leave_bytes_unchanged(tmp_path, monkeypatch, case):
     """The goldens hold fewer rows than one formatting pass; small passes
-    put many chunk boundaries inside each per-site table."""
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    put chunk boundaries inside each structured table (``sweep-json`` has
+    four rows)."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
     expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert run_case(CASES[case], tmp_path) == expected
 

@@ -98,7 +98,12 @@ class TestReduction:
         (Fraction(-9, 4), Fraction(-1, 4)),
     ])
     def test_reduce_pi_fraction(self, frac, expected):
-        assert lw.reduce_pi_fraction(frac) == expected
+        """Exact angles reduce into (-1, 1] units of pi: gamma1 = alpha
+        at beta = gamma_y = 0, and gamma2 = gamma1 + 2."""
+        zero = lw.Angle(0.0, Fraction(0))
+        eff = lw.effective_angles(lw.Angle(float(frac) * math.pi, frac), zero, zero)
+        assert eff.gamma1 == float(frac) * math.pi
+        assert eff.gamma1_reduced == eff.gamma2_reduced == float(expected) * math.pi
 
 
 class TestSectorProject:

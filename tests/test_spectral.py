@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk.cli import parse_grid
-from ladderwalk.spectral import _unitary_at
+from ladderwalk import spectral
+from ladderwalk.cli import parse_angle, parse_grid
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _unitary_at(gamma: float, k: float) -> np.ndarray:
+    """``U(k) = T(k) C(gamma/2)`` as a dense 2x2 matrix."""
+    c = math.cos(gamma / 2.0)
+    s = math.sin(gamma / 2.0)
+    t = np.array([[np.exp(1j * k), 0.0], [0.0, np.exp(-1j * k)]])
+    coin = np.array([[c, -s], [s, c]])
+    return t @ coin
 
 
 class TestDispersion:
@@ -160,9 +171,13 @@ class TestAsymptoticRho:
         assert rho.determinant >= -1e-12
 
     def test_validation_rejects_bad_matrix(self):
-        with pytest.raises(ValueError):
+        # a ValueError still, for callers that catch that
+        assert issubclass(lw.DensityMatrixError, ValueError)
+        with pytest.raises(lw.DensityMatrixError, match="trace"):
             lw.DensityMatrix2(rho11=0.9, rho22=0.2, rho12=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(lw.DensityMatrixError, match="negative diagonal"):
+            lw.DensityMatrix2(rho11=1.5, rho22=-0.5, rho12=0.0)
+        with pytest.raises(lw.DensityMatrixError, match="positive semidefinite"):
             lw.DensityMatrix2(rho11=0.5, rho22=0.5, rho12=0.9)
 
 
@@ -341,3 +356,91 @@ class TestWalkSummary:
         assert summary.magnetization.m1 == pytest.approx(1.0, abs=1e-12)
         assert summary.d1 == pytest.approx(1.0, abs=1e-12)
         assert summary.s1 == pytest.approx(0.0, abs=1e-10)
+
+
+def reference_summary(alpha, beta, gamma_y=lw.Angle(-math.pi / 2, Fraction(-1, 2))):
+    """``walk_summary`` by an independent route: exact sector angles in
+    ``Fraction`` arithmetic, every closed form evaluated afresh."""
+    angles = [a if isinstance(a, lw.Angle) else lw.Angle(a) for a in (alpha, beta, gamma_y)]
+    if all(a.pi_fraction is not None for a in angles):
+        a, b, gy = (angle.pi_fraction for angle in angles)
+        gamma1 = a + b + gy
+        phi = 2 * (1 - b)
+        gamma2 = gamma1 + phi
+
+        def radians(f: Fraction) -> float:
+            return float(f) * math.pi
+
+        eff = lw.EffectiveAngles(
+            gamma1=radians(gamma1), gamma2=radians(gamma2), phi=radians(phi),
+            gamma1_reduced=radians(1 - (1 - gamma1) % 2),
+            gamma2_reduced=radians(1 - (1 - gamma2) % 2))
+    else:
+        eff = lw.effective_angles(*angles)
+    rho1 = lw.asymptotic_rho(eff.gamma1_reduced)
+    rho2 = lw.asymptotic_rho(eff.gamma2_reduced)
+    (hi1, lo1), (hi2, lo2) = lw.rho_eigenvalues(rho1), lw.rho_eigenvalues(rho2)
+    s1, s2 = lw.entropy(rho1), lw.entropy(rho2)
+    return lw.WalkSummary(
+        effective=eff,
+        magnetization=lw.magnetization(eff.gamma1_reduced, eff.gamma2_reduced),
+        d1=hi1 - lo1,
+        d2=hi2 - lo2,
+        mutual_information=s1 + s2 - lw.entropy(lw.average_rho(rho1, rho2)),
+        s1=s1,
+        s2=s2,
+    )
+
+
+def _fields(obj) -> tuple:
+    return tuple(_fields(v) if dataclasses.is_dataclass(v) else v
+                 for v in vars(obj).values())
+
+
+def _bits(summary: lw.WalkSummary) -> str:
+    """Every field; ``repr`` keeps the sign of a zero apart."""
+    return repr(_fields(summary))
+
+
+def _exact(numerator: int, denominator: int) -> lw.Angle:
+    f = Fraction(numerator, denominator)
+    return lw.Angle(float(f) * math.pi, f)
+
+
+class TestWalkSummaryBits:
+    """``walk_summary`` evaluates the sector closed forms once per reduced
+    angle and adds exact angles as integers; neither may move a bit."""
+
+    def assert_bit_identical(self, points):
+        spectral._sector_closed_forms.cache_clear()
+        want = [_bits(reference_summary(*p)) for p in points]
+        cold = [_bits(lw.walk_summary(*p)) for p in points]
+        warm = [_bits(lw.walk_summary(*p)) for p in points]
+        assert spectral._sector_closed_forms.cache_info().hits > 0
+        assert cold == want
+        assert warm == want
+
+    def test_pi_over_64_grid(self):
+        grid = parse_grid("-pi:pi:129")
+        self.assert_bit_identical([(a, b) for a in grid for b in grid])
+
+    def test_mixed_denominators(self):
+        points = [tuple(parse_angle(t) for t in ("1/3pi", "1/4pi", "-1/2pi"))]
+        points += [(a, b, parse_angle("1/7pi")) for a in parse_grid("-2pi:2pi:13")
+                   for b in parse_grid("-1/5pi:9/5pi:11")]
+        self.assert_bit_identical(points)
+
+    def test_numerators_past_float_precision(self):
+        big = [2**53 + 1, -(2**53) - 3, 3 * 2**60 + 7, 10**30 + 7, -(10**30) + 1]
+        points = [(_exact(n, d), _exact(m, 8192))
+                  for n in big for d in (1, 3, 8192) for m in (1, -3 * 2**55 + 1)]
+        points += [(_exact(n, 3), _exact(1, 4), _exact(-n + 5, 7)) for n in big]
+        self.assert_bit_identical(points)
+
+    def test_signed_zero_angles_share_a_cache_entry(self):
+        # gamma1 reduces to -0.0 at alpha = -3pi/2 and to 0.0 at pi/2
+        negative, positive = (-3 * math.pi / 2, 0.0), (math.pi / 2, 0.0)
+        assert repr(lw.effective_angles(*negative).gamma1_reduced) == "-0.0"
+        assert repr(lw.effective_angles(*positive).gamma1_reduced) == "0.0"
+        for order in ([positive, negative], [negative, positive]):
+            self.assert_bit_identical(order)
