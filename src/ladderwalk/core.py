@@ -10,7 +10,9 @@ keeps the finite array an exact model of the infinite lattice.  The short
 are periodic.
 
 :func:`evolve` is the single stepping entry point.  It is pure: it returns
-a new state and never mutates its input.
+a new state and never mutates its input.  It steps only the window of
+occupied sites, grown by one site per shift, so its cost follows the
+support of the walk rather than the size of the array.
 """
 
 from __future__ import annotations
@@ -228,7 +230,11 @@ def _ladder_unitary(spec: Ladder) -> np.ndarray:
 
 
 def _stages(state, spec: ProtocolSpec) -> list[tuple[np.ndarray, bool, bool]]:
-    """One step of ``spec`` as (local unitary, move up, move down) stages."""
+    """One step of ``spec`` as (local unitary, move up, move down) stages.
+
+    There are one or two stages per step; :func:`evolve` relies on that
+    when it reuses its buffers.
+    """
     if isinstance(spec, Conventional):
         if not isinstance(state, WalkerState1D):
             raise TypeError("conventional protocol needs a WalkerState1D")
@@ -245,48 +251,72 @@ def _stages(state, spec: ProtocolSpec) -> list[tuple[np.ndarray, bool, bool]]:
     raise TypeError(f"unknown protocol spec {spec!r}")
 
 
-def _shifted(amps: np.ndarray, move_up: bool, move_down: bool) -> np.ndarray:
-    """Shift the up rows (first half) right and/or the down rows left.
-
-    ``amps`` is ``(rows, sites)``.  Raises if a moved row has amplitude on
-    its leading edge; untouched lattice entries are exactly zero so the
-    check is exact.  The check reads the one or two edge values as Python
-    numbers, which costs a fraction of a numpy reduction.
-    """
-    h = amps.shape[0] // 2
-    out = np.zeros_like(amps)
-    if move_up:
-        if any(amps[:h, -1].tolist()):
-            raise LatticeOverflowError(
-                "up amplitude reached the +edge; enlarge half_width")
-        out[:h, 1:] = amps[:h, :-1]
-    else:
-        out[:h] = amps[:h]
-    if move_down:
-        if any(amps[h:, 0].tolist()):
-            raise LatticeOverflowError(
-                "down amplitude reached the -edge; enlarge half_width")
-        out[h:, :-1] = amps[h:, 1:]
-    else:
-        out[h:] = amps[h:]
-    return out
-
-
 def evolve(state, spec: ProtocolSpec, n_steps: int):
     """Apply ``n_steps`` repetitions of the one-step unitary for ``spec``.
 
     Each step is a sequence of stages, a site-local unitary followed by a
-    spin-conditioned shift: one stage for the conventional and the ladder
-    walk, two (one per half-shift) for the split-step walk.
+    spin-conditioned shift of the up rows (first half) right and/or the
+    down rows left: one stage for the conventional and the ladder walk,
+    two (one per half-shift) for the split-step walk.
+
+    Only the support window is stepped.  The nonzero columns ``[lo, hi)``
+    are found once per call, and each stage grows the window by one
+    column on each side that moves.  Columns outside it stay exactly
+    zero, so the result equals a full-lattice step.  The stage unitaries
+    are real, so they act on the float64 view of the amplitudes.  A moved
+    row with amplitude on its leading edge after the unitary raises
+    :class:`LatticeOverflowError`; nothing can reach an edge before the
+    window does, so the check is exact.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     stages = _stages(state, spec)
     shape = state.amplitudes.shape
-    amps = state.amplitudes.reshape(-1, shape[-1])
+    amps = src = np.ascontiguousarray(state.amplitudes,
+                                      dtype=np.complex128).reshape(-1, shape[-1])
+    rows, sites = src.shape
+    h = rows // 2
+    # an all-zero state gets the whole lattice as its window
+    occupied = src.any(axis=0)
+    lo, hi = int(occupied.argmax()), sites - int(occupied[::-1].argmax())
+    if hi - lo == 1:
+        # A one-column product can take another BLAS path, whose last bit
+        # differs from the same column inside a wider product.
+        lo, hi = (lo, hi + 1) if hi < sites else (lo - 1, hi)
+    # One product buffer for the call: a fresh window-sized result per
+    # stage would be mapped and page-faulted anew each time.
+    product = np.empty((rows, 2 * sites))
+    window = product.view(np.complex128)
+    out = None
     for _ in range(n_steps):
         for unitary, move_up, move_down in stages:
-            amps = _shifted(unitary @ amps, move_up, move_down)
+            np.matmul(unitary, amps.view(np.float64)[:, 2 * lo:2 * hi],
+                      out=product[:, 2 * lo:2 * hi])
+            moved = window[:, lo:hi]
+            if move_up and hi == sites and any(moved[:h, -1].tolist()):
+                raise LatticeOverflowError(
+                    "up amplitude reached the +edge; enlarge half_width")
+            if move_down and lo == 0 and any(moved[h:, 0].tolist()):
+                raise LatticeOverflowError(
+                    "down amplitude reached the -edge; enlarge half_width")
+            # A reused out holds the stage before last.  With one or two
+            # stages per step that is this same stage, over a window inside
+            # this one, so this write covers everything that one wrote.
+            if out is None:
+                out = np.zeros((rows, sites), np.complex128)
+            if move_up:
+                top = min(hi + 1, sites)
+                out[:h, lo + 1:top] = moved[:h, :top - lo - 1]
+            else:
+                out[:h, lo:hi] = moved[:h]
+            if move_down:
+                bottom = max(lo - 1, 0)
+                out[h:, bottom:hi - 1] = moved[h:, bottom - lo + 1:]
+            else:
+                out[h:, lo:hi] = moved[h:]
+            lo, hi = max(lo - move_down, 0), min(hi + move_up, sites)
+            # the input is never written, so it is not recycled
+            amps, out = out, (amps if amps is not src else None)
     return replace(state, amplitudes=amps.reshape(shape),
                    steps_taken=state.steps_taken + n_steps)
 

@@ -140,7 +140,10 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
             return den - (den - n) % (2 * den)
 
         def radians(n: int) -> float:
-            return n / den * math.pi
+            try:
+                return n / den * math.pi
+            except OverflowError:  # past the float range: refused below
+                return math.inf if n > 0 else -math.inf
     else:
         a, b, gy = (angle.radians for angle in angles)
         half_turn, reduce, radians = math.pi, reduce_angle, float

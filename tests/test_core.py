@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
+from ladderwalk.core import _stages
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -313,3 +315,117 @@ class TestInvariants:
         assert np.max(np.abs(minus.amplitudes - conjugated)) < 1e-12
         assert np.allclose(lw.position_distribution(minus),
                            lw.position_distribution(plus), atol=1e-12)
+
+
+def shifted(amps, move_up, move_down):
+    """Full-lattice shift of the up rows (first half) right and/or the down
+    rows left, raising if a moved row has amplitude on its leading edge."""
+    h = amps.shape[0] // 2
+    out = np.zeros_like(amps)
+    if move_up:
+        if any(amps[:h, -1].tolist()):
+            raise lw.LatticeOverflowError(
+                "up amplitude reached the +edge; enlarge half_width")
+        out[:h, 1:] = amps[:h, :-1]
+    else:
+        out[:h] = amps[:h]
+    if move_down:
+        if any(amps[h:, 0].tolist()):
+            raise lw.LatticeOverflowError(
+                "down amplitude reached the -edge; enlarge half_width")
+        out[h:, :-1] = amps[h:, 1:]
+    else:
+        out[h:] = amps[h:]
+    return out
+
+
+def reference_evolve(state, spec, n_steps):
+    """Amplitudes after ``n_steps``, every stage applied to the whole
+    lattice: ``unitary @ amps`` followed by the shift."""
+    shape = state.amplitudes.shape
+    amps = state.amplitudes.reshape(-1, shape[-1])
+    for _ in range(n_steps):
+        for unitary, move_up, move_down in _stages(state, spec):
+            amps = shifted(unitary @ amps, move_up, move_down)
+    return amps.reshape(shape)
+
+
+@st.composite
+def walks(draw):
+    """A protocol with a start state: a point mass with a random Bloch coin
+    at a random origin (and side), or two of them with zeros in between."""
+    protocol = draw(st.sampled_from(["conventional", "splitstep", "ladder"]))
+    r = draw(st.integers(min_value=2, max_value=12))
+    origin = draw(st.integers(min_value=-r, max_value=r))
+    coin = lw.CoinSpinor.from_bloch(draw(st.floats(min_value=0.0, max_value=math.pi)),
+                                    draw(ANGLES))
+    alpha, beta, gamma_y = draw(st.tuples(ANGLES, ANGLES, ANGLES))
+    if protocol == "ladder":
+        side = draw(st.integers(min_value=0, max_value=1))
+        state = lw.localized_ladder(coin, half_width=r, side=side, origin=origin)
+        spec = lw.Ladder(alpha, beta, gamma_y)
+    else:
+        state = lw.localized_walker(coin, half_width=r, origin=origin)
+        spec = lw.Conventional(alpha) if protocol == "conventional" else lw.SplitStep(alpha, beta)
+    gap = draw(st.integers(min_value=0, max_value=4))
+    if gap >= 2 and origin + gap <= r:
+        amps = state.amplitudes.copy()
+        amps[..., origin + gap + r] = amps[..., origin + r][..., ::-1]
+        state = dataclasses.replace(state, amplitudes=amps)
+    return state, spec
+
+
+class TestSupportWindow:
+    @given(walks(), st.integers(min_value=1, max_value=14))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_lattice_reference(self, walk, n):
+        state, spec = walk
+        before = state.amplitudes.tobytes()
+        try:
+            expected = reference_evolve(state, spec, n)
+        except lw.LatticeOverflowError as error:
+            with pytest.raises(lw.LatticeOverflowError, match=re.escape(str(error))):
+                lw.evolve(state, spec, n)
+            expected = None
+        if expected is not None:
+            assert np.array_equal(lw.evolve(state, spec, n).amplitudes, expected)
+        # n one-step calls agree with one bulk call, overflow included
+        stepped = state
+        try:
+            for _ in range(n):
+                stepped = lw.evolve(stepped, spec, 1)
+        except lw.LatticeOverflowError:
+            assert expected is None
+        else:
+            assert np.array_equal(stepped.amplitudes, expected)
+        assert state.amplitudes.tobytes() == before
+
+    def test_edge_is_exact_and_input_untouched(self):
+        # A down spinor on the +edge: the up component there is zero after
+        # the identity coin, so the +edge check must pass, and the walker
+        # then takes ten steps to the -edge.
+        start = lw.localized_walker(lw.CoinSpinor(0, 1), half_width=5, origin=5)
+        spec = lw.Conventional(0.0)
+        state = start
+        for _ in range(10):
+            before = state.amplitudes.tobytes()
+            out = lw.evolve(state, spec, 1)
+            assert state.amplitudes.tobytes() == before
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            state = out
+        assert down_at(state, -5) == 1.0
+        before = state.amplitudes.tobytes()
+        with pytest.raises(lw.LatticeOverflowError, match="-edge"):
+            lw.evolve(state, spec, 1)
+        assert state.amplitudes.tobytes() == before
+        before = start.amplitudes.tobytes()
+        assert np.array_equal(lw.evolve(start, spec, 10).amplitudes, state.amplitudes)
+        with pytest.raises(lw.LatticeOverflowError, match="-edge"):
+            lw.evolve(start, spec, 11)
+        assert start.amplitudes.tobytes() == before
+
+    def test_empty_state_stays_empty(self):
+        state = lw.localized_walker(half_width=3)
+        empty = dataclasses.replace(state, amplitudes=np.zeros_like(state.amplitudes))
+        out = lw.evolve(empty, lw.SplitStep(0.3, 0.4), 5)
+        assert not np.any(out.amplitudes) and out.steps_taken == 5

@@ -73,6 +73,12 @@ class TestEffectiveAngles:
         exact = lw.Angle(float(big) * math.pi, big)
         with pytest.raises(ValueError, match="gamma1"):
             lw.effective_angles(exact, exact)
+        # an exact sum whose ratio itself is past the float range
+        huge = lw.Angle(0.0, Fraction(10**400))
+        with pytest.raises(ValueError, match="gamma1"):
+            lw.effective_angles(huge, lw.Angle(0.0, Fraction(0)))
+        with pytest.raises(ValueError, match="gamma1"):
+            lw.effective_angles(lw.Angle(0.0, -Fraction(10**400)), lw.Angle(0.0, Fraction(0)))
 
 
 class TestReduction:
