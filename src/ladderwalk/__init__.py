@@ -28,17 +28,14 @@ from .observables import (
     discriminant,
     magnetization,
     second_moment,
-    side_marginals,
     total_variation,
 )
 from .sectors import (
-    EMPTY_SECTOR_WEIGHT,
     Angle,
     EffectiveAngles,
     SectorPair,
     WalkPattern,
     effective_angles,
-    reconstruct_ladder,
     reduce_angle,
     sector_project,
 )

@@ -47,7 +47,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,8 @@ from .core import (
     localized_walker,
     position_distribution,
 )
-from .observables import magnetization, second_moment, side_marginals, total_variation
-from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, sector_project
+from .observables import magnetization, second_moment, total_variation
+from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, _projections
 from .spectral import (
     DensityMatrixError,
     asymptotic_rho,
@@ -317,14 +317,14 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         side_parts.append(side)
         rung_parts.append(rungs[rung])
         prob_parts.append(joint[side, rung])
-        side0, side1 = side_marginals(state)
+        side0, side1 = joint
         mass0, mass1 = float(np.sum(side0)), float(np.sum(side1))
         if min(mass0, mass1) < _SIDE_MASS_FLOOR:
             tv = None
         else:
             tv = total_variation(side0 / mass0, side1 / mass1)
-        pair = sector_project(state)
-        step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
+        weight_k0, weight_kpi = _projections(state.amplitudes)[1]
+        step_rows.append([step, mass0, mass1, weight_k0, weight_kpi, tv])
 
     eff = summary.effective
     if steps >= 1:
@@ -501,10 +501,12 @@ def _format_cell(value) -> str:
 
 
 # A cell's format by numpy kind: ``%.17g`` for CSV floats, ``%r``
-# (``float.__repr__``) as ``json`` writes them; the text fields hold
-# ``WalkPattern`` values, which need no CSV quoting or JSON escapes.
-_CSV_CELLS = {"f": "%.17g", "i": "%d", "U": "%s"}
-_JSON_CELLS = {"f": "%r", "i": "%d", "U": '"%s"'}
+# (``float.__repr__``) as ``json`` writes them; integer cells arrive as
+# text or as ints, and ``%s`` writes either as ``%d`` would.  The text
+# fields hold ``WalkPattern`` values, which need no CSV quoting or JSON
+# escapes.
+_CSV_CELLS = {"f": "%.17g", "i": "%s", "U": "%s"}
+_JSON_CELLS = {"f": "%r", "i": "%s", "U": '"%s"'}
 
 
 def _cell_formats(rows: np.ndarray, formats: dict) -> list[str]:
@@ -513,10 +515,32 @@ def _cell_formats(rows: np.ndarray, formats: dict) -> list[str]:
 
 def _formatted_chunks(rows: np.ndarray, row_format: str, sep: str = ""):
     """``row_format % row`` for each row of a structured table, joined by
-    ``sep``, in pieces of ``_CHUNK_ROWS`` rows, each made in one pass."""
+    ``sep``, in pieces of ``_CHUNK_ROWS`` rows, each made in one pass.
+
+    An integer column whose span ``max - min`` is at most the row count is
+    rendered once per value, ``str(v)`` for each ``v`` in the span, and
+    each chunk gathers its cells from those texts; a per-site column spans
+    at most ``2 * steps + 3`` values.  Every other column, a wider integer
+    one included, passes its Python values through.
+    """
+    names = rows.dtype.names
+    texts = {}
+    for name in names:
+        column = rows[name]
+        if column.dtype.kind == "i" and len(column):
+            lo, hi = int(column.min()), int(column.max())
+            if hi - lo <= len(column):
+                texts[name] = lo, np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS].tolist()
-        text = sep.join([row_format] * len(chunk)) % tuple(chain.from_iterable(chunk))
+        chunk = rows[start:start + _CHUNK_ROWS]
+        cells = np.empty((len(chunk), len(names)), dtype=object)
+        for j, name in enumerate(names):
+            if name in texts:
+                lo, table = texts[name]
+                cells[:, j] = table[chunk[name] - lo]
+            else:
+                cells[:, j] = chunk[name]
+        text = sep.join([row_format] * len(chunk)) % tuple(cells.ravel().tolist())
         yield sep + text if start else text
 
 

@@ -18,6 +18,7 @@ support of the walk rather than the size of the array.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -44,6 +45,8 @@ __all__ = [
 DEFAULT_GAMMA_Y = -math.pi / 2
 
 _NORM_TOL = 1e-12
+# Stage tables kept: one per spec in use, and a sweep of specs stays bounded.
+_STAGE_CACHE_SIZE = 64
 
 
 class LatticeOverflowError(Exception):
@@ -229,26 +232,44 @@ def _ladder_unitary(spec: Ladder) -> np.ndarray:
     return u.reshape(4, 4)
 
 
-def _stages(state, spec: ProtocolSpec) -> list[tuple[np.ndarray, bool, bool]]:
+def _stages(state, spec: ProtocolSpec) -> tuple[tuple[np.ndarray, bool, bool], ...]:
     """One step of ``spec`` as (local unitary, move up, move down) stages.
 
     There are one or two stages per step; :func:`evolve` relies on that
-    when it reuses its buffers.
+    when it reuses its buffers.  The table is built once per spec and
+    shared between calls, so its unitaries are read-only.
     """
     if isinstance(spec, Conventional):
         if not isinstance(state, WalkerState1D):
             raise TypeError("conventional protocol needs a WalkerState1D")
-        return [(_coin("gamma", spec.gamma), True, True)]
-    if isinstance(spec, SplitStep):
+    elif isinstance(spec, SplitStep):
         if not isinstance(state, WalkerState1D):
             raise TypeError("split-step protocol needs a WalkerState1D")
-        return [(_coin("alpha", spec.alpha), True, False),
-                (_coin("beta", spec.beta), False, True)]
-    if isinstance(spec, Ladder):
+    elif isinstance(spec, Ladder):
         if not isinstance(state, LadderState):
             raise TypeError("ladder protocol needs a LadderState")
-        return [(_ladder_unitary(spec), True, True)]
-    raise TypeError(f"unknown protocol spec {spec!r}")
+    else:
+        raise TypeError(f"unknown protocol spec {spec!r}")
+    # Keyed on the angles' bits: specs holding 0.0 and -0.0 are equal and
+    # hash alike, but their coins differ in the sign of zero.
+    return _stage_table(type(spec), tuple(float(v).hex() for v in vars(spec).values()))
+
+
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _stage_table(protocol: type, angles: tuple[str, ...]) -> tuple:
+    """:func:`_stages` of ``protocol(*angles)``, the angles given by
+    ``float.hex``.  A non-finite angle raises, and is not cached."""
+    spec = protocol(*map(float.fromhex, angles))
+    if issubclass(protocol, Conventional):
+        stages = ((_coin("gamma", spec.gamma), True, True),)
+    elif issubclass(protocol, SplitStep):
+        stages = ((_coin("alpha", spec.alpha), True, False),
+                  (_coin("beta", spec.beta), False, True))
+    else:
+        stages = ((_ladder_unitary(spec), True, True),)
+    for unitary, _up, _down in stages:
+        unitary.setflags(write=False)
+    return stages
 
 
 def evolve(state, spec: ProtocolSpec, n_steps: int):

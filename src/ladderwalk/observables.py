@@ -7,14 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LadderState
-
 __all__ = [
     "MagnetizationTriple",
     "second_moment",
     "magnetization",
     "discriminant",
-    "side_marginals",
     "total_variation",
 ]
 
@@ -67,17 +64,6 @@ def discriminant(gamma: float) -> float:
     c = abs(math.cos(gamma / 4.0))
     s = abs(math.sin(gamma / 4.0))
     return (c - s) / (c + s)
-
-
-def side_marginals(state: LadderState) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized rung profiles of the two sides.
-
-    Each vector is ``P(y, x)`` summed over spin; the two together sum
-    to one.  Renormalize before comparing shapes, since the side masses
-    need not be equal at finite times.
-    """
-    joint = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-    return joint[0].copy(), joint[1].copy()
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

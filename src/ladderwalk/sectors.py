@@ -20,7 +20,6 @@ import numpy as np
 from .core import DEFAULT_GAMMA_Y, LadderState, WalkerState1D, _require_finite
 
 __all__ = [
-    "EMPTY_SECTOR_WEIGHT",
     "Angle",
     "EffectiveAngles",
     "SectorPair",
@@ -28,11 +27,10 @@ __all__ = [
     "effective_angles",
     "reduce_angle",
     "sector_project",
-    "reconstruct_ladder",
 ]
 
 # Sector weights below this are treated as empty sectors.
-EMPTY_SECTOR_WEIGHT = 1e-14
+_EMPTY_SECTOR_WEIGHT = 1e-14
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -174,9 +172,9 @@ def reduce_angle(gamma: float) -> float:
 class SectorPair:
     """Normalized sector states with their probability weights.
 
-    A sector whose weight falls below :data:`EMPTY_SECTOR_WEIGHT` is
-    flagged empty and its state left as the zero vector; downstream
-    consumers must check the flags before normalizing or conditioning.
+    A sector whose weight falls below ``1e-14`` is empty and its state
+    left as the zero vector; downstream consumers must check the weights
+    before normalizing or conditioning.
     """
 
     sector_k0: WalkerState1D
@@ -184,29 +182,25 @@ class SectorPair:
     weight_k0: float
     weight_kpi: float
 
-    @property
-    def k0_is_empty(self) -> bool:
-        return self.weight_k0 < EMPTY_SECTOR_WEIGHT
 
-    @property
-    def kpi_is_empty(self) -> bool:
-        return self.weight_kpi < EMPTY_SECTOR_WEIGHT
+def _projections(amps: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """The unnormalized ``k_x = 0`` and ``k_x = pi`` sector amplitudes
+    ``(psi(s, x=0, y) +- psi(s, x=1, y)) / sqrt(2)`` of ladder amplitudes,
+    and their squared norms, the sector weights."""
+    raw = ((amps[:, 0, :] + amps[:, 1, :]) * _SQRT_HALF,
+           (amps[:, 0, :] - amps[:, 1, :]) * _SQRT_HALF)
+    return raw, tuple(float(np.sum(np.abs(sector) ** 2)) for sector in raw)
 
 
 def sector_project(state: LadderState) -> SectorPair:
     """Project a ladder state onto the ``k_x = 0`` and ``k_x = pi`` sectors.
 
-    The unnormalized sector amplitudes are ``(psi(s, x=0, y) +- psi(s, x=1, y)) / sqrt(2)``;
-    each sector is returned renormalized with its squared norm recorded as
-    the weight.
+    Each sector is returned renormalized with its squared norm recorded as
+    the weight (see :func:`_projections`).
     """
-    amps = state.amplitudes
-    raw_k0 = (amps[:, 0, :] + amps[:, 1, :]) * _SQRT_HALF
-    raw_kpi = (amps[:, 0, :] - amps[:, 1, :]) * _SQRT_HALF
-    w0 = float(np.sum(np.abs(raw_k0) ** 2))
-    wpi = float(np.sum(np.abs(raw_kpi) ** 2))
-    k0 = raw_k0 / math.sqrt(w0) if w0 >= EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_k0)
-    kpi = raw_kpi / math.sqrt(wpi) if wpi >= EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_kpi)
+    (raw_k0, raw_kpi), (w0, wpi) = _projections(state.amplitudes)
+    k0 = raw_k0 / math.sqrt(w0) if w0 >= _EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_k0)
+    kpi = raw_kpi / math.sqrt(wpi) if wpi >= _EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_kpi)
     return SectorPair(
         sector_k0=WalkerState1D(amplitudes=k0, origin=state.origin,
                                 steps_taken=state.steps_taken),
@@ -215,19 +209,3 @@ def sector_project(state: LadderState) -> SectorPair:
         weight_k0=w0,
         weight_kpi=wpi,
     )
-
-
-def reconstruct_ladder(pair: SectorPair, origin: int | None = None) -> LadderState:
-    """Rebuild the ladder state from its sector decomposition."""
-    raw_k0 = pair.sector_k0.amplitudes * math.sqrt(pair.weight_k0)
-    raw_kpi = pair.sector_kpi.amplitudes * math.sqrt(pair.weight_kpi)
-    n_rungs = raw_k0.shape[1]
-    amps = np.zeros((2, 2, n_rungs), dtype=np.complex128)
-    amps[:, 0, :] = (raw_k0 + raw_kpi) * _SQRT_HALF
-    amps[:, 1, :] = (raw_k0 - raw_kpi) * _SQRT_HALF
-    return LadderState(
-        amplitudes=amps,
-        origin=pair.sector_k0.origin if origin is None else origin,
-        steps_taken=pair.sector_k0.steps_taken,
-    )
-

@@ -104,13 +104,6 @@ class DensityMatrix2:
     def determinant(self) -> float:
         return self.rho11 * self.rho22 - abs(self.rho12) ** 2
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.rho11, self.rho12],
-             [np.conj(self.rho12), self.rho22]],
-            dtype=np.complex128,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MomentumMode:
@@ -118,17 +111,14 @@ class MomentumMode:
 
     ``e_plus`` carries eigenvalue ``e^{-i omega}`` and ``e_minus`` carries
     ``e^{+i omega}``, matching the spectral form of the n-step propagator.
-    ``k``, ``omega`` and the eigenvalues have the shape of the momenta
-    given; the eigenvectors hold the spin index first, shape
-    ``(2,) + k.shape``.
+    ``k`` and ``omega`` have the shape of the momenta given; the
+    eigenvectors hold the spin index first, shape ``(2,) + k.shape``.
     """
 
     k: np.ndarray
     omega: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
 
 
 def dispersion(gamma: float, k: float):
@@ -155,8 +145,6 @@ def mode_eigensystem(gamma: float, k) -> MomentumMode:
         raise DegenerateCoinError(
             "coin angle congruent to 0 mod 2*pi: U(k) is diagonal")
     omega = dispersion(gamma, k)
-    lam_plus = np.exp(-1j * omega)
-    lam_minus = np.exp(1j * omega)
     u = np.exp(1j * k)
 
     def vector(lam: np.ndarray) -> np.ndarray:
@@ -166,10 +154,8 @@ def mode_eigensystem(gamma: float, k) -> MomentumMode:
     return MomentumMode(
         k=k,
         omega=omega,
-        e_plus=vector(lam_plus),
-        e_minus=vector(lam_minus),
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
+        e_plus=vector(np.exp(-1j * omega)),
+        e_minus=vector(np.exp(1j * omega)),
     )
 
 

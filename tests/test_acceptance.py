@@ -113,7 +113,7 @@ def test_06_identical_profile_tv():
     def tv_for(beta):
         state = lw.evolve(lw.localized_ladder(half_width=n + 2),
                           lw.Ladder(-math.pi / 4, beta), n)
-        side0, side1 = lw.side_marginals(state)
+        side0, side1 = lw.position_distribution(state)
         return lw.total_variation(side0 / np.sum(side0), side1 / np.sum(side1))
 
     tv_identical = tv_for(3 * math.pi / 4)

@@ -224,6 +224,28 @@ class TestLadderCmd:
             assert row[3] == pytest.approx(0.5, abs=1e-10)
             assert row[4] == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha,beta,gamma_y", [(-0.7, 1.1, None), (0.4, -2.3, 0.9)])
+    def test_steps_table_matches_the_observables(self, alpha, beta, gamma_y):
+        """The side masses are sums of the joint's rows and the weights are
+        those ``sector_project`` records, bit for bit at every step."""
+        steps = 40
+        gy = None if gamma_y is None else cli.parse_angle(gamma_y)
+        rows = cli.run_ladder(cli.parse_angle(alpha), cli.parse_angle(beta), steps,
+                              gy)["tables"]["steps"]["rows"]
+        spec = lw.Ladder(alpha, beta, lw.DEFAULT_GAMMA_Y if gamma_y is None else gamma_y)
+        state = lw.localized_ladder(half_width=steps + 2)
+        for step, row in enumerate(rows):
+            if step:
+                state = lw.evolve(state, spec, 1)
+            side0, side1 = lw.position_distribution(state)
+            mass0, mass1 = np.sum(side0), np.sum(side1)
+            pair = lw.sector_project(state)
+            expected = [step, mass0, mass1, pair.weight_k0, pair.weight_kpi]
+            assert [float(v).hex() for v in row[:5]] == [float(v).hex() for v in expected]
+            if row[5] is not None:
+                assert row[5] == lw.total_variation(side0 / mass0, side1 / mass1)
+        assert len(rows) == steps + 1
+
 
 class TestSweep:
     def run_sweep(self, tmp_path, fmt="json"):
@@ -330,6 +352,39 @@ class TestOutputPlumbing:
                     rows = rows.tolist()
                 assert data["tables"][name] == {"columns": table["columns"],
                                                 "rows": [list(r) for r in rows]}
+
+    @pytest.mark.parametrize("chunk_rows", [cli._CHUNK_ROWS, 3])
+    @pytest.mark.parametrize("fields,columns", [
+        # negative ints, a column of one value, floats with a signed zero
+        ([("step", "i8"), ("site", "i8"), ("p", "f8")],
+         [[0, 1, 1, 2, 2, 2, 3], [0, -1, 1, -2, 0, 2, -3],
+          [1.0, 0.5, 0.5, 0.1, -0.0, 1 / 3, 1e-300]]),
+        ([("step", "i8"), ("site", "i8"), ("p", "f8")], [[5], [-7], [0.25]]),
+        ([("step", "i8"), ("site", "i8"), ("p", "f8")], [[], [], []]),
+        # spans wider than the row count, up to the int64 extremes
+        ([("wide", "i8"), ("extreme", "i8"), ("narrow", "i8")],
+         [[-10**12, 0, 10**12, 0], [-2**63, 2**63 - 1, -2**63, 0], [-1, -1, 0, 2]]),
+        ([("a", "f8"), ("pattern", "U12")],
+         [[0.1, -2.5, 3.0], ["generic", "one-sided", "alternating"]]),
+    ], ids=["negative", "one-row", "zero-rows", "wide-spans", "text"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integer_cells_as_percent_d(self, monkeypatch, fmt, fields, columns,
+                                        chunk_rows):
+        """Integer cells rendered once per value give the bytes ``%d`` gives
+        row by row."""
+        rows = np.empty(len(columns[0]), dtype=fields)
+        for (name, _dtype), column in zip(fields, columns):
+            rows[name] = column
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        if fmt == "csv":
+            cells, before, after, sep = cli._CSV_CELLS, "", "\r\n", ""
+        else:
+            cells, before, after, sep = cli._JSON_CELLS, "\n[", "]", ","
+        row_format = before + ",".join(cli._cell_formats(rows, cells)) + after
+        percent_d = before + ",".join(
+            cli._cell_formats(rows, {**cells, "i": "%d"})) + after
+        expected = sep.join(percent_d % row for row in rows.tolist())
+        assert "".join(cli._formatted_chunks(rows, row_format, sep)) == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

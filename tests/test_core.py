@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
+from ladderwalk import core
 from ladderwalk.core import _stages
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -271,6 +272,72 @@ class TestEdgesAndAngles:
             bad = dataclasses.replace(spec, **{field.name: math.nan})
             with pytest.raises(ValueError, match=field.name):
                 lw.evolve(localized(half_width=r), bad, 1)
+
+
+class TestStageTable:
+    """``evolve`` builds each spec's stage table once and shares it."""
+
+    # The ladder's fused unitary sums its products, which drops the sign of
+    # a zero angle; the coins of the other two keep it.
+    SPECS = [
+        (lw.localized_walker, lw.Conventional, (0.0,), True),
+        (lw.localized_walker, lw.SplitStep, (0.0, 0.3), True),
+        (lw.localized_ladder, lw.Ladder, (0.0, 1.1, 0.0), False),
+    ]
+
+    @staticmethod
+    def fresh(spec):
+        """The stage unitaries of ``spec`` built anew, outside the cache."""
+        if isinstance(spec, lw.Conventional):
+            return [core._coin("gamma", spec.gamma)]
+        if isinstance(spec, lw.SplitStep):
+            return [core._coin("alpha", spec.alpha), core._coin("beta", spec.beta)]
+        return [core._ladder_unitary(spec)]
+
+    @pytest.mark.parametrize("localized,protocol,angles,signs_differ", SPECS,
+                             ids=["conventional", "splitstep", "ladder"])
+    def test_signed_zeros_get_their_own_tables(self, localized, protocol, angles,
+                                               signs_differ):
+        # 0.0 == -0.0 and both hash alike, but their coins differ in the
+        # sign bits of their zeros.
+        state = localized(half_width=3)
+        plus = protocol(*angles)
+        minus = protocol(*(-a if a == 0.0 else a for a in angles))
+        assert plus == minus and hash(plus) == hash(minus)
+        for spec in (plus, minus, plus, minus):
+            table = [unitary for unitary, _up, _down in _stages(state, spec)]
+            for got, expected in zip(table, self.fresh(spec), strict=True):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert signs_differ != np.array_equal(np.signbit(self.fresh(plus)[0]),
+                                              np.signbit(self.fresh(minus)[0]))
+
+    def test_one_build_per_spec_in_a_step_loop(self):
+        spec = lw.Ladder(0.123456789, -0.987654321)
+        before = core._stage_table.cache_info()
+        state = lw.localized_ladder(half_width=12)
+        for _ in range(10):
+            state = lw.evolve(state, spec, 1)
+        after = core._stage_table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
+        assert np.array_equal(state.amplitudes,
+                              lw.evolve(lw.localized_ladder(half_width=12), spec, 10).amplitudes)
+
+    def test_shared_unitaries_are_read_only(self):
+        for unitary, _up, _down in _stages(lw.localized_walker(half_width=2),
+                                           lw.SplitStep(0.4, 0.5)):
+            with pytest.raises(ValueError):
+                unitary[0, 0] = 2.0
+
+    def test_checks_run_on_every_call(self):
+        walker = lw.localized_walker(half_width=3)
+        ladder = lw.localized_ladder(half_width=3)
+        lw.evolve(walker, lw.Conventional(0.25), 1)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                lw.evolve(ladder, lw.Conventional(0.25), 1)
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                lw.evolve(walker, lw.Conventional(math.inf), 1)
 
 
 class TestInvariants:

@@ -95,27 +95,29 @@ class TestDiscriminant:
 
 
 class TestSideMarginals:
+    """The side profiles are the rows of the ladder's joint distribution."""
+
     def test_initial_state_is_one_sided(self):
-        side0, side1 = lw.side_marginals(lw.localized_ladder(half_width=4))
+        side0, side1 = lw.position_distribution(lw.localized_ladder(half_width=4))
         assert np.sum(side0) == 1.0 and np.sum(side1) == 0.0
 
     def test_alternating_first_step(self):
         state = lw.evolve(lw.localized_ladder(half_width=4),
                           lw.Ladder(alpha=0.9, beta=0.0), 1)
-        side0, side1 = lw.side_marginals(state)
+        side0, side1 = lw.position_distribution(state)
         assert np.sum(side1) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(side0) <= 1e-12
 
     def test_one_sided_restriction(self):
         state = lw.evolve(lw.localized_ladder(half_width=22),
                           lw.Ladder(alpha=0.4, beta=math.pi), 20)
-        side0, side1 = lw.side_marginals(state)
+        side0, side1 = lw.position_distribution(state)
         assert np.sum(side0) >= 1.0 - 1e-10
 
     def test_totals_sum_to_one(self):
         state = lw.evolve(lw.localized_ladder(half_width=12),
                           lw.Ladder(0.3, 1.2), 10)
-        side0, side1 = lw.side_marginals(state)
+        side0, side1 = lw.position_distribution(state)
         assert np.sum(side0) + np.sum(side1) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -137,6 +139,6 @@ class TestTotalVariation:
         n = 50
         state = lw.evolve(lw.localized_ladder(half_width=n + 2),
                           lw.Ladder(-math.pi / 4, 3 * math.pi / 4), n)
-        side0, side1 = lw.side_marginals(state)
+        side0, side1 = lw.position_distribution(state)
         tv = lw.total_variation(side0 / np.sum(side0), side1 / np.sum(side1))
         assert tv < 1e-6

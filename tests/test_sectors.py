@@ -117,21 +117,28 @@ class TestSectorProject:
         pair = lw.sector_project(lw.localized_ladder(half_width=4))
         assert pair.weight_k0 == pytest.approx(0.5, abs=1e-12)
         assert pair.weight_kpi == pytest.approx(0.5, abs=1e-12)
-        assert not pair.k0_is_empty and not pair.kpi_is_empty
+        assert np.any(pair.sector_k0.amplitudes) and np.any(pair.sector_kpi.amplitudes)
 
     def test_side_symmetric_state_has_empty_kpi(self):
         amps = np.zeros((2, 2, 7), dtype=np.complex128)
         amps[0, 0, 3] = amps[0, 1, 3] = 1 / math.sqrt(2)
         state = lw.LadderState(amplitudes=amps)
         pair = lw.sector_project(state)
-        assert pair.kpi_is_empty
+        assert pair.weight_kpi < 1e-14
+        assert not np.any(pair.sector_kpi.amplitudes)
         assert pair.weight_k0 == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_reconstruction(self):
+        """The decomposition is unitary: the inverse map rebuilds the state,
+        and the weights add up to its norm."""
         state = lw.evolve(lw.localized_ladder(half_width=12),
                           lw.Ladder(0.9, -1.7), 10)
-        rebuilt = lw.reconstruct_ladder(lw.sector_project(state))
-        assert np.max(np.abs(rebuilt.amplitudes - state.amplitudes)) < 1e-12
+        pair = lw.sector_project(state)
+        raw_k0 = pair.sector_k0.amplitudes * math.sqrt(pair.weight_k0)
+        raw_kpi = pair.sector_kpi.amplitudes * math.sqrt(pair.weight_kpi)
+        rebuilt = np.stack([raw_k0 + raw_kpi, raw_k0 - raw_kpi], axis=1) / math.sqrt(2.0)
+        assert np.max(np.abs(rebuilt - state.amplitudes)) < 1e-12
+        assert pair.weight_k0 + pair.weight_kpi == pytest.approx(state.norm_sq(), abs=1e-12)
 
     def test_sectors_evolve_as_conventional_walks(self):
         # The central decomposition claim: each quasi-momentum sector of the

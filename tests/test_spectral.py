@@ -24,6 +24,12 @@ def _unitary_at(gamma: float, k: float) -> np.ndarray:
     return t @ coin
 
 
+def _eigenvalues(mode) -> tuple:
+    """The eigenvalues ``(e^{-i omega}, e^{+i omega})`` that ``e_plus`` and
+    ``e_minus`` carry."""
+    return np.exp(-1j * mode.omega), np.exp(1j * mode.omega)
+
+
 class TestDispersion:
     def test_free_walker(self):
         for k in np.linspace(-math.pi, math.pi, 9):
@@ -43,15 +49,16 @@ class TestModeEigensystem:
     def test_eigen_relation_residual(self):
         mode = lw.mode_eigensystem(math.pi / 2, 0.3)
         u = _unitary_at(math.pi / 2, 0.3)
-        assert np.linalg.norm(u @ mode.e_plus - mode.lambda_plus * mode.e_plus) < 1e-10
-        assert np.linalg.norm(u @ mode.e_minus - mode.lambda_minus * mode.e_minus) < 1e-10
+        lam_plus, lam_minus = _eigenvalues(mode)
+        assert np.linalg.norm(u @ mode.e_plus - lam_plus * mode.e_plus) < 1e-10
+        assert np.linalg.norm(u @ mode.e_minus - lam_minus * mode.e_minus) < 1e-10
 
     def test_matches_numpy_eigendecomposition(self):
         gamma, k = 1.234, -0.7
         mode = lw.mode_eigensystem(gamma, k)
         values = np.linalg.eigvals(_unitary_at(gamma, k))
-        assert min(abs(values - mode.lambda_plus)) < 1e-10
-        assert min(abs(values - mode.lambda_minus)) < 1e-10
+        for lam in _eigenvalues(mode):
+            assert min(abs(values - lam)) < 1e-10
 
     def test_orthonormal_over_grid(self):
         gammas = np.linspace(0.2, math.pi, 10)
@@ -66,8 +73,7 @@ class TestModeEigensystem:
     def test_pi_coin_at_band_center(self):
         mode = lw.mode_eigensystem(math.pi, 0.0)
         assert mode.omega == pytest.approx(math.pi / 2, abs=1e-12)
-        assert mode.lambda_plus == pytest.approx(-1j, abs=1e-12)
-        assert mode.lambda_minus == pytest.approx(1j, abs=1e-12)
+        assert _eigenvalues(mode) == pytest.approx((-1j, 1j), abs=1e-12)
 
     def test_array_of_momenta_matches_pointwise(self):
         gamma = -2.1
@@ -77,8 +83,9 @@ class TestModeEigensystem:
         for j, k in enumerate(ks):
             mode = lw.mode_eigensystem(gamma, k)
             u = _unitary_at(gamma, k)
-            for vec, lam in ((modes.e_plus[:, j], modes.lambda_plus[j]),
-                             (modes.e_minus[:, j], modes.lambda_minus[j])):
+            lam_plus, lam_minus = _eigenvalues(modes)
+            for vec, lam in ((modes.e_plus[:, j], lam_plus[j]),
+                             (modes.e_minus[:, j], lam_minus[j])):
                 assert np.linalg.norm(u @ vec - lam * vec) < 1e-12
             assert np.array_equal(mode.e_plus, modes.e_plus[:, j])
             assert np.array_equal(mode.e_minus, modes.e_minus[:, j])
@@ -208,7 +215,9 @@ class TestRhoEigenvalues:
                 m = a @ a.conj().T
                 m /= np.trace(m).real
                 rho = lw.DensityMatrix2(m[0, 0].real, m[1, 1].real, complex(m[0, 1]))
-                lo, hi = np.clip(np.linalg.eigvalsh(rho.matrix()), 0.0, 1.0)
+                matrix = np.array([[rho.rho11, rho.rho12],
+                                   [np.conj(rho.rho12), rho.rho22]])
+                lo, hi = np.clip(np.linalg.eigvalsh(matrix), 0.0, 1.0)
                 lam = lw.rho_eigenvalues(rho)
                 assert lam[0] >= lam[1] >= 0.0
                 assert abs(lam[0] - hi) <= 1e-15 and abs(lam[1] - lo) <= 1e-15
