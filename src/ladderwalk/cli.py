@@ -63,11 +63,11 @@ from .core import (
     position_distribution,
 )
 from .observables import magnetization, second_moment, total_variation
-from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, _projections
+from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, sector_project
 from .spectral import (
+    DensityMatrix2,
     DensityMatrixError,
     asymptotic_rho,
-    cesaro_rho,
     entropy,
     finite_n_rho,
     mutual_information,
@@ -307,6 +307,9 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
 
     side_parts, rung_parts, prob_parts = [], [], []
     step_rows = []
+    # per-sector sums of (rho11, rho22, rho12) over steps 1..n, added one
+    # by one: builtin sum() of floats is compensated from Python 3.12 on
+    rho_sums = [[0.0, 0.0, 0j], [0.0, 0.0, 0j]]
     for step in range(steps + 1):
         if step > 0:
             state = evolve(state, spec, 1)
@@ -323,13 +326,20 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
             tv = None
         else:
             tv = total_variation(side0 / mass0, side1 / mass1)
-        weight_k0, weight_kpi = _projections(state.amplitudes)[1]
-        step_rows.append([step, mass0, mass1, weight_k0, weight_kpi, tv])
+        pair = sector_project(state)
+        if step > 0:
+            for sums, sector in zip(rho_sums, (pair.sector_k0, pair.sector_kpi)):
+                rho = finite_n_rho(sector)
+                sums[0] += rho.rho11
+                sums[1] += rho.rho22
+                sums[2] += rho.rho12
+        step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
 
     eff = summary.effective
     if steps >= 1:
-        i_finite = mutual_information(cesaro_rho(eff.gamma1_reduced, steps, coin),
-                                      cesaro_rho(eff.gamma2_reduced, steps, coin))
+        i_finite = mutual_information(*(
+            DensityMatrix2(rho11=s11 / steps, rho22=s22 / steps, rho12=s12 / steps)
+            for s11, s22, s12 in rho_sums))
     else:
         i_finite = None
     params = {
@@ -603,8 +613,9 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     """Write a dataset as one JSON document or one CSV file per table.
 
     For CSV the first table lands at ``out`` itself, further tables and
-    the scalar parameters at sibling files named ``<out stem>.<table>.csv``.
-    Returns the paths written.
+    the scalar parameters at sibling files named ``<out stem>.<table>``
+    plus the suffix of ``out``, or ``.csv`` when ``out`` has none
+    (``run.txt`` gives ``run.steps.txt``).  Returns the paths written.
     """
     if fmt not in _FORMATS:
         raise UsageError(f"unknown format {fmt!r}")

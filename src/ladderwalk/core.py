@@ -338,6 +338,8 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
             lo, hi = max(lo - move_down, 0), min(hi + move_up, sites)
             # the input is never written, so it is not recycled
             amps, out = out, (amps if amps is not src else None)
+    if not n_steps:
+        amps = src.copy()  # src may be the input's own array
     return replace(state, amplitudes=amps.reshape(shape),
                    steps_taken=state.steps_taken + n_steps)
 

@@ -183,22 +183,19 @@ class SectorPair:
     weight_kpi: float
 
 
-def _projections(amps: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """The unnormalized ``k_x = 0`` and ``k_x = pi`` sector amplitudes
-    ``(psi(s, x=0, y) +- psi(s, x=1, y)) / sqrt(2)`` of ladder amplitudes,
-    and their squared norms, the sector weights."""
-    raw = ((amps[:, 0, :] + amps[:, 1, :]) * _SQRT_HALF,
-           (amps[:, 0, :] - amps[:, 1, :]) * _SQRT_HALF)
-    return raw, tuple(float(np.sum(np.abs(sector) ** 2)) for sector in raw)
-
-
 def sector_project(state: LadderState) -> SectorPair:
-    """Project a ladder state onto the ``k_x = 0`` and ``k_x = pi`` sectors.
+    """Project a ladder state onto the ``k_x = 0`` and ``k_x = pi`` sectors,
+    ``(psi(s, x=0, y) +- psi(s, x=1, y)) / sqrt(2)``.
 
     Each sector is returned renormalized with its squared norm recorded as
-    the weight (see :func:`_projections`).
+    the weight.  The ``ladder`` command projects every step: it writes the
+    weights and averages the sector states' coin density matrices into the
+    finite-time mutual information.
     """
-    (raw_k0, raw_kpi), (w0, wpi) = _projections(state.amplitudes)
+    amps = state.amplitudes
+    raw_k0 = (amps[:, 0, :] + amps[:, 1, :]) * _SQRT_HALF
+    raw_kpi = (amps[:, 0, :] - amps[:, 1, :]) * _SQRT_HALF
+    w0, wpi = (float(np.sum(np.abs(raw) ** 2)) for raw in (raw_k0, raw_kpi))
     k0 = raw_k0 / math.sqrt(w0) if w0 >= _EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_k0)
     kpi = raw_kpi / math.sqrt(wpi) if wpi >= _EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_kpi)
     return SectorPair(

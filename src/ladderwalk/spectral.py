@@ -298,6 +298,11 @@ def cesaro_rho(gamma: float, n_steps: int,
     The instantaneous coin matrix oscillates persistently; the Cesaro mean
     converges to :func:`asymptotic_rho` and is the right finite-time
     object to compare against it.
+
+    This is the reference route: it runs its own 1D walk with coin angle
+    ``gamma``.  The ``ladder`` command takes the same mean of each sector
+    from the ladder's own states (``sector_project``), and the tests hold
+    the two routes together.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
@@ -246,6 +246,51 @@ class TestLadderCmd:
                 assert row[5] == lw.total_variation(side0 / mass0, side1 / mass1)
         assert len(rows) == steps + 1
 
+    @given(st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 2,
+                     st.none() | st.floats(min_value=-math.pi, max_value=math.pi)),
+           st.floats(min_value=0.0, max_value=math.pi),
+           st.floats(min_value=-math.pi, max_value=math.pi),
+           st.integers(min_value=1, max_value=200))
+    @example(("-0.7", "1.1", None), 0.0, 0.0, 600)
+    @example(("-1/4pi", "3/4pi", None), 0.0, 0.0, 64)
+    @example(("0.3", "0.9", None), 0.0, 0.0, 300)
+    @settings(max_examples=30, deadline=None)
+    def test_finite_n_mutual_information_matches_separate_walks(
+            self, angles, theta, phi, steps):
+        """The finite-time mutual information, taken from the ladder's own
+        sector states, is that of two separate ``cesaro_rho`` sector walks
+        to the spectral oracle's 1e-12."""
+        alpha, beta, gamma_y = (None if v is None else cli.parse_angle(v) for v in angles)
+        params = cli.run_ladder(alpha, beta, steps, gamma_y, initial_theta=theta,
+                                initial_phi=phi)["params"]
+        summary = (lw.walk_summary(alpha, beta) if gamma_y is None
+                   else lw.walk_summary(alpha, beta, gamma_y))
+        eff = summary.effective
+        coin = lw.CoinSpinor.from_bloch(theta, phi)
+        expected = lw.mutual_information(lw.cesaro_rho(eff.gamma1_reduced, steps, coin),
+                                         lw.cesaro_rho(eff.gamma2_reduced, steps, coin))
+        assert type(params["mutual_information_finite_n"]) is float
+        assert abs(params["mutual_information_finite_n"] - expected) <= 1e-12
+
+    def test_one_walk(self, monkeypatch):
+        """The ladder's own walk is the only one: ``steps`` evolve calls,
+        none of them by ``cesaro_rho``."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second walk was run")
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return lw.evolve(*args)
+
+        monkeypatch.setattr(lw.spectral, "evolve", refuse)
+        monkeypatch.setattr(cli, "evolve", counting)
+        params = cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"),
+                                steps=30)["params"]
+        assert calls == [1] * 30
+        assert isinstance(params["mutual_information_finite_n"], float)
+
 
 class TestSweep:
     def run_sweep(self, tmp_path, fmt="json"):
@@ -385,6 +430,17 @@ class TestOutputPlumbing:
             cli._cell_formats(rows, {**cells, "i": "%d"})) + after
         expected = sep.join(percent_d % row for row in rows.tolist())
         assert "".join(cli._formatted_chunks(rows, row_format, sep)) == expected
+
+    @pytest.mark.parametrize("out,siblings", [
+        ("run.csv", ["run.csv", "run.params.csv", "run.steps.csv"]),
+        ("run.txt", ["run.params.txt", "run.steps.txt", "run.txt"]),
+        ("run", ["run", "run.params.csv", "run.steps.csv"]),
+    ])
+    def test_csv_siblings_keep_the_suffix_of_out(self, tmp_path, out, siblings):
+        rc = cli.main(["walk1d", "--gamma", "0.3", "--steps", "2",
+                       "--out", str(tmp_path / out), "--format", "csv"])
+        assert rc == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == siblings
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
