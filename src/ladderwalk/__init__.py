@@ -25,7 +25,6 @@ from .core import (
 )
 from .observables import (
     MagnetizationTriple,
-    discriminant,
     magnetization,
     second_moment,
     total_variation,
@@ -56,6 +55,7 @@ from .spectral import (
     mode_eigensystem,
     mutual_information,
     rho_eigenvalues,
+    sweep_summary,
     walk_summary,
 )
 

@@ -47,7 +47,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +70,7 @@ from .spectral import (
     entropy,
     finite_n_rho,
     mutual_information,
+    sweep_summary,
     walk_summary,
 )
 
@@ -380,28 +380,15 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     }
 
 
-_SWEEP_COLUMNS = ("alpha", "beta", "gamma1", "gamma2", "m1", "m2", "m", "d1", "d2",
-                  "s1", "s2", "mutual_information", "pattern")
-_PATTERN_WIDTH = max(len(pattern.value) for pattern in WalkPattern)
-
-
 def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
     """Analytic sector summary over the (alpha, beta) product grid.
 
-    The rows are a numpy structured array: float64 fields and a text
-    ``pattern``."""
+    The rows are :func:`~ladderwalk.spectral.sweep_summary`'s structured
+    array, float64 fields and a text ``pattern``, built column by column
+    with each sector closed form evaluated once per distinct angle."""
     if not alpha_grid or not beta_grid:
         raise UsageError("sweep needs nonempty alpha and beta grids")
-    rows = np.empty(len(alpha_grid) * len(beta_grid), dtype=[
-        *((name, np.float64) for name in _SWEEP_COLUMNS[:-1]),
-        ("pattern", f"U{_PATTERN_WIDTH}")])
-    for i, (alpha, beta) in enumerate(product(alpha_grid, beta_grid)):
-        summary = walk_summary(alpha, beta)
-        eff, mag = summary.effective, summary.magnetization
-        rows[i] = (alpha.radians, beta.radians, eff.gamma1, eff.gamma2,
-                   mag.m1, mag.m2, mag.m, summary.d1, summary.d2,
-                   summary.s1, summary.s2, summary.mutual_information,
-                   eff.pattern.value)
+    rows = sweep_summary(alpha_grid, beta_grid)
     params = {
         "command": "sweep",
         "alpha_count": len(alpha_grid),
@@ -411,7 +398,7 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
         "command": "sweep",
         "params": params,
         "tables": {
-            "sweep": {"columns": list(_SWEEP_COLUMNS), "rows": rows},
+            "sweep": {"columns": list(rows.dtype.names), "rows": rows},
         },
     }
 
@@ -523,35 +510,52 @@ def _cell_formats(rows: np.ndarray, formats: dict) -> list[str]:
     return [formats[rows.dtype[name].kind] for name in rows.dtype.names]
 
 
-def _formatted_chunks(rows: np.ndarray, row_format: str, sep: str = ""):
-    """``row_format % row`` for each row of a structured table, joined by
-    ``sep``, in pieces of ``_CHUNK_ROWS`` rows, each made in one pass.
+def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""):
+    """``row_format(cells) % row`` for each row of a structured table,
+    joined by ``sep``, in pieces of ``_CHUNK_ROWS`` rows, each made in one
+    pass; ``cells`` are the columns' cell formats from ``formats`` by numpy
+    kind.
 
-    An integer column whose span ``max - min`` is at most the row count is
-    rendered once per value, ``str(v)`` for each ``v`` in the span, and
-    each chunk gathers its cells from those texts; a per-site column spans
-    at most ``2 * steps + 3`` values.  Every other column, a wider integer
-    one included, passes its Python values through.
+    A column with few distinct values is rendered once per value, and the
+    cells are gathered from those texts (cell format ``%s``).  That is an
+    integer column whose span ``max - min`` is at most the row count,
+    ``str(v)`` for each ``v`` in the span (a per-site column spans at most
+    ``2 * steps + 3`` values), and a float column whose first chunk holds at
+    most half as many distinct values as rows, its format applied once per
+    distinct bit pattern of each chunk (``0.0`` and ``-0.0`` print apart).
+    Every other column passes its Python values through.
     """
     names = rows.dtype.names
-    texts = {}
+    texts = {}  # name -> a function from a chunk's column to its cell texts
     for name in names:
         column = rows[name]
         if column.dtype.kind == "i" and len(column):
             lo, hi = int(column.min()), int(column.max())
             if hi - lo <= len(column):
-                texts[name] = lo, np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+                table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+                texts[name] = lambda c, lo=lo, table=table: table[c - lo]
+        elif column.dtype.kind == "f":
+            head = column[:_CHUNK_ROWS].view(np.uint64).tolist()
+            if 2 * len(set(head)) <= len(head):
+                texts[name] = lambda c, cell=formats["f"]: _float_texts(c, cell)
+    row_format = row_format([
+        "%s" if name in texts else cell for name, cell in zip(names, _cell_formats(rows, formats))])
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
         cells = np.empty((len(chunk), len(names)), dtype=object)
         for j, name in enumerate(names):
-            if name in texts:
-                lo, table = texts[name]
-                cells[:, j] = table[chunk[name] - lo]
-            else:
-                cells[:, j] = chunk[name]
+            cells[:, j] = texts[name](chunk[name]) if name in texts else chunk[name]
         text = sep.join([row_format] * len(chunk)) % tuple(cells.ravel().tolist())
         yield sep + text if start else text
+
+
+def _float_texts(column: np.ndarray, cell: str) -> np.ndarray:
+    """``cell % v`` for each float ``v`` of ``column``, formatted once per
+    distinct bit pattern."""
+    bits = np.sort(column.view(np.uint64))
+    keys = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+    table = np.array([cell % v for v in keys.view(np.float64).tolist()], dtype=object)
+    return table[np.searchsorted(keys, column.view(np.uint64))]
 
 
 # Stands in for a structured table's rows in the text ``json`` writes; the
@@ -580,11 +584,13 @@ def _write_json(dataset: dict, fh) -> None:
         indent = line[:line.index('"')]
         if len(rows):
             row = indent + "  "
-            row_format = "\n" + row + "[" + ",".join(
-                "\n" + row + "  " + cell for cell in _cell_formats(rows, _JSON_CELLS)
-            ) + "\n" + row + "]"
+
+            def row_format(cells: list[str]) -> str:
+                return "\n" + row + "[" + ",".join(
+                    "\n" + row + "  " + cell for cell in cells) + "\n" + row + "]"
+
             fh.write("[")
-            fh.writelines(_formatted_chunks(rows, row_format, ","))
+            fh.writelines(_formatted_chunks(rows, _JSON_CELLS, row_format, ","))
             fh.write("\n" + indent + "]")
         else:
             fh.write("[]")
@@ -634,8 +640,8 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
             writer.writerow(table["columns"])
             rows = table["rows"]
             if isinstance(rows, np.ndarray):
-                row_format = ",".join(_cell_formats(rows, _CSV_CELLS)) + "\r\n"
-                fh.writelines(_formatted_chunks(rows, row_format))
+                fh.writelines(_formatted_chunks(
+                    rows, _CSV_CELLS, lambda cells: ",".join(cells) + "\r\n"))
             else:
                 for row in rows:
                     writer.writerow([_format_cell(v) for v in row])

@@ -11,7 +11,6 @@ __all__ = [
     "MagnetizationTriple",
     "second_moment",
     "magnetization",
-    "discriminant",
     "total_variation",
 ]
 
@@ -48,22 +47,13 @@ def magnetization(gamma1: float, gamma2: float) -> MagnetizationTriple:
     angle ``gamma``, ``M`` is also the ballistic coefficient of its second
     moment, ``<m^2> / n^2 -> 1 - |sin(gamma/2)|``.
     """
-    m1, m2 = (1.0 - abs(math.sin(gamma / 2.0)) for gamma in (gamma1, gamma2))
+    m1, m2 = _sector_magnetization(gamma1), _sector_magnetization(gamma2)
     return MagnetizationTriple(m1=m1, m2=m2, m=(m1 + m2) / 2.0)
 
 
-def discriminant(gamma: float) -> float:
-    """Normalized eigenvalue gap of the asymptotic coin density matrix.
-
-    ``(|cos(gamma/4)| - |sin(gamma/4)|) / (|cos(gamma/4)| + |sin(gamma/4)|)``;
-    equals ``(1 - sin(gamma/2)) / cos(gamma/2)`` on ``[0, pi)``, running
-    from 1 at ``gamma = 0`` to 0 at ``gamma = pi``.
-    """
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    c = abs(math.cos(gamma / 4.0))
-    s = abs(math.sin(gamma / 4.0))
-    return (c - s) / (c + s)
+def _sector_magnetization(gamma: float) -> float:
+    """``1 - |sin(gamma / 2)|``: one sector's term of :func:`magnetization`."""
+    return 1.0 - abs(math.sin(gamma / 2.0))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

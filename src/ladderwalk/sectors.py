@@ -58,11 +58,35 @@ class WalkPattern(enum.Enum):
     GENERIC = "generic"
 
 
+_PATTERNS = tuple(WalkPattern)
 _ANGLE_TOL = 1e-9
 
 
-def _congruent(angle: float, target: float, period: float) -> bool:
-    return abs(math.remainder(angle - target, period)) < _ANGLE_TOL
+def _congruent(angle, target: float, period: float):
+    """``abs(math.remainder(angle - target, period)) < 1e-9`` for a finite
+    float, or elementwise for an array of them.
+
+    ``f = fmod(|angle - target|, period)`` is exact, and so is
+    ``period - f`` (Sterbenz) whenever it is the smaller; the smaller of
+    the two is the remainder's magnitude.
+    """
+    f = np.fmod(abs(angle - target), period)
+    return (f < _ANGLE_TOL) | (period - f < _ANGLE_TOL)
+
+
+def _pattern_rules(half_phi, gamma1, gamma2) -> list:
+    """The regime rules in ``WalkPattern``'s order, each a bool, or a bool
+    array for arrays of angles; the first rule that holds wins, and
+    ``GENERIC`` is left when none does."""
+    mean = (gamma1 + gamma2) / 2.0
+    if not (np.isfinite(half_phi).all() and np.isfinite(mean).all()):
+        raise ValueError("a walk pattern needs finite angles")
+    return [
+        _congruent(half_phi, math.pi, 2.0 * math.pi),
+        _congruent(half_phi, 0.0, 2.0 * math.pi),
+        _congruent(gamma1, 0.0, math.pi) | _congruent(gamma2, 0.0, math.pi),
+        _congruent(mean, 0.0, math.pi),
+    ]
 
 
 @dataclass(frozen=True)
@@ -92,16 +116,9 @@ class EffectiveAngles:
         ``pi`` the two sector magnetizations coincide for every ``beta``
         and no sector can dominate.  Congruences hold to ``1e-9`` rad.
         """
-        half_phi = self.phi / 2.0
-        if _congruent(half_phi, math.pi, 2.0 * math.pi):
-            return WalkPattern.ALTERNATING
-        if _congruent(half_phi, 0.0, 2.0 * math.pi):
-            return WalkPattern.ONE_SIDED
-        if _congruent(self.gamma1, 0.0, math.pi) or _congruent(self.gamma2, 0.0, math.pi):
-            return WalkPattern.IDENTICAL_DOMINATED
-        if _congruent((self.gamma1 + self.gamma2) / 2.0, 0.0, math.pi):
-            return WalkPattern.HADAMARD_DEGENERATE
-        return WalkPattern.GENERIC
+        rules = _pattern_rules(self.phi / 2.0, self.gamma1, self.gamma2)
+        return next((pattern for pattern, holds in zip(_PATTERNS, rules) if holds),
+                    WalkPattern.GENERIC)
 
 
 def _as_angle(name: str, value: Angle | float) -> Angle:
@@ -124,27 +141,9 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
     such as ``gamma1 = 0`` at ``(alpha, beta) = (-pi/4, 3*pi/4)`` hold
     exactly; otherwise in floats.
     """
-    angles = [_as_angle(name, value) for name, value in
-              (("alpha", alpha), ("beta", beta), ("gamma_y", gamma_y))]
-    if all(angle.pi_fraction is not None for angle in angles):
-        # integers in units of pi/den; int / int is correctly rounded, so
-        # n / den is the float nearest the exact ratio
-        den = math.lcm(*(angle.pi_fraction.denominator for angle in angles))
-        a, b, gy = (angle.pi_fraction.numerator * (den // angle.pi_fraction.denominator)
-                    for angle in angles)
-        half_turn = den
-
-        def reduce(n: int) -> int:
-            return den - (den - n) % (2 * den)
-
-        def radians(n: int) -> float:
-            try:
-                return n / den * math.pi
-            except OverflowError:  # past the float range: refused below
-                return math.inf if n > 0 else -math.inf
-    else:
-        a, b, gy = (angle.radians for angle in angles)
-        half_turn, reduce, radians = math.pi, reduce_angle, float
+    (a, b, gy), half_turn, reduce, radians = _angle_arithmetic(
+        [_as_angle(name, value) for name, value in
+         (("alpha", alpha), ("beta", beta), ("gamma_y", gamma_y))])
     gamma1 = a + b + gy
     phi = 2 * (half_turn - b)
     gamma2 = gamma1 + phi
@@ -158,6 +157,31 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
         gamma1_reduced=radians(reduce(gamma1)),
         gamma2_reduced=radians(reduce(gamma2)),
     )
+
+
+def _angle_arithmetic(angles: list[Angle]):
+    """``(values, half_turn, reduce, radians)`` for adding up ``angles``:
+    integer numerators over one common denominator (``half_turn``) when
+    every angle carries a pi-fraction, else radians (``half_turn = pi``).
+    The radians of an exact sum do not depend on the denominator chosen.
+    """
+    if not all(angle.pi_fraction is not None for angle in angles):
+        return [angle.radians for angle in angles], math.pi, reduce_angle, float
+    den = math.lcm(*(angle.pi_fraction.denominator for angle in angles))
+
+    def reduce(n: int) -> int:
+        return den - (den - n) % (2 * den)
+
+    def radians(n: int) -> float:
+        # int / int is correctly rounded: the float nearest the exact ratio
+        try:
+            return n / den * math.pi
+        except OverflowError:  # past the float range: the callers refuse it
+            return math.inf if n > 0 else -math.inf
+
+    values = [angle.pi_fraction.numerator * (den // angle.pi_fraction.denominator)
+              for angle in angles]
+    return values, den, reduce, radians
 
 
 def reduce_angle(gamma: float) -> float:

@@ -11,16 +11,17 @@ Every 2x2 density matrix is diagonalized in closed form,
 :func:`mode_eigensystem` is the single eigensystem of ``U(k)``, evaluated
 on a whole momentum grid at once; :func:`evolve_spectral` applies it on a
 discrete ring as an oracle that is independent of the position-space
-stepping in :mod:`ladderwalk.core`.  :func:`walk_summary` is the single
-path from ``(alpha, beta, gamma_y)`` to the sector analytics.  The sector
-closed forms (density matrix, eigenvalue gap, entropy) are evaluated once
-per reduced sector angle and cached, so a grid sweep does per point only
-what depends on both sectors: the entropy of their mixture.
+stepping in :mod:`ladderwalk.core`.  :func:`walk_summary` is the path
+from one ``(alpha, beta, gamma_y)`` point to the sector analytics, and
+:func:`sweep_summary` gives the same bits over a whole ``(alpha, beta)``
+grid.  It evaluates the sector closed forms (density matrix, eigenvalue
+gap, entropy, magnetization) once per distinct sector angle, so per point
+it does only what depends on both sectors: gathers, the mean
+magnetization, the pattern rules and the entropy of the mixture.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,18 @@ from .core import (
     evolve,
     localized_walker,
 )
-from .observables import MagnetizationTriple, magnetization
-from .sectors import _DEFAULT_GAMMA_Y, Angle, EffectiveAngles, effective_angles, reduce_angle
+from .observables import MagnetizationTriple, _sector_magnetization, magnetization
+from .sectors import (
+    _DEFAULT_GAMMA_Y,
+    Angle,
+    EffectiveAngles,
+    WalkPattern,
+    _angle_arithmetic,
+    _as_angle,
+    _pattern_rules,
+    effective_angles,
+    reduce_angle,
+)
 
 __all__ = [
     "AliasingError",
@@ -55,13 +66,11 @@ __all__ = [
     "finite_n_rho",
     "cesaro_rho",
     "walk_summary",
+    "sweep_summary",
 ]
 
 _DEGENERATE_TOL = 1e-12
 _PSD_TOL = 1e-12
-# Reduced sector angles whose closed forms are kept; a 129 x 129 grid in
-# steps of pi/64 has at most 257 of them.
-_SECTOR_CACHE_SIZE = 1024
 
 
 class DegenerateCoinError(ValueError):
@@ -236,6 +245,13 @@ def rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
 
     Closed form ``(tr rho +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)) / 2``.
     """
+    return _rho_eigenvalues(rho)
+
+
+# The private forms of rho_eigenvalues and average_rho serve the per-point
+# mixture entropy of sweep_summary, so that a tracer wrapping the public
+# names (perfbench/tracer.py) does not time itself at every grid point.
+def _rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
     trace = rho.rho11 + rho.rho22
     root = math.hypot(rho.rho11 - rho.rho22, 2.0 * abs(rho.rho12))
     lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
@@ -259,6 +275,10 @@ def entropy(rho: DensityMatrix2) -> float:
 
 def average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
     """Equal-weight mixture ``(rho1 + rho2) / 2``."""
+    return _average_rho(rho1, rho2)
+
+
+def _average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
     return DensityMatrix2(
         rho11=0.5 * (rho1.rho11 + rho2.rho11),
         rho22=0.5 * (rho1.rho22 + rho2.rho22),
@@ -279,7 +299,7 @@ def _mutual_information(rho1: DensityMatrix2, s1: float,
                         rho2: DensityMatrix2, s2: float) -> float:
     """:func:`mutual_information` given the entropies ``s1, s2`` of
     ``rho1, rho2``."""
-    return s1 + s2 - entropy(average_rho(rho1, rho2))
+    return s1 + s2 - _entropy_bits(_rho_eigenvalues(_average_rho(rho1, rho2)))
 
 
 def finite_n_rho(state: WalkerState1D) -> DensityMatrix2:
@@ -358,14 +378,102 @@ def walk_summary(alpha: Angle | float, beta: Angle | float,
     )
 
 
-@functools.lru_cache(maxsize=_SECTOR_CACHE_SIZE)
 def _sector_closed_forms(gamma_reduced: float) -> tuple[DensityMatrix2, float, float]:
     """Asymptotic density matrix, eigenvalue gap and entropy of the sector
-    walk with reduced coin angle ``gamma_reduced``.
-
-    ``0.0`` and ``-0.0`` share a cache entry; every value here is the same
-    for both.
-    """
+    walk with reduced coin angle ``gamma_reduced``."""
     rho = asymptotic_rho(gamma_reduced)
     lam_plus, lam_minus = rho_eigenvalues(rho)
     return rho, lam_plus - lam_minus, _entropy_bits((lam_plus, lam_minus))
+
+
+_PATTERN_LABELS = np.array([pattern.value for pattern in WalkPattern])
+_SWEEP_DTYPE = np.dtype([
+    *((name, np.float64) for name in ("alpha", "beta", "gamma1", "gamma2", "m1", "m2", "m",
+                                       "d1", "d2", "s1", "s2", "mutual_information")),
+    ("pattern", _PATTERN_LABELS.dtype)])
+# Exact numerators below this bound add up in int64 without overflow.
+_INT64_NUMERATOR = 2 ** 59
+
+
+def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
+                  gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> np.ndarray:
+    """:func:`walk_summary` at every point of ``alpha_grid x beta_grid``, bit
+    for bit: a structured array with one row per point in alpha-major
+    order, float64 ``alpha, beta`` (radians), ``gamma1, gamma2, m1, m2, m,
+    d1, d2, s1, s2, mutual_information`` and the text ``pattern``.
+
+    The sector closed forms are evaluated once per distinct sector-angle
+    sum: per integer numerator where all angles carry a pi-fraction, per
+    float sum of an alpha row elsewhere.  Rows are filled one alpha row at
+    a time; a sum past the float range raises as in :func:`effective_angles`.
+    """
+    alphas = [_as_angle("alpha", value) for value in alpha_grid]
+    betas = [_as_angle("beta", value) for value in beta_grid]
+    gamma_y = _as_angle("gamma_y", gamma_y)
+    rows = np.empty((len(alphas), len(betas)), dtype=_SWEEP_DTYPE)
+    rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
+    rows["beta"] = [angle.radians for angle in betas]
+    exact_a, exact_b = (np.array([angle.pi_fraction is not None for angle in angles], dtype=bool)
+                        for angles in (alphas, betas))
+    # blocks of points whose three angles all carry a pi-fraction, or not
+    for in_a, in_b in ((exact_a, exact_b), (exact_a, ~exact_b), (~exact_a, np.ones_like(exact_b))):
+        ia, jb = np.flatnonzero(in_a), np.flatnonzero(in_b)
+        if len(ia) and len(jb):
+            _sweep_block(rows, ia, jb, alphas, betas, gamma_y)
+    return rows.reshape(-1)
+
+
+def _sweep_block(rows: np.ndarray, ia: np.ndarray, jb: np.ndarray,
+                 alphas: list[Angle], betas: list[Angle], gamma_y: Angle) -> None:
+    """Fill ``rows[ia][:, jb]`` of :func:`sweep_summary`, whose sector angles
+    add up on one path."""
+    values, half_turn, reduce, radians = _angle_arithmetic(
+        [*(alphas[i] for i in ia), *(betas[j] for j in jb), gamma_y])
+    exact = isinstance(half_turn, int)
+    dtype = (np.float64 if not exact else
+             np.int64 if max(map(abs, [*values, half_turn])) < _INT64_NUMERATOR else object)
+    a, b = np.array(values[:len(ia)], dtype=dtype), np.array(values[len(ia):-1], dtype=dtype)
+    with np.errstate(over="ignore"):  # refused per point below
+        phi_sum = 2 * (half_turn - b)
+    phi = np.array([radians(n) for n in phi_sum.tolist()], dtype=np.float64)
+
+    def sums(i: int) -> tuple[np.ndarray, np.ndarray]:
+        # row i's gamma1 and gamma2 as effective_angles adds them; float
+        # sums keyed on their bits, so that 0.0 and -0.0 stay apart
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma1 = a[i] + b + values[-1]
+            pair = gamma1, gamma1 + phi_sum
+        return pair if exact else tuple(x.view(np.uint64) for x in pair)
+
+    for scope in [range(len(ia))] if exact else [[i] for i in range(len(ia))]:
+        keys = np.array(sorted({n for i in scope for x in sums(i) for n in x.tolist()}),
+                        dtype=dtype if exact else np.uint64)
+        gamma, forms = [], []
+        for n in (keys if exact else keys.view(np.float64)).tolist():
+            gamma.append(radians(n))
+            if math.isfinite(gamma[-1]):
+                reduced = radians(reduce(n))
+                forms.append((*_sector_closed_forms(reduced), _sector_magnetization(reduced)))
+            else:  # refused below, at its first point
+                forms.append((None, math.nan, math.nan, math.nan))
+        finite = all(map(math.isfinite, [*gamma, *phi.tolist()]))
+        rho, d, s, m = zip(*forms)
+        gamma, d, s_array, m = (np.array(x, dtype=np.float64) for x in (gamma, d, s, m))
+        for i in scope:
+            i1, i2 = (np.searchsorted(keys, x) for x in sums(i))
+            gamma1, gamma2 = gamma[i1], gamma[i2]
+            if not finite:  # effective_angles raises at the first point past the range
+                for j in jb:
+                    effective_angles(alphas[ia[i]], betas[j], gamma_y)
+            row = rows[ia[i]]
+            m1, m2 = m[i1], m[i2]
+            row["gamma1"][jb], row["gamma2"][jb] = gamma1, gamma2
+            row["m1"][jb], row["m2"][jb], row["m"][jb] = m1, m2, (m1 + m2) / 2.0
+            row["d1"][jb], row["d2"][jb] = d[i1], d[i2]
+            row["s1"][jb], row["s2"][jb] = s_array[i1], s_array[i2]
+            row["mutual_information"][jb] = [
+                _mutual_information(rho[x], s[x], rho[y], s[y])
+                for x, y in zip(i1.tolist(), i2.tolist())]
+            with np.errstate(over="ignore"):  # a sum past the float range is refused
+                rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
+            row["pattern"][jb] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])

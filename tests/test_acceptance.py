@@ -76,7 +76,7 @@ def test_03_spread_law():
     report(3, "ballistic spread law", elapsed)
 
 
-def test_04_asymptotic_density_matrix():
+def test_04_asymptotic_density_matrix(discriminant):
     started = time.perf_counter()
     n = 2000
     for gamma in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
@@ -86,7 +86,7 @@ def test_04_asymptotic_density_matrix():
         assert abs(averaged.rho22 - closed.rho22) < 1e-2
         assert abs(averaged.rho12 - closed.rho12) < 1e-2
         lam = lw.rho_eigenvalues(averaged)
-        assert abs((lam[0] - lam[1]) - lw.discriminant(gamma)) < 1e-2
+        assert abs((lam[0] - lam[1]) - discriminant(gamma)) < 1e-2
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     report(4, "asymptotic density matrix", elapsed)

@@ -421,15 +421,49 @@ class TestOutputPlumbing:
         for (name, _dtype), column in zip(fields, columns):
             rows[name] = column
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-        if fmt == "csv":
-            cells, before, after, sep = cli._CSV_CELLS, "", "\r\n", ""
-        else:
-            cells, before, after, sep = cli._JSON_CELLS, "\n[", "]", ","
-        row_format = before + ",".join(cli._cell_formats(rows, cells)) + after
-        percent_d = before + ",".join(
-            cli._cell_formats(rows, {**cells, "i": "%d"})) + after
+        cells, row_format, sep = self.layout(fmt)
+        percent_d = row_format(cli._cell_formats(rows, {**cells, "i": "%d"}))
         expected = sep.join(percent_d % row for row in rows.tolist())
-        assert "".join(cli._formatted_chunks(rows, row_format, sep)) == expected
+        assert "".join(cli._formatted_chunks(rows, cells, row_format, sep)) == expected
+
+    @staticmethod
+    def layout(fmt):
+        """Cell formats, a row layout and the row separator like the
+        writer's, for ``_formatted_chunks``."""
+        before, after, sep = ("", "\r\n", "") if fmt == "csv" else ("\n[", "]", ",")
+        cells = cli._CSV_CELLS if fmt == "csv" else cli._JSON_CELLS
+        return cells, lambda formats: before + ",".join(formats) + after, sep
+
+    @pytest.mark.parametrize("chunk_rows", [1024, 3])
+    @pytest.mark.parametrize("columns", [
+        # signed zeros, each repeated: 0.0 and -0.0 print apart
+        {"zeros": [0.0, -0.0] * 600, "constant": [-0.0] * 1200,
+         "extremes": [5e-324, 1e308, -1e308, -5e-324] * 300},
+        # exactly half distinct in the first chunk of 1024 rows, and beyond
+        {"half": np.repeat(np.arange(1100) / 7.0, 2),
+         "spread": np.arange(2200) / 3.0, "tail": [0.1] * 2199 + [-0.0]},
+        # every value distinct
+        {"distinct": np.linspace(-1.0, 1.0, 1500) ** 3, "one": [1 / 3] * 1500},
+        {"single": [-0.0], "other": [5e-324]},
+        {"empty": [], "also": []},
+    ], ids=["signed-zeros", "half-distinct", "all-distinct", "one-row", "zero-rows"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_cells_as_row_by_row_formats(self, monkeypatch, fmt, columns, chunk_rows):
+        """Float cells rendered once per distinct bit pattern give the bytes
+        ``%.17g`` (CSV) and ``repr`` (JSON) give row by row."""
+        rows = np.empty(len(next(iter(columns.values()))),
+                        dtype=[(name, "f8") for name in columns])
+        for name, column in columns.items():
+            rows[name] = column
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        cells, row_format, sep = self.layout(fmt)
+        one_row = row_format(["%.17g" if fmt == "csv" else "%s"] * len(columns))
+        cell = (lambda v: v) if fmt == "csv" else repr
+        expected = sep.join(one_row % tuple(map(cell, row)) for row in rows.tolist())
+        got = "".join(cli._formatted_chunks(rows, cells, row_format, sep))
+        # line lists: a failure reports the first differing line quickly
+        assert got.splitlines() == expected.splitlines()
+        assert got == expected
 
     @pytest.mark.parametrize("out,siblings", [
         ("run.csv", ["run.csv", "run.params.csv", "run.steps.csv"]),

@@ -81,17 +81,18 @@ class TestMagnetization:
 
 
 class TestDiscriminant:
-    def test_extremes(self):
-        assert lw.discriminant(0.0) == 1.0
-        assert lw.discriminant(math.pi) == pytest.approx(0.0, abs=1e-15)
+    """The reference gap of the spectral gap checks (``conftest.py``)."""
 
-    def test_hadamard_like_value(self):
-        assert lw.discriminant(math.pi / 2) == pytest.approx(math.sqrt(2) - 1,
-                                                             abs=1e-12)
+    def test_extremes(self, discriminant):
+        assert discriminant(0.0) == 1.0
+        assert discriminant(math.pi) == pytest.approx(0.0, abs=1e-15)
+
+    def test_hadamard_like_value(self, discriminant):
+        assert discriminant(math.pi / 2) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=math.pi, allow_nan=False))
-    def test_range_on_primary_domain(self, gamma):
-        assert 0.0 <= lw.discriminant(gamma) <= 1.0
+    def test_range_on_primary_domain(self, discriminant, gamma):
+        assert 0.0 <= discriminant(gamma) <= 1.0
 
 
 class TestSideMarginals:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
+from ladderwalk import sectors
 from ladderwalk.sectors import WalkPattern
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -217,6 +218,26 @@ class TestSectorProject:
 
 
 class TestClassifyPattern:
+    def test_congruence_matches_the_ieee_remainder(self):
+        """The elementwise congruence of the pattern rules is
+        ``abs(math.remainder(d, p)) < 1e-9`` at multiples of ``p``, at
+        ``1e-9`` and one ulp either side of it around them, and far out."""
+        for period in (math.pi, 2.0 * math.pi):
+            points = []
+            for k in [*range(-40, 41), 2**20 + 1, -(10**6), 10**15, -(10**15) - 7]:
+                center = k * period
+                for offset in (0.0, 1e-9, -1e-9, 2e-9):
+                    for near in (math.nextafter(offset, -math.inf), offset,
+                                 math.nextafter(offset, math.inf)):
+                        points.append(center + near)
+                points += [center + period / 2, math.nextafter(center, math.inf)]
+            points += [1e300, -1e300, 5e-324, -0.0, math.ulp(period) / 2]
+            want = [abs(math.remainder(d, period)) < 1e-9 for d in points]
+            assert sum(want) > 100 and not all(want)
+            got = sectors._congruent(np.array(points), 0.0, period)
+            assert got.tolist() == want
+            assert [bool(sectors._congruent(d, 0.0, period)) for d in points] == want
+
     @pytest.mark.parametrize("alpha,beta,expected", [
         (0.4, 0.0, WalkPattern.ALTERNATING),
         (-math.pi / 4, 0.0, WalkPattern.ALTERNATING),

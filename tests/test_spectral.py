@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk import spectral
-from ladderwalk.cli import parse_angle, parse_grid
+from ladderwalk.cli import parse_angle, parse_grid, run_sweep
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,16 +195,16 @@ class TestRhoEigenvalues:
         lam = lw.rho_eigenvalues(lw.DensityMatrix2(0.5, 0.5, 0.0))
         assert lam == pytest.approx((0.5, 0.5), abs=1e-15)
 
-    def test_hadamard_like_spectrum(self):
+    def test_hadamard_like_spectrum(self, discriminant):
         lam = lw.rho_eigenvalues(lw.asymptotic_rho(math.pi / 2))
         assert lam[0] == pytest.approx(SQRT2 / 2, abs=1e-12)
         assert lam[1] == pytest.approx(1 - SQRT2 / 2, abs=1e-12)
-        assert lam[0] - lam[1] == pytest.approx(lw.discriminant(math.pi / 2), abs=1e-12)
+        assert lam[0] - lam[1] == pytest.approx(discriminant(math.pi / 2), abs=1e-12)
 
-    def test_gap_equals_discriminant_on_grid(self):
+    def test_gap_equals_discriminant_on_grid(self, discriminant):
         for gamma in np.linspace(1e-3, math.pi - 1e-3, 50):
             lam = lw.rho_eigenvalues(lw.asymptotic_rho(gamma))
-            assert lam[0] - lam[1] == pytest.approx(lw.discriminant(gamma), abs=1e-12)
+            assert lam[0] - lam[1] == pytest.approx(discriminant(gamma), abs=1e-12)
 
     def test_matches_eigvalsh_on_random_density_matrices(self):
         rng = np.random.default_rng(11)
@@ -345,7 +344,7 @@ class TestWalkSummary:
                     assert abs(math.remainder(x - y, 2 * math.pi)) <= 1e-12
         assert worst <= 1e-12
 
-    def test_gaps_match_discriminant(self):
+    def test_gaps_match_discriminant(self, discriminant):
         # The gap (1 - sin(a/2)) / cos(a/2) is read off asymptotic_rho's
         # entries, whose rounding grows as 1/cos(a/2) towards |gamma| = pi;
         # discriminant evaluates it without that cancellation.
@@ -358,7 +357,7 @@ class TestWalkSummary:
                     for d, gamma in ((summary.d1, eff.gamma1_reduced),
                                      (summary.d2, eff.gamma2_reduced)):
                         tol = 1e-15 / abs(math.cos(gamma / 2))
-                        assert abs(d - lw.discriminant(gamma)) <= tol, gamma
+                        assert abs(d - discriminant(gamma)) <= tol, gamma
 
     def test_m1_maximized(self):
         summary = lw.walk_summary(-math.pi / 4, 3 * math.pi / 4)
@@ -411,23 +410,43 @@ def _bits(summary: lw.WalkSummary) -> str:
     return repr(_fields(summary))
 
 
+def _radians(angle) -> float:
+    return angle.radians if isinstance(angle, lw.Angle) else float(angle)
+
+
+def _summary_row_hex(summary: lw.WalkSummary, alpha, beta) -> tuple:
+    """The ``sweep_summary`` row of ``summary`` at ``(alpha, beta)``:
+    ``float.hex`` of each float field, which keeps the sign of a zero
+    apart, and the pattern label."""
+    eff, mag = summary.effective, summary.magnetization
+    values = (_radians(alpha), _radians(beta), eff.gamma1, eff.gamma2, mag.m1, mag.m2,
+              mag.m, summary.d1, summary.d2, summary.s1, summary.s2,
+              summary.mutual_information)
+    return (*map(float.hex, values), eff.pattern.value)
+
+
+def _row_hex(row) -> tuple:
+    names = row.dtype.names
+    assert names[-1] == "pattern"
+    return (*(float.hex(float(row[name])) for name in names[:-1]), str(row["pattern"]))
+
+
 def _exact(numerator: int, denominator: int) -> lw.Angle:
     f = Fraction(numerator, denominator)
     return lw.Angle(float(f) * math.pi, f)
 
 
 class TestWalkSummaryBits:
-    """``walk_summary`` evaluates the sector closed forms once per reduced
-    angle and adds exact angles as integers; neither may move a bit."""
+    """``walk_summary`` and ``sweep_summary`` add exact angles as integers,
+    and ``sweep_summary`` evaluates the sector closed forms once per
+    distinct angle; neither may move a bit."""
 
     def assert_bit_identical(self, points):
-        spectral._sector_closed_forms.cache_clear()
-        want = [_bits(reference_summary(*p)) for p in points]
-        cold = [_bits(lw.walk_summary(*p)) for p in points]
-        warm = [_bits(lw.walk_summary(*p)) for p in points]
-        assert spectral._sector_closed_forms.cache_info().hits > 0
-        assert cold == want
-        assert warm == want
+        want = [reference_summary(*p) for p in points]
+        assert [_bits(lw.walk_summary(*p)) for p in points] == [_bits(w) for w in want]
+        rows = [lw.sweep_summary([p[0]], [p[1]], *p[2:])[0] for p in points]
+        assert [_row_hex(row) for row in rows] == [
+            _summary_row_hex(w, p[0], p[1]) for w, p in zip(want, points)]
 
     def test_pi_over_64_grid(self):
         grid = parse_grid("-pi:pi:129")
@@ -453,3 +472,81 @@ class TestWalkSummaryBits:
         assert repr(lw.effective_angles(*positive).gamma1_reduced) == "0.0"
         for order in ([positive, negative], [negative, positive]):
             self.assert_bit_identical(order)
+
+
+# Exact and float angles mixed in one list, signed zeros and huge numerators
+# included; sweep_summary splits such a grid into blocks.
+SWEEP_ANGLES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, math.pi, -1.5 * math.pi]),
+    st.builds(_exact, st.integers(-300, 300), st.integers(1, 100)),
+    st.builds(_exact, st.sampled_from([10**30 + 7, -(3 * 2**60) - 1]), st.integers(1, 9)))
+
+
+FRACTIONS = st.one_of(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]),
+                      st.builds(Fraction, st.integers(-400, 400), st.integers(1, 100)))
+EXACT_GRIDS = st.builds(lambda a, b, n: parse_grid(f"{a}pi:{b}pi:{n}"),
+                        FRACTIONS, FRACTIONS, st.integers(1, 9))
+FLOAT_GRIDS = st.one_of(
+    st.lists(st.one_of(st.floats(-20.0, 20.0),
+                       st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1.5 * math.pi])),
+             min_size=1, max_size=9).map(lambda xs: [lw.Angle(x) for x in xs]),
+    st.builds(lambda a, b, n: parse_grid(f"{a!r}:{b!r}:{n}"),
+              st.floats(-7.0, 7.0), st.floats(-7.0, 7.0), st.integers(1, 9)))
+
+
+class TestSweepSummary:
+    """``sweep_summary`` gives ``walk_summary``'s bits at every grid point."""
+
+    @staticmethod
+    def assert_sweep_rows_match_walk_summary(alpha_grid, beta_grid):
+        """Each float field of every ``run_sweep`` row has the bits of the
+        ``walk_summary`` value at that point, and the pattern is the same."""
+        rows = run_sweep(alpha_grid, beta_grid)["tables"]["sweep"]["rows"]
+        points = [(a, b) for a in alpha_grid for b in beta_grid]
+        assert [_row_hex(row) for row in rows] == [
+            _summary_row_hex(lw.walk_summary(a, b), a, b) for a, b in points]
+
+    @given(grids=st.one_of(st.tuples(EXACT_GRIDS, EXACT_GRIDS),
+                           st.tuples(FLOAT_GRIDS, FLOAT_GRIDS)))
+    @settings(max_examples=80, deadline=None)
+    def test_run_sweep_rows_match_walk_summary_bits(self, grids):
+        self.assert_sweep_rows_match_walk_summary(*grids)
+
+    def test_reference_grid_rows_match_walk_summary_bits(self):
+        grid = parse_grid("-pi:pi:129")
+        self.assert_sweep_rows_match_walk_summary(grid, grid)
+
+    @given(st.lists(SWEEP_ANGLES, min_size=1, max_size=6),
+           st.lists(SWEEP_ANGLES, min_size=1, max_size=6),
+           st.one_of(st.none(), SWEEP_ANGLES))
+    @example([-0.0, 0.0], [-0.0, 0.0], -0.0)  # gamma1 = -0.0 and 0.0 side by side
+    @example([0.0], [0.0], -0.0)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_walk_summary_bits(self, alphas, betas, gamma_y):
+        extra = () if gamma_y is None else (gamma_y,)
+        rows = lw.sweep_summary(alphas, betas, *extra)
+        points = [(a, b) for a in alphas for b in betas]
+        assert [_row_hex(row) for row in rows] == [
+            _summary_row_hex(lw.walk_summary(a, b, *extra), a, b) for a, b in points]
+
+    def test_empty_grids(self):
+        assert len(lw.sweep_summary([], [0.3])) == 0
+        assert len(lw.sweep_summary([0.3], [])) == 0
+
+    @pytest.mark.parametrize("alphas,betas", [
+        ([0.0, 1e308], [1e308]),           # gamma1 past the range at the second point
+        ([0.3], [0.1, -1e308, 1e308]),     # phi first, then gamma1
+        ([_exact(1, 2), _exact(5 * 10**307, 1)], [_exact(5 * 10**307, 1), 0.2]),
+        ([1e308], [-5e307]),               # gamma1 + gamma2 past the range
+    ])
+    def test_refuses_like_walk_summary_at_the_first_point(self, alphas, betas):
+        for alpha, beta in ((a, b) for a in alphas for b in betas):
+            try:
+                lw.walk_summary(alpha, beta).effective.pattern
+            except ValueError as error:
+                expected = error
+                break
+        with pytest.raises(ValueError) as raised:
+            lw.sweep_summary(alphas, betas)
+        assert str(raised.value) == str(expected)
