@@ -245,13 +245,6 @@ def rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
 
     Closed form ``(tr rho +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)) / 2``.
     """
-    return _rho_eigenvalues(rho)
-
-
-# The private forms of rho_eigenvalues and average_rho serve the per-point
-# mixture entropy of sweep_summary, so that a tracer wrapping the public
-# names (perfbench/tracer.py) does not time itself at every grid point.
-def _rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
     trace = rho.rho11 + rho.rho22
     root = math.hypot(rho.rho11 - rho.rho22, 2.0 * abs(rho.rho12))
     lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
@@ -275,10 +268,6 @@ def entropy(rho: DensityMatrix2) -> float:
 
 def average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
     """Equal-weight mixture ``(rho1 + rho2) / 2``."""
-    return _average_rho(rho1, rho2)
-
-
-def _average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
     return DensityMatrix2(
         rho11=0.5 * (rho1.rho11 + rho2.rho11),
         rho22=0.5 * (rho1.rho22 + rho2.rho22),
@@ -299,7 +288,7 @@ def _mutual_information(rho1: DensityMatrix2, s1: float,
                         rho2: DensityMatrix2, s2: float) -> float:
     """:func:`mutual_information` given the entropies ``s1, s2`` of
     ``rho1, rho2``."""
-    return s1 + s2 - _entropy_bits(_rho_eigenvalues(_average_rho(rho1, rho2)))
+    return s1 + s2 - entropy(average_rho(rho1, rho2))
 
 
 def finite_n_rho(state: WalkerState1D) -> DensityMatrix2:
@@ -393,61 +382,56 @@ _SWEEP_DTYPE = np.dtype([
     ("pattern", _PATTERN_LABELS.dtype)])
 # Exact numerators below this bound add up in int64 without overflow.
 _INT64_NUMERATOR = 2 ** 59
+# sweep_summary holds the closed forms of at most this many sector-angle
+# sums at once, or of one alpha row's if that row alone has more.
+_SWEEP_KEYS = 1024
 
 
-def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
-                  gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> np.ndarray:
-    """:func:`walk_summary` at every point of ``alpha_grid x beta_grid``, bit
-    for bit: a structured array with one row per point in alpha-major
-    order, float64 ``alpha, beta`` (radians), ``gamma1, gamma2, m1, m2, m,
-    d1, d2, s1, s2, mutual_information`` and the text ``pattern``.
+def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float]) -> np.ndarray:
+    """:func:`walk_summary` at every point of ``alpha_grid x beta_grid``
+    with the default ``gamma_y``, bit for bit: a structured array with one
+    row per point in alpha-major order, float64 ``alpha, beta`` (radians),
+    ``gamma1, gamma2, m1, m2, m, d1, d2, s1, s2, mutual_information`` and
+    the text ``pattern``.
 
-    The sector closed forms are evaluated once per distinct sector-angle
-    sum: per integer numerator where all angles carry a pi-fraction, per
-    float sum of an alpha row elsewhere.  Rows are filled one alpha row at
-    a time; a sum past the float range raises as in :func:`effective_angles`.
+    Each grid holds pi-fractions only or plain floats only; a grid mixing
+    the two is refused with ``ValueError``.  The sector closed forms are
+    evaluated once per distinct sector-angle sum of a group of consecutive
+    alpha rows, and the rows are filled one at a time.  A point that
+    :func:`walk_summary` or its pattern refuses is refused with the same
+    exception, at the first such point.
     """
     alphas = [_as_angle("alpha", value) for value in alpha_grid]
     betas = [_as_angle("beta", value) for value in beta_grid]
-    gamma_y = _as_angle("gamma_y", gamma_y)
+    for name, angles in (("alpha", alphas), ("beta", betas)):
+        if len({angle.pi_fraction is None for angle in angles}) > 1:
+            raise ValueError(f"the {name} grid mixes pi-fractions and plain floats")
     rows = np.empty((len(alphas), len(betas)), dtype=_SWEEP_DTYPE)
+    if not rows.size:
+        return rows.reshape(-1)
     rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
     rows["beta"] = [angle.radians for angle in betas]
-    exact_a, exact_b = (np.array([angle.pi_fraction is not None for angle in angles], dtype=bool)
-                        for angles in (alphas, betas))
-    # blocks of points whose three angles all carry a pi-fraction, or not
-    for in_a, in_b in ((exact_a, exact_b), (exact_a, ~exact_b), (~exact_a, np.ones_like(exact_b))):
-        ia, jb = np.flatnonzero(in_a), np.flatnonzero(in_b)
-        if len(ia) and len(jb):
-            _sweep_block(rows, ia, jb, alphas, betas, gamma_y)
-    return rows.reshape(-1)
-
-
-def _sweep_block(rows: np.ndarray, ia: np.ndarray, jb: np.ndarray,
-                 alphas: list[Angle], betas: list[Angle], gamma_y: Angle) -> None:
-    """Fill ``rows[ia][:, jb]`` of :func:`sweep_summary`, whose sector angles
-    add up on one path."""
-    values, half_turn, reduce, radians = _angle_arithmetic(
-        [*(alphas[i] for i in ia), *(betas[j] for j in jb), gamma_y])
+    values, half_turn, reduce, radians = _angle_arithmetic([*alphas, *betas, _DEFAULT_GAMMA_Y])
     exact = isinstance(half_turn, int)
     dtype = (np.float64 if not exact else
              np.int64 if max(map(abs, [*values, half_turn])) < _INT64_NUMERATOR else object)
-    a, b = np.array(values[:len(ia)], dtype=dtype), np.array(values[len(ia):-1], dtype=dtype)
+    a, b = np.array(values[:len(alphas)], dtype=dtype), np.array(values[len(alphas):-1], dtype=dtype)
     with np.errstate(over="ignore"):  # refused per point below
         phi_sum = 2 * (half_turn - b)
     phi = np.array([radians(n) for n in phi_sum.tolist()], dtype=np.float64)
 
     def sums(i: int) -> tuple[np.ndarray, np.ndarray]:
         # row i's gamma1 and gamma2 as effective_angles adds them; float
-        # sums keyed on their bits, so that 0.0 and -0.0 stay apart
+        # sums keyed on their bits, so that a nan sum (inf - inf) sorts and
+        # is found like any other
         with np.errstate(over="ignore", invalid="ignore"):
             gamma1 = a[i] + b + values[-1]
             pair = gamma1, gamma1 + phi_sum
         return pair if exact else tuple(x.view(np.uint64) for x in pair)
 
-    for scope in [range(len(ia))] if exact else [[i] for i in range(len(ia))]:
-        keys = np.array(sorted({n for i in scope for x in sums(i) for n in x.tolist()}),
-                        dtype=dtype if exact else np.uint64)
+    row_keys = ({n for x in sums(i) for n in x.tolist()} for i in range(len(alphas)))
+    for group, keys in _key_groups(row_keys, _SWEEP_KEYS):
+        keys = np.array(sorted(keys), dtype=dtype if exact else np.uint64)
         gamma, forms = [], []
         for n in (keys if exact else keys.view(np.float64)).tolist():
             gamma.append(radians(n))
@@ -456,24 +440,40 @@ def _sweep_block(rows: np.ndarray, ia: np.ndarray, jb: np.ndarray,
                 forms.append((*_sector_closed_forms(reduced), _sector_magnetization(reduced)))
             else:  # refused below, at its first point
                 forms.append((None, math.nan, math.nan, math.nan))
-        finite = all(map(math.isfinite, [*gamma, *phi.tolist()]))
         rho, d, s, m = zip(*forms)
         gamma, d, s_array, m = (np.array(x, dtype=np.float64) for x in (gamma, d, s, m))
-        for i in scope:
+        for i in group:
             i1, i2 = (np.searchsorted(keys, x) for x in sums(i))
             gamma1, gamma2 = gamma[i1], gamma[i2]
-            if not finite:  # effective_angles raises at the first point past the range
-                for j in jb:
-                    effective_angles(alphas[ia[i]], betas[j], gamma_y)
-            row = rows[ia[i]]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
+            except ValueError:  # refuse as walk_summary and its pattern do
+                for beta in betas:
+                    effective_angles(alphas[i], beta).pattern
+                raise
+            row = rows[i]
             m1, m2 = m[i1], m[i2]
-            row["gamma1"][jb], row["gamma2"][jb] = gamma1, gamma2
-            row["m1"][jb], row["m2"][jb], row["m"][jb] = m1, m2, (m1 + m2) / 2.0
-            row["d1"][jb], row["d2"][jb] = d[i1], d[i2]
-            row["s1"][jb], row["s2"][jb] = s_array[i1], s_array[i2]
-            row["mutual_information"][jb] = [
+            row["gamma1"], row["gamma2"] = gamma1, gamma2
+            row["m1"], row["m2"], row["m"] = m1, m2, (m1 + m2) / 2.0
+            row["d1"], row["d2"] = d[i1], d[i2]
+            row["s1"], row["s2"] = s_array[i1], s_array[i2]
+            row["mutual_information"] = [
                 _mutual_information(rho[x], s[x], rho[y], s[y])
                 for x, y in zip(i1.tolist(), i2.tolist())]
-            with np.errstate(over="ignore"):  # a sum past the float range is refused
-                rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
-            row["pattern"][jb] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
+            row["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
+    return rows.reshape(-1)
+
+
+def _key_groups(key_sets, limit: int):
+    """``(indices, union)`` of runs of consecutive ``key_sets`` whose union
+    holds at most ``limit`` keys; a set that alone holds more is a run."""
+    group, union = [], set()
+    for i, keys in enumerate(key_sets):
+        if group and len(union) + len(keys - union) > limit:
+            yield group, union
+            group, union = [], set()
+        group.append(i)
+        union |= keys
+    if group:
+        yield group, union

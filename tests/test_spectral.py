@@ -444,9 +444,11 @@ class TestWalkSummaryBits:
     def assert_bit_identical(self, points):
         want = [reference_summary(*p) for p in points]
         assert [_bits(lw.walk_summary(*p)) for p in points] == [_bits(w) for w in want]
-        rows = [lw.sweep_summary([p[0]], [p[1]], *p[2:])[0] for p in points]
+        # sweep_summary takes the default gamma_y only
+        default = [(p, w) for p, w in zip(points, want) if len(p) == 2]
+        rows = [lw.sweep_summary([p[0]], [p[1]])[0] for p, _ in default]
         assert [_row_hex(row) for row in rows] == [
-            _summary_row_hex(w, p[0], p[1]) for w, p in zip(want, points)]
+            _summary_row_hex(w, p[0], p[1]) for p, w in default]
 
     def test_pi_over_64_grid(self):
         grid = parse_grid("-pi:pi:129")
@@ -474,13 +476,13 @@ class TestWalkSummaryBits:
             self.assert_bit_identical(order)
 
 
-# Exact and float angles mixed in one list, signed zeros and huge numerators
-# included; sweep_summary splits such a grid into blocks.
-SWEEP_ANGLES = st.one_of(
-    st.floats(-10.0, 10.0),
-    st.sampled_from([0.0, -0.0, math.pi, -1.5 * math.pi]),
-    st.builds(_exact, st.integers(-300, 300), st.integers(1, 100)),
-    st.builds(_exact, st.sampled_from([10**30 + 7, -(3 * 2**60) - 1]), st.integers(1, 9)))
+# Lists of exact angles or of float angles, signed zeros and huge
+# numerators included.
+SWEEP_LISTS = st.one_of(*(st.lists(angles, min_size=1, max_size=6) for angles in (
+    st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, math.pi, -1.5 * math.pi])),
+    st.one_of(st.builds(_exact, st.integers(-300, 300), st.integers(1, 100)),
+              st.builds(_exact, st.sampled_from([10**30 + 7, -(3 * 2**60) - 1]),
+                        st.integers(1, 9))))))
 
 
 FRACTIONS = st.one_of(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]),
@@ -517,18 +519,34 @@ class TestSweepSummary:
         grid = parse_grid("-pi:pi:129")
         self.assert_sweep_rows_match_walk_summary(grid, grid)
 
-    @given(st.lists(SWEEP_ANGLES, min_size=1, max_size=6),
-           st.lists(SWEEP_ANGLES, min_size=1, max_size=6),
-           st.one_of(st.none(), SWEEP_ANGLES))
-    @example([-0.0, 0.0], [-0.0, 0.0], -0.0)  # gamma1 = -0.0 and 0.0 side by side
-    @example([0.0], [0.0], -0.0)
+    @given(SWEEP_LISTS, SWEEP_LISTS)
+    @example([-1.5 * math.pi, math.pi / 2], [-0.0, 0.0])  # gamma1 = -0.0 and 0.0
+    @example([_exact(1, 2)], [0.0, -0.0])  # an exact alpha row with float betas
     @settings(max_examples=120, deadline=None)
-    def test_matches_walk_summary_bits(self, alphas, betas, gamma_y):
-        extra = () if gamma_y is None else (gamma_y,)
-        rows = lw.sweep_summary(alphas, betas, *extra)
+    def test_matches_walk_summary_bits(self, alphas, betas):
+        rows = lw.sweep_summary(alphas, betas)
         points = [(a, b) for a in alphas for b in betas]
         assert [_row_hex(row) for row in rows] == [
-            _summary_row_hex(lw.walk_summary(a, b, *extra), a, b) for a, b in points]
+            _summary_row_hex(lw.walk_summary(a, b), a, b) for a, b in points]
+
+    def test_rows_share_closed_forms_up_to_a_bound(self, monkeypatch):
+        # 17 x 17 coprime steps: every alpha row brings new sector angles,
+        # so a bound of 40 keys splits the rows into groups
+        alphas, betas = parse_grid("0:1/13pi:17"), parse_grid("0:1/11pi:17")
+        want = lw.sweep_summary(alphas, betas)
+        monkeypatch.setattr(lw.spectral, "_SWEEP_KEYS", 40)
+        assert [_row_hex(row) for row in lw.sweep_summary(alphas, betas)] == [
+            _row_hex(row) for row in want]
+        groups = list(lw.spectral._key_groups([{1, 2}, {2, 3}, {9, 10, 11}, {4}], 3))
+        assert [group for group, _ in groups] == [[0, 1], [2], [3]]
+
+    @pytest.mark.parametrize("alphas,betas", [
+        ([0.3, _exact(1, 2)], [0.1]),
+        ([0.3], [_exact(1, 2), 0.1]),
+    ])
+    def test_refuses_a_grid_of_mixed_kinds(self, alphas, betas):
+        with pytest.raises(ValueError, match="mixes pi-fractions and plain floats"):
+            lw.sweep_summary(alphas, betas)
 
     def test_empty_grids(self):
         assert len(lw.sweep_summary([], [0.3])) == 0
@@ -537,8 +555,9 @@ class TestSweepSummary:
     @pytest.mark.parametrize("alphas,betas", [
         ([0.0, 1e308], [1e308]),           # gamma1 past the range at the second point
         ([0.3], [0.1, -1e308, 1e308]),     # phi first, then gamma1
-        ([_exact(1, 2), _exact(5 * 10**307, 1)], [_exact(5 * 10**307, 1), 0.2]),
+        ([_exact(1, 2), _exact(5 * 10**307, 1)], [_exact(5 * 10**307, 1), _exact(1, 5)]),
         ([1e308], [-5e307]),               # gamma1 + gamma2 past the range
+        ([1e308], [0.1, 1e308]),           # the pattern first, then gamma1
     ])
     def test_refuses_like_walk_summary_at_the_first_point(self, alphas, betas):
         for alpha, beta in ((a, b) for a in alphas for b in betas):
