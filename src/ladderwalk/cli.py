@@ -56,19 +56,23 @@ from .core import (
     Conventional,
     Ladder,
     LatticeOverflowError,
-    evolve,
+    _state_blocks,
     localized_ladder,
     localized_walker,
-    position_distribution,
 )
-from .observables import magnetization, second_moment, total_variation
-from .sectors import _DEFAULT_GAMMA_Y, Angle, WalkPattern, sector_project
+from .observables import magnetization
+from .sectors import (
+    _DEFAULT_GAMMA_Y,
+    _EMPTY_SECTOR_WEIGHT,
+    _SQRT_HALF,
+    Angle,
+    WalkPattern,
+)
 from .spectral import (
     DensityMatrix2,
     DensityMatrixError,
     asymptotic_rho,
     entropy,
-    finite_n_rho,
     mutual_information,
     sweep_summary,
     walk_summary,
@@ -224,46 +228,97 @@ def _check_step_sum(step: int, total: float) -> None:
             f"probabilities at step {step} sum to {total!r}")
 
 
-def _per_site_table(**columns: list[np.ndarray]) -> dict:
+def _per_site_table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
     """A per-site table from the nonzero entries of each step: ``step``,
-    then each column's per-step parts concatenated.  The rows are a numpy
-    structured array, int64 except for the float64 ``probability``."""
+    then ``columns``.  ``blocks`` holds one entry per block of consecutive
+    steps from step 0 on: its per-step row counts, then one array per
+    column.  The rows are a numpy structured array, int64 except for the
+    float64 ``probability``.  Each entry leaves ``blocks`` as it is copied
+    in, so the parts and the table are not held in full at once."""
     names = ["step", *columns]
-    counts = [len(part) for part in columns["probability"]]
-    rows = np.empty(sum(counts), dtype=[
+    rows = np.empty(sum(len(parts[-1]) for parts in blocks), dtype=[
         (name, np.float64 if name == "probability" else np.int64) for name in names])
-    rows["step"] = np.repeat(np.arange(len(counts)), counts)
-    for name, parts in columns.items():
-        rows[name] = np.concatenate(parts)
+    start = step = 0
+    blocks.reverse()
+    while blocks:
+        counts, *parts = blocks.pop()
+        stop = start + len(parts[-1])
+        rows["step"][start:stop] = np.repeat(np.arange(step, step + len(counts)), counts)
+        for name, part in zip(columns, parts):
+            rows[name][start:stop] = part
+        start, step = stop, step + len(counts)
     return {"columns": names, "rows": rows}
+
+
+# The observables of a block of states (``core._state_blocks``) are
+# formed on the block's window into full-width rows that are zero outside
+# it, and every sum runs over a whole row along the last axis: that is
+# the summation order of the per-state functions (``position_distribution``,
+# ``finite_n_rho``, ``sector_project``, ``second_moment``,
+# ``total_variation``), so each step's values keep their bits.  The
+# workspaces are allocated for the first block, the longest, and reused:
+# the windows only grow, so each block overwrites what the last one left.
+
+def _window_probabilities(amps: np.ndarray, spin_probs: np.ndarray,
+                          probs: np.ndarray) -> None:
+    """``|amps|^2`` (complex abs, then square) into ``spin_probs``, and its
+    sum over the spin axis (``amps[:, 0]`` + ``amps[:, 1]``) into ``probs``."""
+    np.abs(amps, out=spin_probs)
+    np.square(spin_probs, out=spin_probs)
+    np.add(spin_probs[:, 0], spin_probs[:, 1], out=probs)
+
+
+def _coin_rho_sums(amps: np.ndarray, spin_probs: np.ndarray, cross: np.ndarray,
+                   lo: int, hi: int) -> tuple[list, list, list]:
+    """``finite_n_rho``'s ``rho11``, ``rho22`` and ``rho12`` of each state in
+    ``amps`` (spin axis second to last), given ``spin_probs = |amps|^2``, as
+    nested lists; ``cross`` takes the coin cross terms."""
+    window = cross[..., lo:hi]
+    np.conjugate(amps[..., 1, lo:hi], out=window)
+    np.multiply(amps[..., 0, lo:hi], window, out=window)
+    return (np.sum(spin_probs[..., 0, :], axis=-1).tolist(),
+            np.sum(spin_probs[..., 1, :], axis=-1).tolist(),
+            np.sum(cross, axis=-1).tolist())
 
 
 def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
-    """Simulate a 1D conventional walk and collect its per-step datasets."""
+    """Simulate a 1D conventional walk and collect its per-step datasets.
+
+    The walk is one stepping pass, observed a block of steps at a time."""
     r = _half_width(steps, half_width)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
     spec = Conventional(gamma.radians)
     sites = state.sites()
+    # second_moment's (m - origin) ** 2, about the origin 0.0
+    squared_sites = np.square(sites.astype(float))
 
-    site_parts, prob_parts = [], []
+    site_blocks = []
     step_rows = []
-    for step in range(steps + 1):
-        if step > 0:
-            state = evolve(state, spec, 1)
-        probs = position_distribution(state)
-        total = float(np.sum(probs))
-        _check_step_sum(step, total)
-        nonzero = probs > 0.0
-        site_parts.append(sites[nonzero])
-        prob_parts.append(probs[nonzero])
-        step_rows.append([
-            step,
-            second_moment(probs, sites),
-            entropy(finite_n_rho(state)),
-            total,
-        ])
+    step = 0
+    spin_probs = None
+    for block, lo, hi in _state_blocks(state, spec, steps):
+        n, width = len(block), block.shape[-1]
+        if spin_probs is None:
+            spin_probs = np.zeros(block.shape)
+            probs, moments = np.zeros((2, n, width))
+            cross = np.zeros((n, width), np.complex128)
+        p = probs[:n]
+        _window_probabilities(block[..., lo:hi], spin_probs[:n, :, lo:hi], p[:, lo:hi])
+        np.multiply(p[:, lo:hi], squared_sites[lo:hi], out=moments[:n, lo:hi])
+        rho11, rho22, rho12 = _coin_rho_sums(block, spin_probs[:n], cross[:n], lo, hi)
+        positive = p[:, lo:hi] > 0.0
+        index, column = np.nonzero(positive)
+        site_blocks.append((np.bincount(index, minlength=n), sites[lo:hi][column],
+                            p[:, lo:hi][positive]))
+        for total, moment, r11, r22, r12 in zip(
+                np.sum(p, axis=-1).tolist(), np.sum(moments[:n], axis=-1).tolist(),
+                rho11, rho22, rho12):
+            _check_step_sum(step, total)
+            rho = DensityMatrix2(rho11=r11, rho22=r22, rho12=r12)
+            step_rows.append([step, moment, entropy(rho), total])
+            step += 1
 
     rho_inf = asymptotic_rho(gamma.radians)
     params = {
@@ -282,7 +337,7 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
         "command": "walk1d",
         "params": params,
         "tables": {
-            "distribution": _per_site_table(site=site_parts, probability=prob_parts),
+            "distribution": _per_site_table(("site", "probability"), site_blocks),
             "steps": {
                 "columns": ["step", "second_moment", "entropy", "total_probability"],
                 "rows": step_rows,
@@ -295,7 +350,11 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
                gamma_y: Angle | None = None,
                half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
-    """Simulate the mixed ladder protocol and collect per-step datasets."""
+    """Simulate the mixed ladder protocol and collect per-step datasets.
+
+    The walk is one stepping pass, observed a block of steps at a time:
+    the joint and side masses, the sector projection and weights, the
+    coin matrices of the normalized sectors and the side-profile distance."""
     r = _half_width(steps, half_width)
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
     # before the walk: it refuses angles whose sector sums overflow
@@ -305,35 +364,72 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
     rungs = state.rungs()
 
-    side_parts, rung_parts, prob_parts = [], [], []
+    site_blocks = []
     step_rows = []
     # per-sector sums of (rho11, rho22, rho12) over steps 1..n, added one
     # by one: builtin sum() of floats is compensated from Python 3.12 on
     rho_sums = [[0.0, 0.0, 0j], [0.0, 0.0, 0j]]
-    for step in range(steps + 1):
-        if step > 0:
-            state = evolve(state, spec, 1)
-        joint = position_distribution(state)
-        total = float(np.sum(joint))
-        _check_step_sum(step, total)
-        side, rung = np.nonzero(joint > 0.0)
-        side_parts.append(side)
-        rung_parts.append(rungs[rung])
-        prob_parts.append(joint[side, rung])
-        side0, side1 = joint
-        mass0, mass1 = float(np.sum(side0)), float(np.sum(side1))
-        if min(mass0, mass1) < _SIDE_MASS_FLOOR:
-            tv = None
-        else:
-            tv = total_variation(side0 / mass0, side1 / mass1)
-        pair = sector_project(state)
-        if step > 0:
-            for sums, sector in zip(rho_sums, (pair.sector_k0, pair.sector_kpi)):
-                rho = finite_n_rho(sector)
-                sums[0] += rho.rho11
-                sums[1] += rho.rho22
-                sums[2] += rho.rho12
-        step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
+    step = 0
+    spin_probs = None
+    for block, lo, hi in _state_blocks(state, spec, steps):
+        # block axes: step, spin, side, rung; sectors: step, sector, spin, rung
+        n, width = len(block), block.shape[-1]
+        if spin_probs is None:
+            spin_probs, sector_probs = np.zeros((2,) + block.shape)
+            sectors = np.zeros(block.shape, np.complex128)
+            joint, profiles = np.zeros((2, n, 2, width))
+            cross = np.zeros((n, 2, width), np.complex128)
+        amps = block[..., lo:hi]
+        j = joint[:n]
+        _window_probabilities(amps, spin_probs[:n, ..., lo:hi], j[..., lo:hi])
+        totals = np.sum(j.reshape(n, -1), axis=-1).tolist()
+        masses = np.sum(j, axis=-1)
+
+        # sector_project: (side 0 +- side 1) / sqrt(2), the weights, and
+        # each sector renormalized, or zero below the empty-sector weight
+        raw = sectors[:n, ..., lo:hi]
+        np.add(amps[:, :, 0], amps[:, :, 1], out=raw[:, 0])
+        np.subtract(amps[:, :, 0], amps[:, :, 1], out=raw[:, 1])
+        np.multiply(raw, _SQRT_HALF, out=raw)
+        sp = sector_probs[:n]
+        np.abs(raw, out=sp[..., lo:hi])
+        np.square(sp[..., lo:hi], out=sp[..., lo:hi])
+        weights = np.sum(sp.reshape(n, 2, -1), axis=-1)
+        empty = ~(weights >= _EMPTY_SECTOR_WEIGHT)
+        np.divide(raw, np.sqrt(np.where(empty, 1.0, weights))[..., None, None], out=raw)
+        raw[empty] = 0.0
+        np.abs(raw, out=sp[..., lo:hi])
+        np.square(sp[..., lo:hi], out=sp[..., lo:hi])
+        rho11, rho22, rho12 = _coin_rho_sums(sectors[:n], sp, cross[:n], lo, hi)
+
+        # total_variation of the side profiles, each renormalized to one
+        shown = masses.min(axis=-1) >= _SIDE_MASS_FLOOR
+        prof = profiles[:n, :, lo:hi]
+        np.divide(j[..., lo:hi], np.where(shown[:, None], masses, 1.0)[..., None], out=prof)
+        np.subtract(prof[:, 0], prof[:, 1], out=prof[:, 0])
+        np.abs(prof[:, 0], out=prof[:, 0])
+        distances = np.sum(profiles[:n, 0], axis=-1).tolist()
+
+        positive = j[..., lo:hi] > 0.0
+        index, side, rung = np.nonzero(positive)
+        # fresh compact columns: the nonzero() columns are views that would
+        # keep its whole (count, 3) coordinate array alive
+        site_blocks.append((np.bincount(index, minlength=n), side.astype(np.int8),
+                            rungs[lo:hi][rung], j[..., lo:hi][positive]))
+
+        for i, ((mass0, mass1), (w0, wpi)) in enumerate(zip(masses.tolist(),
+                                                             weights.tolist())):
+            _check_step_sum(step, totals[i])
+            tv = 0.5 * distances[i] if shown[i] else None
+            if step > 0:
+                for k, sums in enumerate(rho_sums):
+                    rho = DensityMatrix2(rho11=rho11[i][k], rho22=rho22[i][k],
+                                         rho12=rho12[i][k])
+                    sums[0] += rho.rho11
+                    sums[1] += rho.rho22
+                    sums[2] += rho.rho12
+            step_rows.append([step, mass0, mass1, w0, wpi, tv])
+            step += 1
 
     eff = summary.effective
     if steps >= 1:
@@ -369,8 +465,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "command": "ladder",
         "params": params,
         "tables": {
-            "joint": _per_site_table(side=side_parts, rung=rung_parts,
-                                     probability=prob_parts),
+            "joint": _per_site_table(("side", "rung", "probability"), site_blocks),
             "steps": {
                 "columns": ["step", "side0_mass", "side1_mass",
                             "weight_k0", "weight_kpi", "tv_sides"],

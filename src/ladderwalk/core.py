@@ -13,6 +13,13 @@ are periodic.
 a new state and never mutates its input.  It steps only the window of
 occupied sites, grown by one site per shift, so its cost follows the
 support of the walk rather than the size of the array.
+
+The stage loop behind it is the private generator ``_steps``, which
+carries the window and its buffers from step to step.  ``_state_blocks``
+runs the same loop and yields every state of the walk, steps ``0 .. n``,
+in blocks of about ``_BLOCK_BYTES`` of amplitudes with the block's
+window: the ``walk1d`` and ``ladder`` commands observe each block at once
+instead of calling ``evolve(state, spec, 1)`` per step.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ __all__ = [
 DEFAULT_GAMMA_Y = -math.pi / 2
 
 _NORM_TOL = 1e-12
+# Amplitude bytes per block of states that _state_blocks yields: enough
+# that per-block numpy calls cost little per step, few enough that a
+# block and the observables' workspaces stay in cache.
+_BLOCK_BYTES = 256 * 1024
 # Stage tables kept: one per spec in use, and a sweep of specs stays bounded.
 _STAGE_CACHE_SIZE = 64
 
@@ -289,6 +300,22 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
     :class:`LatticeOverflowError`; nothing can reach an edge before the
     window does, so the check is exact.
     """
+    for amps, _lo, _hi in _steps(state, spec, n_steps):
+        pass
+    if not n_steps:
+        amps = amps.copy()  # the input's own array, or a view of it
+    return replace(state, amplitudes=amps.reshape(state.amplitudes.shape),
+                   steps_taken=state.steps_taken + n_steps)
+
+
+def _steps(state, spec: ProtocolSpec, n_steps: int):
+    """The stage loop of :func:`evolve`: yields ``(amps, lo, hi)`` at steps
+    ``0 .. n_steps``, the amplitudes as ``(rows, sites)`` and their window.
+
+    ``amps`` is the input at step 0 and a buffer of the loop after that,
+    valid until the generator resumes.  The window only grows.  An
+    overflow raises when the generator is resumed for that step.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     stages = _stages(state, spec)
@@ -304,7 +331,8 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
         # A one-column product can take another BLAS path, whose last bit
         # differs from the same column inside a wider product.
         lo, hi = (lo, hi + 1) if hi < sites else (lo - 1, hi)
-    # One product buffer for the call: a fresh window-sized result per
+    yield amps, lo, hi
+    # One product buffer for the walk: a fresh window-sized result per
     # stage would be mapped and page-faulted anew each time.
     product = np.empty((rows, 2 * sites))
     window = product.view(np.complex128)
@@ -338,10 +366,43 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
             lo, hi = max(lo - move_down, 0), min(hi + move_up, sites)
             # the input is never written, so it is not recycled
             amps, out = out, (amps if amps is not src else None)
-    if not n_steps:
-        amps = src.copy()  # src may be the input's own array
-    return replace(state, amplitudes=amps.reshape(shape),
-                   steps_taken=state.steps_taken + n_steps)
+        yield amps, lo, hi
+
+
+def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
+    """The states of steps ``0 .. n_steps`` of one :func:`evolve` walk, in
+    blocks of consecutive steps: yields ``(block, lo, hi)``.
+
+    ``block[i]`` holds the amplitudes of one step in the state's shape,
+    exactly zero outside the columns ``[lo, hi)``, the window of the
+    block's last step, which covers those of its earlier steps.  A block
+    holds about ``_BLOCK_BYTES`` of amplitudes, one state at least; it
+    and its array are valid until the generator resumes, and the next
+    block reuses the array.  A step that overflows raises after the
+    block of the steps before it.
+    """
+    shape = state.amplitudes.shape
+    state_bytes = math.prod(shape) * np.dtype(np.complex128).itemsize
+    capacity = max(1, _BLOCK_BYTES // state_bytes)
+    blocks = None
+    filled = 0
+    try:
+        for amps, lo, hi in _steps(state, spec, n_steps):
+            if blocks is None:
+                blocks = np.zeros((min(capacity, n_steps + 1),) + shape, np.complex128)
+                rows = blocks.reshape((len(blocks),) + amps.shape)
+            # the windows only grow, so this write covers the row's last state
+            rows[filled, :, lo:hi] = amps[:, lo:hi]
+            filled += 1
+            if filled == len(blocks):
+                yield blocks, lo, hi
+                filled = 0
+    except LatticeOverflowError:
+        if filled:
+            yield blocks[:filled], lo, hi
+        raise
+    if filled:
+        yield blocks[:filled], lo, hi
 
 
 def position_distribution(state) -> np.ndarray:

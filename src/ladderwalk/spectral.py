@@ -309,9 +309,11 @@ def cesaro_rho(gamma: float, n_steps: int,
     object to compare against it.
 
     This is the reference route: it runs its own 1D walk with coin angle
-    ``gamma``.  The ``ladder`` command takes the same mean of each sector
-    from the ladder's own states (``sector_project``), and the tests hold
-    the two routes together.
+    ``gamma``, one ``evolve(state, spec, 1)`` step and one
+    :func:`finite_n_rho` at a time.  The ``ladder`` command takes the same
+    mean of each sector from the ladder's own states, a block of steps at
+    a time, and the tests hold the two routes together.  It stays on the
+    one-step route so that it remains independent of that block path.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -1,0 +1,245 @@
+"""``run_walk1d`` and ``run_ladder`` against their per-step reference loops.
+
+The commands observe one stepping pass a block of states at a time.  The
+references below take one ``evolve(state, spec, 1)`` step at a time and
+read each observable with the per-state library functions over the whole
+array.  Both must give the same datasets, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ladderwalk as lw
+from ladderwalk import cli, core
+
+
+def _per_site_table(**columns) -> dict:
+    names = ["step", *columns]
+    counts = [len(part) for part in columns["probability"]]
+    rows = np.empty(sum(counts), dtype=[
+        (name, np.float64 if name == "probability" else np.int64) for name in names])
+    rows["step"] = np.repeat(np.arange(len(counts)), counts)
+    for name, parts in columns.items():
+        rows[name] = np.concatenate(parts)
+    return {"columns": names, "rows": rows}
+
+
+def reference_walk1d(gamma, steps, half_width=None, initial_theta=0.0, initial_phi=0.0):
+    r = cli._half_width(steps, half_width)
+    coin = lw.CoinSpinor.from_bloch(initial_theta, initial_phi)
+    state = lw.localized_walker(coin, half_width=r)
+    spec = lw.Conventional(gamma.radians)
+    sites = state.sites()
+    site_parts, prob_parts = [], []
+    step_rows = []
+    for step in range(steps + 1):
+        if step > 0:
+            state = lw.evolve(state, spec, 1)
+        probs = lw.position_distribution(state)
+        total = float(np.sum(probs))
+        cli._check_step_sum(step, total)
+        nonzero = probs > 0.0
+        site_parts.append(sites[nonzero])
+        prob_parts.append(probs[nonzero])
+        step_rows.append([step, lw.second_moment(probs, sites),
+                          lw.entropy(lw.finite_n_rho(state)), total])
+    rho_inf = lw.asymptotic_rho(gamma.radians)
+    params = {
+        "command": "walk1d",
+        "gamma": gamma.radians,
+        "steps": steps,
+        "half_width": r,
+        "initial_theta": float(initial_theta),
+        "initial_phi": float(initial_phi),
+        "predicted_spread_coefficient": lw.magnetization(gamma.radians, gamma.radians).m,
+        "asymptotic_rho11": rho_inf.rho11,
+        "asymptotic_rho22": rho_inf.rho22,
+        "asymptotic_entropy": lw.entropy(rho_inf),
+    }
+    return {"command": "walk1d", "params": params, "tables": {
+        "distribution": _per_site_table(site=site_parts, probability=prob_parts),
+        "steps": {"columns": ["step", "second_moment", "entropy", "total_probability"],
+                  "rows": step_rows}}}
+
+
+def reference_ladder(alpha, beta, steps, gamma_y=None, half_width=None,
+                     initial_theta=0.0, initial_phi=0.0):
+    r = cli._half_width(steps, half_width)
+    gy = gamma_y if gamma_y is not None else cli._DEFAULT_GAMMA_Y
+    summary = lw.walk_summary(alpha, beta, gy)
+    coin = lw.CoinSpinor.from_bloch(initial_theta, initial_phi)
+    state = lw.localized_ladder(coin, half_width=r, side=0)
+    spec = lw.Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
+    rungs = state.rungs()
+    side_parts, rung_parts, prob_parts = [], [], []
+    step_rows = []
+    rho_sums = [[0.0, 0.0, 0j], [0.0, 0.0, 0j]]
+    for step in range(steps + 1):
+        if step > 0:
+            state = lw.evolve(state, spec, 1)
+        joint = lw.position_distribution(state)
+        total = float(np.sum(joint))
+        cli._check_step_sum(step, total)
+        side, rung = np.nonzero(joint > 0.0)
+        side_parts.append(side)
+        rung_parts.append(rungs[rung])
+        prob_parts.append(joint[side, rung])
+        side0, side1 = joint
+        mass0, mass1 = float(np.sum(side0)), float(np.sum(side1))
+        if min(mass0, mass1) < cli._SIDE_MASS_FLOOR:
+            tv = None
+        else:
+            tv = lw.total_variation(side0 / mass0, side1 / mass1)
+        pair = lw.sector_project(state)
+        if step > 0:
+            for sums, sector in zip(rho_sums, (pair.sector_k0, pair.sector_kpi)):
+                rho = lw.finite_n_rho(sector)
+                sums[0] += rho.rho11
+                sums[1] += rho.rho22
+                sums[2] += rho.rho12
+        step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
+    eff = summary.effective
+    i_finite = None
+    if steps >= 1:
+        i_finite = lw.mutual_information(*(
+            lw.DensityMatrix2(rho11=s11 / steps, rho22=s22 / steps, rho12=s12 / steps)
+            for s11, s22, s12 in rho_sums))
+    params = {
+        "command": "ladder",
+        "alpha": alpha.radians,
+        "beta": beta.radians,
+        "gamma_y": gy.radians,
+        "steps": steps,
+        "half_width": r,
+        "initial_theta": float(initial_theta),
+        "initial_phi": float(initial_phi),
+        "gamma1": eff.gamma1,
+        "gamma2": eff.gamma2,
+        "phi": eff.phi,
+        "m1": summary.magnetization.m1,
+        "m2": summary.magnetization.m2,
+        "m": summary.magnetization.m,
+        "d1": summary.d1,
+        "d2": summary.d2,
+        "s1": summary.s1,
+        "s2": summary.s2,
+        "mutual_information": summary.mutual_information,
+        "mutual_information_finite_n": i_finite,
+        "pattern": eff.pattern.value,
+    }
+    return {"command": "ladder", "params": params, "tables": {
+        "joint": _per_site_table(side=side_parts, rung=rung_parts, probability=prob_parts),
+        "steps": {"columns": ["step", "side0_mass", "side1_mass",
+                              "weight_k0", "weight_kpi", "tv_sides"],
+                  "rows": step_rows}}}
+
+
+def bits(dataset: dict):
+    """The dataset with every float as its repr (which tells -0.0 from 0.0)
+    and each structured table as its dtype and raw bytes."""
+    tables = {}
+    for name, table in dataset["tables"].items():
+        rows = table["rows"]
+        if isinstance(rows, np.ndarray):
+            rows = (rows.dtype.descr, rows.tobytes())
+        else:
+            rows = repr(rows)
+        tables[name] = (table["columns"], rows)
+    return dataset["command"], repr(dataset["params"]), tables
+
+
+def record_blocks(monkeypatch, rows: int, kwargs: dict, per_block: int | None) -> list:
+    """The block lengths of every stepping pass ``cli`` makes; with
+    ``per_block`` given, ``core._BLOCK_BYTES`` holds that many states of
+    ``rows`` amplitude rows on the lattice of the run ``kwargs``."""
+    if per_block is not None:
+        width = 2 * cli._half_width(kwargs["steps"], kwargs.get("half_width")) + 1
+        monkeypatch.setattr(core, "_BLOCK_BYTES", per_block * rows * width * 16)
+    lengths = []
+
+    def recording(*args):
+        for block, lo, hi in core._state_blocks(*args):
+            lengths.append(len(block))
+            yield block, lo, hi
+
+    monkeypatch.setattr(cli, "_state_blocks", recording)
+    return lengths
+
+
+def check_blocks(lengths: list, kwargs: dict, per_block: int | None) -> None:
+    """One pass over steps 0..n.  Three states a block, and the default
+    budget on a wide lattice, give at least three full blocks and a
+    partial last one."""
+    steps = kwargs["steps"]
+    assert sum(lengths) == steps + 1
+    if steps and (per_block == 3 or per_block is None and "half_width" in kwargs):
+        assert len(lengths) >= 4 and lengths[-1] < lengths[0]
+
+
+def angle(text):
+    return cli.parse_angle(text)
+
+
+# steps + 1 is odd and no multiple of three, so that the last block is partial
+WALK1D_CASES = {
+    # the default budget: a 2 x 4001 lattice holds two states per block
+    "wide-lattice": dict(gamma=angle("1/3pi"), steps=48, half_width=2000),
+    "zero-steps": dict(gamma=angle("0.9"), steps=0),
+    "dispersionless": dict(gamma=angle("0"), steps=24, initial_theta=1.0),
+    "bloch-coin": dict(gamma=angle("-2.1"), steps=40, initial_theta=0.4,
+                       initial_phi=1.3),
+}
+LADDER_CASES = {
+    # the default budget: a 4 x 2001 lattice holds two states per block
+    "wide-lattice": dict(alpha=angle("-0.7"), beta=angle("1.1"), steps=48,
+                         half_width=1000),
+    "zero-steps": dict(alpha=angle("0.3"), beta=angle("0.2"), steps=0),
+    "identical": dict(alpha=angle("-1/4pi"), beta=angle("3/4pi"), steps=40),
+    "alternating": dict(alpha=angle("-1/4pi"), beta=angle("0"), steps=30),
+    "one-sided": dict(alpha=angle("-1/4pi"), beta=angle("pi"), steps=30),
+    "gamma-y": dict(alpha=angle("0.3"), beta=angle("0.9"), gamma_y=angle("-0.3"),
+                    steps=36, initial_theta=1.1, initial_phi=2.2),
+}
+
+
+class TestOnePassMatchesTheStepLoop:
+    @pytest.mark.parametrize("case", WALK1D_CASES)
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_walk1d(self, monkeypatch, case, per_block):
+        kwargs = WALK1D_CASES[case]
+        lengths = record_blocks(monkeypatch, 2, kwargs, per_block)
+        assert bits(cli.run_walk1d(**kwargs)) == bits(reference_walk1d(**kwargs))
+        check_blocks(lengths, kwargs, per_block)
+
+    @pytest.mark.parametrize("case", LADDER_CASES)
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_ladder(self, monkeypatch, case, per_block):
+        kwargs = LADDER_CASES[case]
+        lengths = record_blocks(monkeypatch, 4, kwargs, per_block)
+        assert bits(cli.run_ladder(**kwargs)) == bits(reference_ladder(**kwargs))
+        check_blocks(lengths, kwargs, per_block)
+
+    @given(st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 2,
+                     st.none() | st.floats(min_value=-math.pi, max_value=math.pi)),
+           st.floats(min_value=0.0, max_value=math.pi),
+           st.floats(min_value=-math.pi, max_value=math.pi),
+           st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=20),
+           st.sampled_from([1, 2000, 7000, 1 << 18]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_runs(self, angles, theta, phi, steps, extra_width, block_bytes):
+        alpha, beta, gamma_y = (None if v is None else angle(v) for v in angles)
+        width = steps + 2 + extra_width
+        with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+            ladder = cli.run_ladder(alpha, beta, steps, gamma_y, width, theta, phi)
+            walk = cli.run_walk1d(alpha, steps, width, theta, phi)
+        assert bits(ladder) == bits(reference_ladder(alpha, beta, steps, gamma_y, width,
+                                                     theta, phi))
+        assert bits(walk) == bits(reference_walk1d(alpha, steps, width, theta, phi))

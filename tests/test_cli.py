@@ -273,22 +273,25 @@ class TestLadderCmd:
         assert abs(params["mutual_information_finite_n"] - expected) <= 1e-12
 
     def test_one_walk(self, monkeypatch):
-        """The ladder's own walk is the only one: ``steps`` evolve calls,
-        none of them by ``cesaro_rho``."""
+        """The ladder's own walk is the only one: one stepping pass over its
+        ``steps`` steps, no ``evolve`` call and no ``cesaro_rho`` walk."""
         def refuse(*args, **kwargs):
             raise AssertionError("a second walk was run")
 
-        calls = []
+        passes = []
 
-        def counting(*args):
-            calls.append(args[2])
-            return lw.evolve(*args)
+        def counting(state, spec, n_steps):
+            passes.append(n_steps)
+            return lw.core._state_blocks(state, spec, n_steps)
 
-        monkeypatch.setattr(lw.spectral, "evolve", refuse)
-        monkeypatch.setattr(cli, "evolve", counting)
+        for module in (lw, lw.spectral):
+            monkeypatch.setattr(module, "cesaro_rho", refuse)
+        for module in (lw, lw.core, lw.spectral):
+            monkeypatch.setattr(module, "evolve", refuse)
+        monkeypatch.setattr(cli, "_state_blocks", counting)
         params = cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"),
                                 steps=30)["params"]
-        assert calls == [1] * 30
+        assert passes == [30]
         assert isinstance(params["mutual_information_finite_n"], float)
 
 
@@ -533,16 +536,15 @@ class TestOutputPlumbing:
     def test_density_matrix_drift_exits_three(self, monkeypatch, tmp_path):
         """A coin density matrix whose trace drifts past 1e-12 is a numeric
         invariant violation, not a usage error."""
-        real = cli.finite_n_rho
+        real = cli.DensityMatrix2
         calls = []
 
-        def drifting(state):
-            rho = real(state)
-            calls.append(state.steps_taken)
-            return lw.DensityMatrix2(rho11=rho.rho11 + 1e-13 * len(calls),
-                                     rho22=rho.rho22, rho12=rho.rho12)
+        def drifting(rho11, rho22, rho12):
+            calls.append(rho11)
+            return real(rho11=rho11 + 1e-13 * len(calls), rho22=rho22, rho12=rho12)
 
-        monkeypatch.setattr(cli, "finite_n_rho", drifting)
+        # the per-step coin matrices of the walk, one per step
+        monkeypatch.setattr(cli, "DensityMatrix2", drifting)
         code, out, err = run_main(["walk1d", "--gamma", "1/3pi", "--steps", "40",
                                    "--out", str(tmp_path / "walk.csv")])
         assert code == 3
@@ -642,8 +644,8 @@ class TestRejection:
 
     def test_ladder_refuses_overflowing_angles_before_the_walk(self, monkeypatch):
         def no_walk(*args, **kwargs):
-            raise AssertionError("evolve called")
-        monkeypatch.setattr(cli, "evolve", no_walk)
+            raise AssertionError("the walk was started")
+        monkeypatch.setattr(cli, "_state_blocks", no_walk)
         code, _out, err = run_main(["ladder", "--alpha", "1e308", "--beta", "1e308",
                                     "--steps", "600"])
         assert code == 1

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -498,3 +499,61 @@ class TestSupportWindow:
         empty = dataclasses.replace(state, amplitudes=np.zeros_like(state.amplitudes))
         out = lw.evolve(empty, lw.SplitStep(0.3, 0.4), 5)
         assert not np.any(out.amplitudes) and out.steps_taken == 5
+
+
+class TestStateBlocks:
+    """``core._state_blocks``: the states of one stepping pass, in blocks."""
+
+    @staticmethod
+    def collect(state, spec, n, block_bytes):
+        """The yielded states as bytes, the block lengths, and the error
+        that ended the pass, if any; each block is checked as it comes."""
+        states, lengths = [], []
+        with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+            try:
+                for block, lo, hi in core._state_blocks(state, spec, n):
+                    assert block.shape[1:] == state.amplitudes.shape
+                    assert not block[..., :lo].any() and not block[..., hi:].any()
+                    states += [amps.tobytes() for amps in block]
+                    lengths.append(len(block))
+            except lw.LatticeOverflowError as error:
+                return states, lengths, str(error)
+        return states, lengths, None
+
+    @given(walks(), st.integers(min_value=0, max_value=14),
+           st.sampled_from([1, 100, 300, 2000, 1 << 18]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_state_is_evolve(self, walk, n, block_bytes):
+        state, spec = walk
+        before = state.amplitudes.tobytes()
+        states, lengths, error = self.collect(state, spec, n, block_bytes)
+        capacity = max(1, block_bytes // state.amplitudes.nbytes)
+        # full blocks, then the rest of the pass or of the steps before
+        # the overflow
+        assert all(length == min(capacity, n + 1) for length in lengths[:-1])
+        assert 0 < lengths[-1] <= capacity
+        for k, amps in enumerate(states):
+            assert amps == lw.evolve(state, spec, k).amplitudes.tobytes()
+        if error is None:
+            assert len(states) == n + 1
+        else:
+            # the same message, at the step that evolve refuses
+            assert len(states) <= n
+            with pytest.raises(lw.LatticeOverflowError, match=re.escape(error)):
+                lw.evolve(state, spec, len(states))
+        assert state.amplitudes.tobytes() == before
+
+    def test_overflow_after_the_block_before_it(self):
+        # a down spinor at the +edge reaches the -edge after 10 steps
+        start = lw.localized_walker(lw.CoinSpinor(0, 1), half_width=5, origin=5)
+        states, lengths, error = self.collect(start, lw.Conventional(0.0), 30,
+                                              4 * start.amplitudes.nbytes)
+        assert lengths == [4, 4, 3] and "-edge" in error
+        assert states[-1] == lw.evolve(start, lw.Conventional(0.0), 10).amplitudes.tobytes()
+
+    def test_default_blocks_hold_about_256_kb(self):
+        # ladder-csv's lattice: 4 rows of 1,205 complex sites, 77 kB a state
+        state = lw.localized_ladder(half_width=602)
+        lengths = [len(block) for block, _lo, _hi in
+                   core._state_blocks(state, lw.Ladder(-0.7, 1.1), 10)]
+        assert core._BLOCK_BYTES == 256 * 1024 and lengths == [3, 3, 3, 2]
