@@ -23,12 +23,7 @@ from .core import (
     localized_walker,
     position_distribution,
 )
-from .observables import (
-    MagnetizationTriple,
-    magnetization,
-    second_moment,
-    total_variation,
-)
+from .observables import second_moment, total_variation
 from .sectors import (
     Angle,
     EffectiveAngles,
@@ -44,7 +39,6 @@ from .spectral import (
     DensityMatrix2,
     DensityMatrixError,
     MomentumMode,
-    WalkSummary,
     asymptotic_rho,
     average_rho,
     cesaro_rho,
@@ -56,7 +50,6 @@ from .spectral import (
     mutual_information,
     rho_eigenvalues,
     sweep_summary,
-    walk_summary,
 )
 
 __version__ = "0.1.0"

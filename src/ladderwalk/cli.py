@@ -60,13 +60,14 @@ from .core import (
     localized_ladder,
     localized_walker,
 )
-from .observables import magnetization
+from .observables import _sector_magnetization
 from .sectors import (
     _DEFAULT_GAMMA_Y,
     _EMPTY_SECTOR_WEIGHT,
     _SQRT_HALF,
     Angle,
     WalkPattern,
+    effective_angles,
 )
 from .spectral import (
     DensityMatrix2,
@@ -75,7 +76,6 @@ from .spectral import (
     entropy,
     mutual_information,
     sweep_summary,
-    walk_summary,
 )
 
 __all__ = [
@@ -328,7 +328,7 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
         "half_width": r,
         "initial_theta": float(initial_theta),
         "initial_phi": float(initial_phi),
-        "predicted_spread_coefficient": magnetization(gamma.radians, gamma.radians).m,
+        "predicted_spread_coefficient": _sector_magnetization(gamma.radians),
         "asymptotic_rho11": rho_inf.rho11,
         "asymptotic_rho22": rho_inf.rho22,
         "asymptotic_entropy": entropy(rho_inf),
@@ -357,8 +357,9 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     coin matrices of the normalized sectors and the side-profile distance."""
     r = _half_width(steps, half_width)
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
-    # before the walk: it refuses angles whose sector sums overflow
-    summary = walk_summary(alpha, beta, gy)
+    # before the walk: it refuses angles whose sector sums or pattern overflow
+    summary, = _summaries(alpha, [beta], gy)
+    eff = effective_angles(alpha, beta, gy)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
@@ -431,7 +432,6 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
             step_rows.append([step, mass0, mass1, w0, wpi, tv])
             step += 1
 
-    eff = summary.effective
     if steps >= 1:
         i_finite = mutual_information(*(
             DensityMatrix2(rho11=s11 / steps, rho22=s22 / steps, rho12=s12 / steps)
@@ -450,16 +450,16 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "gamma1": eff.gamma1,
         "gamma2": eff.gamma2,
         "phi": eff.phi,
-        "m1": summary.magnetization.m1,
-        "m2": summary.magnetization.m2,
-        "m": summary.magnetization.m,
-        "d1": summary.d1,
-        "d2": summary.d2,
-        "s1": summary.s1,
-        "s2": summary.s2,
-        "mutual_information": summary.mutual_information,
+        "m1": summary["m1"],
+        "m2": summary["m2"],
+        "m": summary["m"],
+        "d1": summary["d1"],
+        "d2": summary["d2"],
+        "s1": summary["s1"],
+        "s2": summary["s2"],
+        "mutual_information": summary["mutual_information"],
         "mutual_information_finite_n": i_finite,
-        "pattern": eff.pattern.value,
+        "pattern": summary["pattern"],
     }
     return {
         "command": "ladder",
@@ -475,8 +475,17 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     }
 
 
+def _summaries(alpha: Angle, betas: list[Angle],
+               gamma_y: Angle = _DEFAULT_GAMMA_Y) -> list[dict]:
+    """:func:`~ladderwalk.spectral.sweep_summary`'s row at ``alpha`` and
+    each of ``betas``, as a dict of Python floats and the ``pattern`` text."""
+    rows = sweep_summary([alpha], betas, gamma_y)
+    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+
+
 def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
-    """Analytic sector summary over the (alpha, beta) product grid.
+    """Analytic sector summary over the (alpha, beta) product grid at the
+    default long-side coin ``gamma_y = -pi/2``.
 
     The rows are :func:`~ladderwalk.spectral.sweep_summary`'s structured
     array, float64 fields and a text ``pattern``, built column by column
@@ -516,26 +525,29 @@ def run_table1(steps: int = 64) -> dict:
         """``run_ladder``'s per-step rows for steps 1 .. ``steps``."""
         return run_ladder(alpha, beta, steps)["tables"]["steps"]["rows"][1:]
 
+    def check_pattern(row: str, summary: dict, expected: WalkPattern) -> None:
+        pattern = summary["pattern"]
+        check(row, "pattern", expected.value, pattern, pattern == expected.value)
+
+    # beta = 0, pi, pi/4 and 3pi/4, in the order of the checks below
+    betas = [Angle(0.0, Fraction(0)), Angle(math.pi, Fraction(1)),
+             Angle(math.pi / 4, Fraction(1, 4)), Angle(3 * math.pi / 4, Fraction(3, 4))]
+    summaries = _summaries(alpha, betas)
+
     # beta = 0: the walker hops sides deterministically; even steps on the
     # starting side, odd steps on the other.
-    beta = Angle(0.0, Fraction(0))
-    summary = walk_summary(alpha, beta)
-    pattern = summary.effective.pattern
-    check("alternating", "pattern", WalkPattern.ALTERNATING.value,
-          pattern.value, pattern is WalkPattern.ALTERNATING)
-    diff = abs(summary.magnetization.m1 - summary.magnetization.m2)
+    beta, summary = betas[0], summaries[0]
+    check_pattern("alternating", summary, WalkPattern.ALTERNATING)
+    diff = abs(summary["m1"] - summary["m2"])
     check("alternating", "m1_minus_m2", 0.0, diff, diff == 0.0)
     off = max((mass0, mass1)[(step + 1) % 2]
               for step, mass0, mass1, *_ in ladder_steps(beta))
     check("alternating", "max_resident_side_miss", 0.0, off, off <= 1e-12)
 
     # beta = pi: the walker never leaves the starting side.
-    beta = Angle(math.pi, Fraction(1))
-    summary = walk_summary(alpha, beta)
-    pattern = summary.effective.pattern
-    check("one-sided", "pattern", WalkPattern.ONE_SIDED.value,
-          pattern.value, pattern is WalkPattern.ONE_SIDED)
-    diff = abs(summary.magnetization.m1 - summary.magnetization.m2)
+    beta, summary = betas[1], summaries[1]
+    check_pattern("one-sided", summary, WalkPattern.ONE_SIDED)
+    diff = abs(summary["m1"] - summary["m2"])
     check("one-sided", "m1_minus_m2", 0.0, diff, diff == 0.0)
     off = max(mass1 for _, _, mass1, *_ in ladder_steps(beta))
     check("one-sided", "max_off_side_mass", 0.0, off, off < 1e-10)
@@ -543,24 +555,16 @@ def run_table1(steps: int = 64) -> dict:
     # beta = pi/4: the second sector coin is extremal, M2 vanishes and the
     # two side profiles agree up to a 1/sqrt(n) interference tail.
     tv_ceiling = _IDENTICAL_TV_COEFF / math.sqrt(steps)
-    beta = Angle(math.pi / 4, Fraction(1, 4))
-    summary = walk_summary(alpha, beta)
-    pattern = summary.effective.pattern
-    check("identical-m2-zero", "pattern", WalkPattern.IDENTICAL_DOMINATED.value,
-          pattern.value, pattern is WalkPattern.IDENTICAL_DOMINATED)
-    check("identical-m2-zero", "m2", 0.0, summary.magnetization.m2,
-          summary.magnetization.m2 == 0.0)
+    beta, summary = betas[2], summaries[2]
+    check_pattern("identical-m2-zero", summary, WalkPattern.IDENTICAL_DOMINATED)
+    check("identical-m2-zero", "m2", 0.0, summary["m2"], summary["m2"] == 0.0)
     tv = ladder_steps(beta)[-1][-1]
     check("identical-m2-zero", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
     # beta = 3pi/4: M1 is maximized and again the side profiles agree.
-    beta = Angle(3 * math.pi / 4, Fraction(3, 4))
-    summary = walk_summary(alpha, beta)
-    pattern = summary.effective.pattern
-    check("identical-m1-max", "pattern", WalkPattern.IDENTICAL_DOMINATED.value,
-          pattern.value, pattern is WalkPattern.IDENTICAL_DOMINATED)
-    check("identical-m1-max", "m1", 1.0, summary.magnetization.m1,
-          summary.magnetization.m1 == 1.0)
+    beta, summary = betas[3], summaries[3]
+    check_pattern("identical-m1-max", summary, WalkPattern.IDENTICAL_DOMINATED)
+    check("identical-m1-max", "m1", 1.0, summary["m1"], summary["m1"] == 1.0)
     tv = ladder_steps(beta)[-1][-1]
     check("identical-m1-max", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 

@@ -1,27 +1,17 @@
-"""Scalar diagnostics of walk distributions."""
+"""Scalar diagnostics of walk distributions, and the sector magnetization
+closed form that :func:`~ladderwalk.spectral.sweep_summary` and the
+``walk1d`` spread prediction share."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "MagnetizationTriple",
     "second_moment",
-    "magnetization",
     "total_variation",
 ]
-
-
-@dataclass(frozen=True)
-class MagnetizationTriple:
-    """Magnetization-like parameters of the two sector walks and their mean."""
-
-    m1: float
-    m2: float
-    m: float
 
 
 def second_moment(probs: np.ndarray, sites: np.ndarray, origin: float = 0.0) -> float:
@@ -38,21 +28,17 @@ def second_moment(probs: np.ndarray, sites: np.ndarray, origin: float = 0.0) -> 
     return float(np.sum(probs * (sites - origin) ** 2))
 
 
-def magnetization(gamma1: float, gamma2: float) -> MagnetizationTriple:
-    """``M_i = 1 - |sin(gamma_i / 2)|`` for each sector, and their average.
+def _sector_magnetization(gamma: float) -> float:
+    """``M = 1 - |sin(gamma / 2)|`` of one sector walk with coin angle
+    ``gamma``.
 
     ``M`` measures the asymptotic imbalance between up and down coin
     occupation; it is even in the angle and invariant under
     ``gamma -> 2*pi - gamma``.  For a single conventional walk with coin
     angle ``gamma``, ``M`` is also the ballistic coefficient of its second
-    moment, ``<m^2> / n^2 -> 1 - |sin(gamma/2)|``.
+    moment, ``<m^2> / n^2 -> 1 - |sin(gamma/2)|``.  The ladder's ``m1, m2``
+    are ``M`` of the two sector angles and ``m`` is their mean.
     """
-    m1, m2 = _sector_magnetization(gamma1), _sector_magnetization(gamma2)
-    return MagnetizationTriple(m1=m1, m2=m2, m=(m1 + m2) / 2.0)
-
-
-def _sector_magnetization(gamma: float) -> float:
-    """``1 - |sin(gamma / 2)|``: one sector's term of :func:`magnetization`."""
     return 1.0 - abs(math.sin(gamma / 2.0))
 
 

@@ -11,13 +11,13 @@ Every 2x2 density matrix is diagonalized in closed form,
 :func:`mode_eigensystem` is the single eigensystem of ``U(k)``, evaluated
 on a whole momentum grid at once; :func:`evolve_spectral` applies it on a
 discrete ring as an oracle that is independent of the position-space
-stepping in :mod:`ladderwalk.core`.  :func:`walk_summary` is the path
-from one ``(alpha, beta, gamma_y)`` point to the sector analytics, and
-:func:`sweep_summary` gives the same bits over a whole ``(alpha, beta)``
-grid.  It evaluates the sector closed forms (density matrix, eigenvalue
-gap, entropy, magnetization) once per distinct sector angle, so per point
-it does only what depends on both sectors: gathers, the mean
-magnetization, the pattern rules and the entropy of the mixture.
+stepping in :mod:`ladderwalk.core`.  :func:`sweep_summary` is the one
+path from ``(alpha, beta, gamma_y)`` to the sector analytics, over a
+whole ``(alpha, beta)`` grid or a one-point grid.  It evaluates the
+sector closed forms (density matrix, eigenvalue gap, entropy,
+magnetization) once per distinct sector angle, so per point it does only
+what depends on both sectors: gathers, the mean magnetization, the
+pattern rules and the entropy of the mixture.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from .core import (
     evolve,
     localized_walker,
 )
-from .observables import MagnetizationTriple, _sector_magnetization, magnetization
+from .observables import _sector_magnetization
 from .sectors import (
     _DEFAULT_GAMMA_Y,
     Angle,
-    EffectiveAngles,
     WalkPattern,
     _angle_arithmetic,
     _as_angle,
@@ -54,7 +53,6 @@ __all__ = [
     "DensityMatrix2",
     "DensityMatrixError",
     "MomentumMode",
-    "WalkSummary",
     "dispersion",
     "mode_eigensystem",
     "evolve_spectral",
@@ -65,7 +63,6 @@ __all__ = [
     "mutual_information",
     "finite_n_rho",
     "cesaro_rho",
-    "walk_summary",
     "sweep_summary",
 ]
 
@@ -331,44 +328,6 @@ def cesaro_rho(gamma: float, n_steps: int,
                           rho12=acc12 / n_steps)
 
 
-@dataclass(frozen=True)
-class WalkSummary:
-    """Per-parameter-point analytics of the two sector walks."""
-
-    effective: EffectiveAngles
-    magnetization: MagnetizationTriple
-    d1: float
-    d2: float
-    mutual_information: float
-    s1: float
-    s2: float
-
-
-def walk_summary(alpha: Angle | float, beta: Angle | float,
-                 gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> WalkSummary:
-    """Sector angles, magnetizations, eigenvalue gaps, entropies and mutual
-    information for one ``(alpha, beta, gamma_y)`` parameter point.
-
-    Angles are floats in radians or :class:`~ladderwalk.sectors.Angle`;
-    when all three carry a pi-fraction the sector angles are reduced in
-    exact arithmetic (see :func:`~ladderwalk.sectors.effective_angles`).
-    Everything else is evaluated on the reduced angles; ``d1, d2`` are the
-    eigenvalue gaps of the sector density matrices.
-    """
-    eff = effective_angles(alpha, beta, gamma_y)
-    rho1, d1, s1 = _sector_closed_forms(eff.gamma1_reduced)
-    rho2, d2, s2 = _sector_closed_forms(eff.gamma2_reduced)
-    return WalkSummary(
-        effective=eff,
-        magnetization=magnetization(eff.gamma1_reduced, eff.gamma2_reduced),
-        d1=d1,
-        d2=d2,
-        mutual_information=_mutual_information(rho1, s1, rho2, s2),
-        s1=s1,
-        s2=s2,
-    )
-
-
 def _sector_closed_forms(gamma_reduced: float) -> tuple[DensityMatrix2, float, float]:
     """Asymptotic density matrix, eigenvalue gap and entropy of the sector
     walk with reduced coin angle ``gamma_reduced``."""
@@ -389,22 +348,31 @@ _INT64_NUMERATOR = 2 ** 59
 _SWEEP_KEYS = 1024
 
 
-def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float]) -> np.ndarray:
-    """:func:`walk_summary` at every point of ``alpha_grid x beta_grid``
-    with the default ``gamma_y``, bit for bit: a structured array with one
-    row per point in alpha-major order, float64 ``alpha, beta`` (radians),
-    ``gamma1, gamma2, m1, m2, m, d1, d2, s1, s2, mutual_information`` and
-    the text ``pattern``.
+def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
+                  gamma_y: Angle | float = _DEFAULT_GAMMA_Y) -> np.ndarray:
+    """Sector analytics at every point of ``alpha_grid x beta_grid`` with
+    long-side coin ``gamma_y``: a structured array with one row per point
+    in alpha-major order, float64 ``alpha, beta`` (radians), ``gamma1,
+    gamma2, m1, m2, m, d1, d2, s1, s2, mutual_information`` and the text
+    ``pattern``.
 
-    Each grid holds pi-fractions only or plain floats only; a grid mixing
-    the two is refused with ``ValueError``.  The sector closed forms are
-    evaluated once per distinct sector-angle sum of a group of consecutive
-    alpha rows, and the rows are filled one at a time.  A point that
-    :func:`walk_summary` or its pattern refuses is refused with the same
-    exception, at the first such point.
+    ``gamma1, gamma2`` and ``pattern`` are those of
+    :func:`~ladderwalk.sectors.effective_angles`, which also gives the
+    reduced angles and ``phi``; everything else is evaluated on the
+    reduced angles, ``d1, d2`` being the eigenvalue gaps of the sector
+    density matrices.  Angles are floats in radians or
+    :class:`~ladderwalk.sectors.Angle`; when every angle carries a
+    pi-fraction the sector angles are added and reduced in exact
+    arithmetic.  Each grid holds pi-fractions only or plain floats only; a
+    grid mixing the two is refused with ``ValueError``.  The sector closed
+    forms are evaluated once per distinct sector-angle sum of a group of
+    consecutive alpha rows, and the rows are filled one at a time.  A
+    point that ``effective_angles`` or its pattern refuses is refused with
+    the same exception, at the first such point.
     """
     alphas = [_as_angle("alpha", value) for value in alpha_grid]
     betas = [_as_angle("beta", value) for value in beta_grid]
+    gamma_y = _as_angle("gamma_y", gamma_y)
     for name, angles in (("alpha", alphas), ("beta", betas)):
         if len({angle.pi_fraction is None for angle in angles}) > 1:
             raise ValueError(f"the {name} grid mixes pi-fractions and plain floats")
@@ -413,7 +381,7 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
         return rows.reshape(-1)
     rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
     rows["beta"] = [angle.radians for angle in betas]
-    values, half_turn, reduce, radians = _angle_arithmetic([*alphas, *betas, _DEFAULT_GAMMA_Y])
+    values, half_turn, reduce, radians = _angle_arithmetic([*alphas, *betas, gamma_y])
     exact = isinstance(half_turn, int)
     dtype = (np.float64 if not exact else
              np.int64 if max(map(abs, [*values, half_turn])) < _INT64_NUMERATOR else object)
@@ -450,9 +418,9 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
-            except ValueError:  # refuse as walk_summary and its pattern do
+            except ValueError:  # refuse as effective_angles and its pattern do
                 for beta in betas:
-                    effective_angles(alphas[i], beta).pattern
+                    effective_angles(alphas[i], beta, gamma_y).pattern
                 raise
             row = rows[i]
             m1, m2 = m[i1], m[i2]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ladderwalk as lw
-from ladderwalk.cli import parse_grid
+from ladderwalk.cli import parse_grid, run_ladder
 
 
 def report(number, name, elapsed=None):
@@ -129,11 +129,11 @@ def test_07_mutual_information_structure():
     alpha = parse_grid("-1/4pi:-1/4pi:1")[0]
     grid = parse_grid("-pi:pi:65")
     assert len(grid) == 65
-    summaries = [lw.walk_summary(alpha, beta) for beta in grid]
-    information = [s.mutual_information for s in summaries]
+    rows = lw.sweep_summary([alpha], grid)
+    information = rows["mutual_information"].tolist()
 
     at_zero = next(i for i, b in enumerate(grid) if b.pi_fraction == 0)
-    assert information[at_zero] == summaries[at_zero].s1  # exact equality
+    assert information[at_zero] == rows["s1"][at_zero]  # exact equality
 
     minimum = min(information)
     argmin = {grid[i].pi_fraction for i, v in enumerate(information)
@@ -188,3 +188,41 @@ def test_08_invariant_fuzz_suite():
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report(8, f"invariant fuzz suite ({draws} draws)", elapsed)
+
+
+def _extremes(values, grid, pick) -> set:
+    """The pi-fractions of ``grid`` where ``values`` takes ``pick(values)``."""
+    target = pick(values)
+    return {beta.pi_fraction for beta, value in zip(grid, values) if value == target}
+
+
+# alpha = +-pi/2 is left out: there alpha + gamma_y is a multiple of pi,
+# so m1 = m2 at every beta and the claim says nothing (the pattern label
+# alone is no criterion, as beta in {0, +-pi} is labelled alternating or
+# one-sided).
+MI_CLAIM_ALPHAS = [Fraction(n, 8) for n in (-6, -3, -2, -1, 0, 1, 2, 3, 6, 8)]
+
+
+def test_09_mutual_information_smallest_where_sides_differ_most():
+    """PAPER.md: the mutual information between the two components is
+    smallest where the difference between them is largest."""
+    started = time.perf_counter()
+    grid = parse_grid("-pi:pi:65")
+    coarse = parse_grid("-pi:pi:17")
+    for fraction in MI_CLAIM_ALPHAS:
+        alpha = lw.Angle(float(fraction) * math.pi, fraction)
+        rows = lw.sweep_summary([alpha], grid)
+        argmin = _extremes(rows["mutual_information"].tolist(), grid, min)
+        assert argmin == _extremes(np.abs(rows["m1"] - rows["m2"]).tolist(), grid, max), \
+            fraction
+        assert argmin == _extremes(np.abs(rows["d1"] - rows["d2"]).tolist(), grid, max), \
+            fraction
+
+        # the simulated walk: over the pi/8 grid, the finite-time mutual
+        # information is smallest at the analytic argmin
+        finite = [run_ladder(alpha, beta, 64)["params"]["mutual_information_finite_n"]
+                  for beta in coarse]
+        assert _extremes(finite, coarse, min) == argmin, fraction
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
+    report(9, "mutual information smallest where the sides differ most", elapsed)

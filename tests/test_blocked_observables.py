@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import ladderwalk as lw
 from ladderwalk import cli, core
+from ladderwalk.observables import _sector_magnetization
 
 
 def _per_site_table(**columns) -> dict:
@@ -58,7 +59,7 @@ def reference_walk1d(gamma, steps, half_width=None, initial_theta=0.0, initial_p
         "half_width": r,
         "initial_theta": float(initial_theta),
         "initial_phi": float(initial_phi),
-        "predicted_spread_coefficient": lw.magnetization(gamma.radians, gamma.radians).m,
+        "predicted_spread_coefficient": _sector_magnetization(gamma.radians),
         "asymptotic_rho11": rho_inf.rho11,
         "asymptotic_rho22": rho_inf.rho22,
         "asymptotic_entropy": lw.entropy(rho_inf),
@@ -73,7 +74,9 @@ def reference_ladder(alpha, beta, steps, gamma_y=None, half_width=None,
                      initial_theta=0.0, initial_phi=0.0):
     r = cli._half_width(steps, half_width)
     gy = gamma_y if gamma_y is not None else cli._DEFAULT_GAMMA_Y
-    summary = lw.walk_summary(alpha, beta, gy)
+    row = lw.sweep_summary([alpha], [beta], gy)
+    summary = dict(zip(row.dtype.names, row[0].tolist()))
+    eff = lw.effective_angles(alpha, beta, gy)
     coin = lw.CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = lw.localized_ladder(coin, half_width=r, side=0)
     spec = lw.Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
@@ -105,7 +108,6 @@ def reference_ladder(alpha, beta, steps, gamma_y=None, half_width=None,
                 sums[1] += rho.rho22
                 sums[2] += rho.rho12
         step_rows.append([step, mass0, mass1, pair.weight_k0, pair.weight_kpi, tv])
-    eff = summary.effective
     i_finite = None
     if steps >= 1:
         i_finite = lw.mutual_information(*(
@@ -123,16 +125,16 @@ def reference_ladder(alpha, beta, steps, gamma_y=None, half_width=None,
         "gamma1": eff.gamma1,
         "gamma2": eff.gamma2,
         "phi": eff.phi,
-        "m1": summary.magnetization.m1,
-        "m2": summary.magnetization.m2,
-        "m": summary.magnetization.m,
-        "d1": summary.d1,
-        "d2": summary.d2,
-        "s1": summary.s1,
-        "s2": summary.s2,
-        "mutual_information": summary.mutual_information,
+        "m1": summary["m1"],
+        "m2": summary["m2"],
+        "m": summary["m"],
+        "d1": summary["d1"],
+        "d2": summary["d2"],
+        "s1": summary["s1"],
+        "s2": summary["s2"],
+        "mutual_information": summary["mutual_information"],
         "mutual_information_finite_n": i_finite,
-        "pattern": eff.pattern.value,
+        "pattern": summary["pattern"],
     }
     return {"command": "ladder", "params": params, "tables": {
         "joint": _per_site_table(side=side_parts, rung=rung_parts, probability=prob_parts),

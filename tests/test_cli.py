@@ -185,6 +185,17 @@ class TestLadderCmd:
         assert masses[3][1] == pytest.approx(1.0, abs=1e-12)
         assert data["params"]["pattern"] == "alternating"
 
+    @pytest.mark.parametrize("angles", [("-1/4pi", "3/4pi", None), ("-1/4pi", "3/4pi", "1/7pi"),
+                                        ("-0.7", "1.1", "-0.3"), ("0.3", "0", None)])
+    def test_analytics_params_are_python_scalars(self, angles):
+        # numpy scalars would print as np.float64(...) through repr
+        alpha, beta, gamma_y = (None if v is None else cli.parse_angle(v) for v in angles)
+        params = cli.run_ladder(alpha, beta, 2, gamma_y)["params"]
+        for name in ("gamma1", "gamma2", "phi", "m1", "m2", "m", "d1", "d2", "s1", "s2",
+                     "mutual_information", "mutual_information_finite_n"):
+            assert type(params[name]) is float, name
+        assert type(params["pattern"]) is str
+
     def test_one_sided_off_mass(self, tmp_path):
         out = tmp_path / "ladder.json"
         cli.main(["ladder", "--alpha", "-1/4pi", "--beta", "pi", "--steps", "20",
@@ -263,9 +274,8 @@ class TestLadderCmd:
         alpha, beta, gamma_y = (None if v is None else cli.parse_angle(v) for v in angles)
         params = cli.run_ladder(alpha, beta, steps, gamma_y, initial_theta=theta,
                                 initial_phi=phi)["params"]
-        summary = (lw.walk_summary(alpha, beta) if gamma_y is None
-                   else lw.walk_summary(alpha, beta, gamma_y))
-        eff = summary.effective
+        eff = (lw.effective_angles(alpha, beta) if gamma_y is None
+               else lw.effective_angles(alpha, beta, gamma_y))
         coin = lw.CoinSpinor.from_bloch(theta, phi)
         expected = lw.mutual_information(lw.cesaro_rho(eff.gamma1_reduced, steps, coin),
                                          lw.cesaro_rho(eff.gamma2_reduced, steps, coin))
@@ -370,6 +380,15 @@ class TestTable1:
     def test_failure_exit_code(self, monkeypatch):
         monkeypatch.setattr(cli, "_IDENTICAL_TV_COEFF", -1.0)
         assert cli.main(["table1", "--steps", "8"]) == 2
+
+    def test_cells_are_python_scalars(self):
+        # main prints each measured value with repr
+        rows = cli.run_table1(steps=4)["tables"]["checks"]["rows"]
+        assert len(rows) == 12
+        for row, quantity, expected, measured, passed in rows:
+            want = str if quantity == "pattern" else float
+            assert type(expected) is want and type(measured) is want, (row, quantity)
+            assert type(passed) is bool
 
     def test_dataset_written(self, tmp_path):
         out = tmp_path / "table1.json"
@@ -650,6 +669,18 @@ class TestRejection:
                                     "--steps", "600"])
         assert code == 1
         assert err == "ladderwalk: error: gamma1 must be finite, got inf\n"
+
+    @pytest.mark.parametrize("angles", [
+        ["--alpha", "1e308", "--beta", "-5e307"],                   # gamma1 + gamma2
+        ["--alpha", "0", "--beta", "0", "--gamma-y", "1e308"],      # the same, by gamma_y
+    ])
+    def test_ladder_refuses_pattern_overflow_before_the_walk(self, monkeypatch, angles):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk was started")
+        monkeypatch.setattr(cli, "_state_blocks", no_walk)
+        code, _out, err = run_main(["ladder", *angles, "--steps", "600"])
+        assert code == 1
+        assert err == "ladderwalk: error: a walk pattern needs finite angles\n"
 
     def test_flag_and_config_share_the_parser(self, tmp_path):
         path = tmp_path / "cfg.json"

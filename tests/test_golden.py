@@ -40,6 +40,9 @@ CASES = {
     "ladder-gamma-y-json": ["ladder", "--alpha", "-1/4pi", "--beta", "0.3", "--gamma-y=0.4",
                             "--initial-theta", "0.9", "--steps", "12",
                             "--format", "json", "--out", "ladder.json"],
+    "ladder-gamma-y-exact-json": ["ladder", "--alpha", "-1/4pi", "--beta", "3/4pi",
+                                  "--gamma-y", "1/7pi", "--steps", "6",
+                                  "--format", "json", "--out", "ladder.json"],
     "ladder-zero-steps-csv": ["ladder", "--alpha", "0.3", "--beta", "0.2", "--steps", "0",
                               "--format", "csv", "--out", "ladder.csv"],
     "ladder-zero-steps-json": ["ladder", "--alpha", "0.3", "--beta", "0.2", "--steps", "0",

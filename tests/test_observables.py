@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
+from ladderwalk.observables import _sector_magnetization
 
 ANY_ANGLE = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -40,44 +42,48 @@ class TestSecondMoment:
 
 
 class TestMagnetization:
+    """``M = 1 - |sin(gamma/2)|`` of one sector (``_sector_magnetization``)
+    and the ``m1, m2, m`` columns that ``sweep_summary`` builds from it."""
+
     def test_zero_angle_is_maximal(self):
-        assert lw.magnetization(0.0, 0.0).m1 == 1.0
+        assert _sector_magnetization(0.0) == 1.0
 
     def test_derived_pair(self):
-        triple = lw.magnetization(-math.pi / 2, math.pi)
-        assert triple.m1 == pytest.approx(0.29289321881345254, abs=1e-12)
-        assert triple.m2 == 0.0
-        assert triple.m == pytest.approx(0.14644660940672627, abs=1e-12)
+        # sector angles -pi/2 and pi, exactly
+        row = lw.sweep_summary([lw.Angle(-math.pi / 4, Fraction(-1, 4))],
+                               [lw.Angle(math.pi / 4, Fraction(1, 4))])[0]
+        assert row["m1"] == pytest.approx(0.29289321881345254, abs=1e-12)
+        assert row["m2"] == 0.0
+        assert row["m"] == pytest.approx(0.14644660940672627, abs=1e-12)
 
     @given(ANY_ANGLE)
-    def test_equal_angles_collapse(self, gamma):
-        triple = lw.magnetization(gamma, gamma)
-        assert triple.m1 == triple.m2 == triple.m
+    def test_equal_angles_collapse(self, alpha):
+        # beta = pi: phi = 0, so gamma2 = gamma1
+        row = lw.sweep_summary([alpha], [math.pi])[0]
+        assert row["gamma1"] == row["gamma2"]
+        assert row["m1"] == row["m2"] == row["m"]
 
-    @given(ANY_ANGLE, ANY_ANGLE)
-    def test_bounds_and_mean(self, g1, g2):
-        triple = lw.magnetization(g1, g2)
-        for v in (triple.m1, triple.m2, triple.m):
+    @given(ANY_ANGLE, ANY_ANGLE, ANY_ANGLE)
+    def test_bounds_and_mean(self, alpha, beta, gamma_y):
+        row = lw.sweep_summary([alpha], [beta], gamma_y)[0]
+        for v in (row["m1"], row["m2"], row["m"], _sector_magnetization(alpha)):
             assert 0.0 <= v <= 1.0
-        assert triple.m == (triple.m1 + triple.m2) / 2.0
+        assert row["m"] == (row["m1"] + row["m2"]) / 2.0
 
     @given(ANY_ANGLE)
     def test_symmetries(self, gamma):
-        base = lw.magnetization(gamma, gamma).m
-        assert lw.magnetization(-gamma, -gamma).m == pytest.approx(base, abs=1e-12)
-        assert lw.magnetization(2 * math.pi - gamma, 2 * math.pi - gamma).m == \
-            pytest.approx(base, abs=1e-12)
+        base = _sector_magnetization(gamma)
+        assert _sector_magnetization(-gamma) == pytest.approx(base, abs=1e-12)
+        assert _sector_magnetization(2 * math.pi - gamma) == pytest.approx(base, abs=1e-12)
 
     def test_fig3a_structure_at_quarter_alpha(self):
         alpha = -math.pi / 4
-        for beta in (0.0, math.pi, -math.pi):
-            eff = lw.effective_angles(alpha, beta)
-            triple = lw.magnetization(eff.gamma1, eff.gamma2)
-            assert triple.m1 == pytest.approx(triple.m2, abs=1e-12)
-        eff = lw.effective_angles(alpha, 3 * math.pi / 4)
-        assert lw.magnetization(eff.gamma1, eff.gamma2).m1 == pytest.approx(1.0, abs=1e-12)
-        eff = lw.effective_angles(alpha, math.pi / 4)
-        assert lw.magnetization(eff.gamma1, eff.gamma2).m2 == pytest.approx(0.0, abs=1e-12)
+        for row in lw.sweep_summary([alpha], [0.0, math.pi, -math.pi]):
+            assert row["m1"] == pytest.approx(row["m2"], abs=1e-12)
+        row = lw.sweep_summary([alpha], [3 * math.pi / 4])[0]
+        assert row["m1"] == pytest.approx(1.0, abs=1e-12)
+        row = lw.sweep_summary([alpha], [math.pi / 4])[0]
+        assert row["m2"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDiscriminant:

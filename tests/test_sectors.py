@@ -273,10 +273,9 @@ class TestClassifyPattern:
     def test_degenerate_long_side_coin_equalizes_sectors(self, alpha, beta):
         # alpha + gamma_y = 0: the rule fires (unless an earlier rule wins)
         # exactly where the two sector magnetizations coincide
-        summary = lw.walk_summary(alpha, beta, -alpha)
-        assert summary.magnetization.m1 == pytest.approx(summary.magnetization.m2,
-                                                         abs=1e-12)
-        assert summary.effective.pattern is not WalkPattern.GENERIC
+        row = lw.sweep_summary([alpha], [beta], gamma_y=-alpha)[0]
+        assert row["m1"] == pytest.approx(row["m2"], abs=1e-12)
+        assert row["pattern"] != WalkPattern.GENERIC.value
 
     def test_tie_break_follows_listed_order(self):
         # beta rules come before the identical and Hadamard rules

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -286,8 +285,8 @@ class TestMutualInformation:
         assert s_avg >= (lw.entropy(rho1) + lw.entropy(rho2)) / 2 - 1e-12
 
     def test_beta_zero_fully_dependent(self):
-        summary = lw.walk_summary(-math.pi / 4, 0.0)
-        assert summary.mutual_information == summary.s1
+        row = lw.sweep_summary([-math.pi / 4], [0.0])[0]
+        assert row["mutual_information"] == row["s1"]
 
 
 class TestFiniteNRho:
@@ -313,32 +312,31 @@ class TestFiniteNRho:
 
 
 class TestWalkSummary:
+    """The per-point sector analytics, read off one-point ``sweep_summary``
+    rows and ``effective_angles``."""
+
     def test_alternating_point_collapses(self):
-        summary = lw.walk_summary(-math.pi / 4, 0.0)
-        trip = summary.magnetization
-        assert trip.m1 == trip.m2 == trip.m
-        assert summary.d1 == pytest.approx(summary.d2, abs=1e-12)
+        row = lw.sweep_summary([-math.pi / 4], [0.0])[0]
+        assert row["m1"] == row["m2"] == row["m"]
+        assert row["d1"] == pytest.approx(row["d2"], abs=1e-12)
 
     def test_m2_vanishes(self):
-        summary = lw.walk_summary(-math.pi / 4, math.pi / 4)
-        assert summary.magnetization.m2 == 0.0
-        assert summary.d2 == pytest.approx(0.0, abs=1e-12)
+        row = lw.sweep_summary([-math.pi / 4], [math.pi / 4])[0]
+        assert row["m2"] == 0.0
+        assert row["d2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_and_float_angles_agree_on_grid(self):
         grid = parse_grid("-pi:pi:129")
-        fields = ("d1", "d2", "s1", "s2", "mutual_information")
-        worst = 0.0
+        floats = [angle.radians for angle in grid]
+        exact_rows, float_rows = lw.sweep_summary(grid, grid), lw.sweep_summary(floats, floats)
+        assert list(exact_rows["pattern"]) == list(float_rows["pattern"])
+        worst = max(float(np.max(np.abs(exact_rows[k] - float_rows[k])))
+                    for k in exact_rows.dtype.names[2:-1])
         for alpha in grid:
             for beta in grid:
-                exact = lw.walk_summary(alpha, beta)
-                floats = lw.walk_summary(alpha.radians, beta.radians)
-                e, f = exact.effective, floats.effective
-                assert e.pattern is f.pattern
-                values = [(getattr(exact, k), getattr(floats, k)) for k in fields]
-                values += [(getattr(exact.magnetization, k), getattr(floats.magnetization, k))
-                           for k in ("m1", "m2", "m")]
-                values += [(e.gamma1, f.gamma1), (e.gamma2, f.gamma2), (e.phi, f.phi)]
-                worst = max(worst, max(abs(x - y) for x, y in values))
+                e = lw.effective_angles(alpha, beta)
+                f = lw.effective_angles(alpha.radians, beta.radians)
+                worst = max(worst, abs(e.phi - f.phi))
                 for x, y in ((e.gamma1_reduced, f.gamma1_reduced),
                              (e.gamma2_reduced, f.gamma2_reduced)):
                     assert abs(math.remainder(x - y, 2 * math.pi)) <= 1e-12
@@ -349,26 +347,29 @@ class TestWalkSummary:
         # entries, whose rounding grows as 1/cos(a/2) towards |gamma| = pi;
         # discriminant evaluates it without that cancellation.
         grid = parse_grid("-pi:pi:129")
-        for alpha in grid[::4]:
-            for beta in grid:
-                for summary in (lw.walk_summary(alpha, beta),
-                                lw.walk_summary(alpha.radians, beta.radians, 0.7)):
-                    eff = summary.effective
-                    for d, gamma in ((summary.d1, eff.gamma1_reduced),
-                                     (summary.d2, eff.gamma2_reduced)):
-                        tol = 1e-15 / abs(math.cos(gamma / 2))
-                        assert abs(d - discriminant(gamma)) <= tol, gamma
+        alphas = grid[::4]
+        for args in ((alphas, grid), ([a.radians for a in alphas], [b.radians for b in grid], 0.7)):
+            rows = lw.sweep_summary(*args)
+            points = [(a, b) for a in args[0] for b in args[1]]
+            for row, point in zip(rows, points):
+                eff = lw.effective_angles(*point, *args[2:])
+                for d, gamma in ((row["d1"], eff.gamma1_reduced),
+                                 (row["d2"], eff.gamma2_reduced)):
+                    tol = 1e-15 / abs(math.cos(gamma / 2))
+                    assert abs(d - discriminant(gamma)) <= tol, gamma
 
     def test_m1_maximized(self):
-        summary = lw.walk_summary(-math.pi / 4, 3 * math.pi / 4)
-        assert summary.magnetization.m1 == pytest.approx(1.0, abs=1e-12)
-        assert summary.d1 == pytest.approx(1.0, abs=1e-12)
-        assert summary.s1 == pytest.approx(0.0, abs=1e-10)
+        row = lw.sweep_summary([-math.pi / 4], [3 * math.pi / 4])[0]
+        assert row["m1"] == pytest.approx(1.0, abs=1e-12)
+        assert row["d1"] == pytest.approx(1.0, abs=1e-12)
+        assert row["s1"] == pytest.approx(0.0, abs=1e-10)
 
 
-def reference_summary(alpha, beta, gamma_y=lw.Angle(-math.pi / 2, Fraction(-1, 2))):
-    """``walk_summary`` by an independent route: exact sector angles in
-    ``Fraction`` arithmetic, every closed form evaluated afresh."""
+def reference_summary(alpha, beta, gamma_y=lw.Angle(-math.pi / 2, Fraction(-1, 2))) -> tuple:
+    """The ``sweep_summary`` row at ``(alpha, beta, gamma_y)`` by an
+    independent route: exact sector angles in ``Fraction`` arithmetic,
+    every closed form evaluated afresh.  ``float.hex`` of each float field,
+    which keeps the sign of a zero apart, and the pattern label."""
     angles = [a if isinstance(a, lw.Angle) else lw.Angle(a) for a in (alpha, beta, gamma_y)]
     if all(a.pi_fraction is not None for a in angles):
         a, b, gy = (angle.pi_fraction for angle in angles)
@@ -389,39 +390,10 @@ def reference_summary(alpha, beta, gamma_y=lw.Angle(-math.pi / 2, Fraction(-1, 2
     rho2 = lw.asymptotic_rho(eff.gamma2_reduced)
     (hi1, lo1), (hi2, lo2) = lw.rho_eigenvalues(rho1), lw.rho_eigenvalues(rho2)
     s1, s2 = lw.entropy(rho1), lw.entropy(rho2)
-    return lw.WalkSummary(
-        effective=eff,
-        magnetization=lw.magnetization(eff.gamma1_reduced, eff.gamma2_reduced),
-        d1=hi1 - lo1,
-        d2=hi2 - lo2,
-        mutual_information=s1 + s2 - lw.entropy(lw.average_rho(rho1, rho2)),
-        s1=s1,
-        s2=s2,
-    )
-
-
-def _fields(obj) -> tuple:
-    return tuple(_fields(v) if dataclasses.is_dataclass(v) else v
-                 for v in vars(obj).values())
-
-
-def _bits(summary: lw.WalkSummary) -> str:
-    """Every field; ``repr`` keeps the sign of a zero apart."""
-    return repr(_fields(summary))
-
-
-def _radians(angle) -> float:
-    return angle.radians if isinstance(angle, lw.Angle) else float(angle)
-
-
-def _summary_row_hex(summary: lw.WalkSummary, alpha, beta) -> tuple:
-    """The ``sweep_summary`` row of ``summary`` at ``(alpha, beta)``:
-    ``float.hex`` of each float field, which keeps the sign of a zero
-    apart, and the pattern label."""
-    eff, mag = summary.effective, summary.magnetization
-    values = (_radians(alpha), _radians(beta), eff.gamma1, eff.gamma2, mag.m1, mag.m2,
-              mag.m, summary.d1, summary.d2, summary.s1, summary.s2,
-              summary.mutual_information)
+    m1, m2 = (1.0 - abs(math.sin(g / 2.0)) for g in (eff.gamma1_reduced, eff.gamma2_reduced))
+    values = (angles[0].radians, angles[1].radians, eff.gamma1, eff.gamma2,
+              m1, m2, (m1 + m2) / 2.0, hi1 - lo1, hi2 - lo2, s1, s2,
+              s1 + s2 - lw.entropy(lw.average_rho(rho1, rho2)))
     return (*map(float.hex, values), eff.pattern.value)
 
 
@@ -437,18 +409,13 @@ def _exact(numerator: int, denominator: int) -> lw.Angle:
 
 
 class TestWalkSummaryBits:
-    """``walk_summary`` and ``sweep_summary`` add exact angles as integers,
-    and ``sweep_summary`` evaluates the sector closed forms once per
-    distinct angle; neither may move a bit."""
+    """``sweep_summary`` adds exact angles as integers and evaluates the
+    sector closed forms once per distinct angle; neither may move a bit
+    of a one-point row, at the default ``gamma_y`` or any other."""
 
     def assert_bit_identical(self, points):
-        want = [reference_summary(*p) for p in points]
-        assert [_bits(lw.walk_summary(*p)) for p in points] == [_bits(w) for w in want]
-        # sweep_summary takes the default gamma_y only
-        default = [(p, w) for p, w in zip(points, want) if len(p) == 2]
-        rows = [lw.sweep_summary([p[0]], [p[1]])[0] for p, _ in default]
-        assert [_row_hex(row) for row in rows] == [
-            _summary_row_hex(w, p[0], p[1]) for p, w in default]
+        rows = [lw.sweep_summary([p[0]], [p[1]], *p[2:])[0] for p in points]
+        assert [_row_hex(row) for row in rows] == [reference_summary(*p) for p in points]
 
     def test_pi_over_64_grid(self):
         grid = parse_grid("-pi:pi:129")
@@ -474,6 +441,10 @@ class TestWalkSummaryBits:
         assert repr(lw.effective_angles(*positive).gamma1_reduced) == "0.0"
         for order in ([positive, negative], [negative, positive]):
             self.assert_bit_identical(order)
+        # one grid holding both: the two share a sector-angle key
+        rows = lw.sweep_summary([positive[0], negative[0]], [0.0])
+        assert [_row_hex(row) for row in rows] == [
+            reference_summary(*p) for p in (positive, negative)]
 
 
 # Lists of exact angles or of float angles, signed zeros and huge
@@ -498,36 +469,39 @@ FLOAT_GRIDS = st.one_of(
 
 
 class TestSweepSummary:
-    """``sweep_summary`` gives ``walk_summary``'s bits at every grid point."""
+    """``sweep_summary`` gives ``reference_summary``'s bits at every grid
+    point."""
 
     @staticmethod
-    def assert_sweep_rows_match_walk_summary(alpha_grid, beta_grid):
+    def assert_sweep_rows_match_reference(alpha_grid, beta_grid):
         """Each float field of every ``run_sweep`` row has the bits of the
-        ``walk_summary`` value at that point, and the pattern is the same."""
+        reference value at that point, and the pattern is the same."""
         rows = run_sweep(alpha_grid, beta_grid)["tables"]["sweep"]["rows"]
         points = [(a, b) for a in alpha_grid for b in beta_grid]
-        assert [_row_hex(row) for row in rows] == [
-            _summary_row_hex(lw.walk_summary(a, b), a, b) for a, b in points]
+        assert [_row_hex(row) for row in rows] == [reference_summary(*p) for p in points]
 
     @given(grids=st.one_of(st.tuples(EXACT_GRIDS, EXACT_GRIDS),
                            st.tuples(FLOAT_GRIDS, FLOAT_GRIDS)))
     @settings(max_examples=80, deadline=None)
     def test_run_sweep_rows_match_walk_summary_bits(self, grids):
-        self.assert_sweep_rows_match_walk_summary(*grids)
+        self.assert_sweep_rows_match_reference(*grids)
 
     def test_reference_grid_rows_match_walk_summary_bits(self):
         grid = parse_grid("-pi:pi:129")
-        self.assert_sweep_rows_match_walk_summary(grid, grid)
+        self.assert_sweep_rows_match_reference(grid, grid)
 
-    @given(SWEEP_LISTS, SWEEP_LISTS)
-    @example([-1.5 * math.pi, math.pi / 2], [-0.0, 0.0])  # gamma1 = -0.0 and 0.0
-    @example([_exact(1, 2)], [0.0, -0.0])  # an exact alpha row with float betas
-    @settings(max_examples=120, deadline=None)
-    def test_matches_walk_summary_bits(self, alphas, betas):
-        rows = lw.sweep_summary(alphas, betas)
-        points = [(a, b) for a in alphas for b in betas]
-        assert [_row_hex(row) for row in rows] == [
-            _summary_row_hex(lw.walk_summary(a, b), a, b) for a, b in points]
+    @given(SWEEP_LISTS, SWEEP_LISTS,
+           st.one_of(st.just(()), st.tuples(st.floats(-10.0, 10.0)),
+                     st.tuples(st.builds(_exact, st.integers(-50, 50), st.integers(1, 30)))))
+    @example([-1.5 * math.pi, math.pi / 2], [-0.0, 0.0], ())  # gamma1 = -0.0 and 0.0
+    @example([_exact(1, 2)], [0.0, -0.0], ())  # an exact alpha row with float betas
+    @example([_exact(1, 2)], [_exact(3, 4)], (0.7,))  # exact grids, a float gamma_y
+    @settings(max_examples=150, deadline=None)
+    def test_matches_walk_summary_bits(self, alphas, betas, gamma_y):
+        """At the default ``gamma_y`` (``()``) and at drawn ones."""
+        rows = lw.sweep_summary(alphas, betas, *gamma_y)
+        points = [(a, b, *gamma_y) for a in alphas for b in betas]
+        assert [_row_hex(row) for row in rows] == [reference_summary(*p) for p in points]
 
     def test_rows_share_closed_forms_up_to_a_bound(self, monkeypatch):
         # 17 x 17 coprime steps: every alpha row brings new sector angles,
@@ -560,12 +534,28 @@ class TestSweepSummary:
         ([1e308], [0.1, 1e308]),           # the pattern first, then gamma1
     ])
     def test_refuses_like_walk_summary_at_the_first_point(self, alphas, betas):
+        self.assert_refuses_like_effective_angles(alphas, betas)
+
+    @pytest.mark.parametrize("alphas,betas,gamma_y", [
+        ([1e308], [0.5], 1e308),             # gamma1 past the range
+        ([0.3], [0.1, 0.2], 1e308),          # gamma1 + gamma2 past the range
+        ([0.0, 1e308], [0.5], 8e307),        # gamma1 past the range at the second point
+        ([0.3], [0.1, -1e308], -8e307),      # the same, below the range
+        ([_exact(1, 2)], [_exact(1, 5), _exact(5 * 10**307, 1)], _exact(10**307, 1)),
+    ])
+    def test_refuses_gamma_y_overflow_at_the_first_point(self, alphas, betas, gamma_y):
+        self.assert_refuses_like_effective_angles(alphas, betas, gamma_y)
+
+    @staticmethod
+    def assert_refuses_like_effective_angles(alphas, betas, *gamma_y):
+        """``sweep_summary`` raises the exception that ``effective_angles``
+        or its pattern raises at the first refused point."""
         for alpha, beta in ((a, b) for a in alphas for b in betas):
             try:
-                lw.walk_summary(alpha, beta).effective.pattern
+                lw.effective_angles(alpha, beta, *gamma_y).pattern
             except ValueError as error:
                 expected = error
                 break
         with pytest.raises(ValueError) as raised:
-            lw.sweep_summary(alphas, betas)
+            lw.sweep_summary(alphas, betas, *gamma_y)
         assert str(raised.value) == str(expected)
