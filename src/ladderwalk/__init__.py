@@ -2,10 +2,12 @@
 
 Simulation of conventional, split-step and mixed ladder protocols in
 position space, decomposition of the ladder walk into its two
-quasi-momentum sectors, and the derived diagnostics: spread,
-magnetization-like parameters, coin density matrices, entropies and
-mutual information.  The :mod:`ladderwalk.cli` module exposes batch
-experiment commands.
+quasi-momentum sectors, and the derived analytics: magnetization-like
+sector parameters, coin density matrices, entropies and mutual
+information.  The :mod:`ladderwalk.cli` module exposes batch experiment
+commands; their ``run_*`` functions also report each step's spread
+(``walk1d``'s second moment) and the distance between the ladder's side
+profiles (``tv_sides``).
 """
 
 from .core import (
@@ -23,7 +25,6 @@ from .core import (
     localized_walker,
     position_distribution,
 )
-from .observables import second_moment, total_variation
 from .sectors import (
     Angle,
     EffectiveAngles,

@@ -60,7 +60,6 @@ from .core import (
     localized_ladder,
     localized_walker,
 )
-from .observables import _sector_magnetization
 from .sectors import (
     _DEFAULT_GAMMA_Y,
     _EMPTY_SECTOR_WEIGHT,
@@ -72,6 +71,7 @@ from .sectors import (
 from .spectral import (
     DensityMatrix2,
     DensityMatrixError,
+    _sector_magnetization,
     asymptotic_rho,
     entropy,
     mutual_information,
@@ -254,8 +254,9 @@ def _per_site_table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
 # formed on the block's window into full-width rows that are zero outside
 # it, and every sum runs over a whole row along the last axis: that is
 # the summation order of the per-state functions (``position_distribution``,
-# ``finite_n_rho``, ``sector_project``, ``second_moment``,
-# ``total_variation``), so each step's values keep their bits.  The
+# ``finite_n_rho``, ``sector_project``) and of the test references'
+# second moment and side-profile distance, so each step's values keep
+# their bits.  The
 # workspaces are allocated for the first block, the longest, and reused:
 # the windows only grow, so each block overwrites what the last one left.
 

@@ -117,9 +117,6 @@ class WalkerState1D:
         r = self.half_width
         return np.arange(-r, r + 1)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 @dataclass(frozen=True, eq=False)
 class LadderState:
@@ -140,9 +137,6 @@ class LadderState:
     def rungs(self) -> np.ndarray:
         r = self.half_width
         return np.arange(-r, r + 1)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 @dataclass(frozen=True)
@@ -184,15 +178,7 @@ def localized_walker(coin: CoinSpinor | None = None,
                      half_width: int = 32,
                      origin: int = 0) -> WalkerState1D:
     """Walker localized at ``origin`` with the given (normalized) coin state."""
-    coin = coin if coin is not None else CoinSpinor()
-    _check_initial_coin(coin)
-    if half_width < 1:
-        raise ValueError("half_width must be >= 1")
-    if abs(origin) > half_width:
-        raise ValueError("origin outside the lattice")
-    amps = np.zeros((2, 2 * half_width + 1), dtype=np.complex128)
-    amps[:, origin + half_width] = coin.as_array()
-    return WalkerState1D(amplitudes=amps, origin=origin, steps_taken=0)
+    return WalkerState1D(amplitudes=_point_mass(coin, half_width, origin), origin=origin)
 
 
 def localized_ladder(coin: CoinSpinor | None = None,
@@ -200,17 +186,25 @@ def localized_ladder(coin: CoinSpinor | None = None,
                      side: int = 0,
                      origin: int = 0) -> LadderState:
     """Ladder walker localized on one side at rung ``origin``."""
+    return LadderState(amplitudes=_point_mass(coin, half_width, origin, side), origin=origin)
+
+
+def _point_mass(coin: CoinSpinor | None, half_width: int, origin: int,
+                *side: int) -> np.ndarray:
+    """Amplitudes of a walker at site ``origin`` of ``-half_width ..
+    half_width`` with ``coin`` (default up): shape ``(2, 2R+1)`` on the
+    line, or ``(2, 2, 2R+1)`` on ``side`` of the ladder."""
     coin = coin if coin is not None else CoinSpinor()
     _check_initial_coin(coin)
-    if side not in (0, 1):
+    if any(x not in (0, 1) for x in side):
         raise ValueError("side must be 0 or 1")
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     if abs(origin) > half_width:
         raise ValueError("origin outside the lattice")
-    amps = np.zeros((2, 2, 2 * half_width + 1), dtype=np.complex128)
-    amps[:, side, origin + half_width] = coin.as_array()
-    return LadderState(amplitudes=amps, origin=origin, steps_taken=0)
+    amps = np.zeros((2, *[2] * len(side), 2 * half_width + 1), dtype=np.complex128)
+    amps[(slice(None), *side, origin + half_width)] = coin.as_array()
+    return amps
 
 
 def _coin(name: str, angle: float) -> np.ndarray:

@@ -121,10 +121,8 @@ class EffectiveAngles:
                     WalkPattern.GENERIC)
 
 
-def _as_angle(name: str, value: Angle | float) -> Angle:
-    angle = value if isinstance(value, Angle) else Angle(float(value))
-    _require_finite(name, angle.radians)
-    return angle
+def _as_angle(value: Angle | float) -> Angle:
+    return value if isinstance(value, Angle) else Angle(float(value))
 
 
 def effective_angles(alpha: Angle | float, beta: Angle | float,
@@ -141,9 +139,10 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
     such as ``gamma1 = 0`` at ``(alpha, beta) = (-pi/4, 3*pi/4)`` hold
     exactly; otherwise in floats.
     """
-    (a, b, gy), half_turn, reduce, radians = _angle_arithmetic(
-        [_as_angle(name, value) for name, value in
-         (("alpha", alpha), ("beta", beta), ("gamma_y", gamma_y))])
+    angles = [_as_angle(value) for value in (alpha, beta, gamma_y)]
+    for name, angle in zip(("alpha", "beta", "gamma_y"), angles):
+        _require_finite(name, angle.radians)
+    (a, b, gy), half_turn, reduce, radians = _angle_arithmetic(angles)
     gamma1 = a + b + gy
     phi = 2 * (half_turn - b)
     gamma2 = gamma1 + phi
@@ -162,10 +161,12 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
 def _angle_arithmetic(angles: list[Angle]):
     """``(values, half_turn, reduce, radians)`` for adding up ``angles``:
     integer numerators over one common denominator (``half_turn``) when
-    every angle carries a pi-fraction, else radians (``half_turn = pi``).
+    every angle carries a pi-fraction and finite radians, else radians
+    (``half_turn = pi``), so that a non-finite angle is refused downstream.
     The radians of an exact sum do not depend on the denominator chosen.
     """
-    if not all(angle.pi_fraction is not None for angle in angles):
+    if not all(angle.pi_fraction is not None and math.isfinite(angle.radians)
+               for angle in angles):
         return [angle.radians for angle in angles], math.pi, reduce_angle, float
     den = math.lcm(*(angle.pi_fraction.denominator for angle in angles))
 

@@ -17,7 +17,9 @@ whole ``(alpha, beta)`` grid or a one-point grid.  It evaluates the
 sector closed forms (density matrix, eigenvalue gap, entropy,
 magnetization) once per distinct sector angle, so per point it does only
 what depends on both sectors: gathers, the mean magnetization, the
-pattern rules and the entropy of the mixture.
+pattern rules and the entropy of the mixture.  Every sector closed form
+lives here; the magnetization is also the ``walk1d`` command's spread
+prediction.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from .core import (
     CoinSpinor,
     Conventional,
     WalkerState1D,
+    _check_initial_coin,
     _require_finite,
     evolve,
     localized_walker,
 )
-from .observables import _sector_magnetization
 from .sectors import (
     _DEFAULT_GAMMA_Y,
     Angle,
@@ -183,8 +185,7 @@ def evolve_spectral(initial: CoinSpinor, gamma: float, n: int,
     if ring_size <= 2 * n:
         raise AliasingError(
             f"ring_size {ring_size} aliases after {n} steps; need ring_size > 2n")
-    if abs(initial.norm_sq() - 1.0) > 1e-12:
-        raise ValueError("initial coin state must be normalized")
+    _check_initial_coin(initial)
 
     c = math.cos(gamma / 2.0)
     s = math.sin(gamma / 2.0)
@@ -336,6 +337,21 @@ def _sector_closed_forms(gamma_reduced: float) -> tuple[DensityMatrix2, float, f
     return rho, lam_plus - lam_minus, _entropy_bits((lam_plus, lam_minus))
 
 
+def _sector_magnetization(gamma: float) -> float:
+    """``M = 1 - |sin(gamma / 2)|`` of one sector walk with coin angle
+    ``gamma``.
+
+    ``M`` measures the asymptotic imbalance between up and down coin
+    occupation; it is even in the angle and invariant under
+    ``gamma -> 2*pi - gamma``.  For a single conventional walk with coin
+    angle ``gamma``, ``M`` is also the ballistic coefficient of its second
+    moment, ``<m^2> / n^2 -> 1 - |sin(gamma/2)|``: the ``walk1d`` spread
+    prediction.  The ladder's ``m1, m2`` are ``M`` of the two sector
+    angles and ``m`` is their mean.
+    """
+    return 1.0 - abs(math.sin(gamma / 2.0))
+
+
 _PATTERN_LABELS = np.array([pattern.value for pattern in WalkPattern])
 _SWEEP_DTYPE = np.dtype([
     *((name, np.float64) for name in ("alpha", "beta", "gamma1", "gamma2", "m1", "m2", "m",
@@ -368,11 +384,13 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     forms are evaluated once per distinct sector-angle sum of a group of
     consecutive alpha rows, and the rows are filled one at a time.  A
     point that ``effective_angles`` or its pattern refuses is refused with
-    the same exception, at the first such point.
+    the same exception, at the first such point; a non-finite angle is
+    refused there too, so an empty grid, which has no points, gives an
+    empty array even next to a non-finite angle.
     """
-    alphas = [_as_angle("alpha", value) for value in alpha_grid]
-    betas = [_as_angle("beta", value) for value in beta_grid]
-    gamma_y = _as_angle("gamma_y", gamma_y)
+    alphas = [_as_angle(value) for value in alpha_grid]
+    betas = [_as_angle(value) for value in beta_grid]
+    gamma_y = _as_angle(gamma_y)
     for name, angles in (("alpha", alphas), ("beta", betas)):
         if len({angle.pi_fraction is None for angle in angles}) > 1:
             raise ValueError(f"the {name} grid mixes pi-fractions and plain floats")

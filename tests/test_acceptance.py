@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ladderwalk as lw
-from ladderwalk.cli import parse_grid, run_ladder
+from ladderwalk.cli import parse_grid, run_ladder, run_walk1d
 
 
 def report(number, name, elapsed=None):
@@ -66,9 +66,8 @@ def test_03_spread_law():
     started = time.perf_counter()
     n = 500
     for gamma in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        state = lw.evolve(lw.localized_walker(half_width=n + 2),
-                          lw.Conventional(gamma), n)
-        m2 = lw.second_moment(lw.position_distribution(state), state.sites())
+        table = run_walk1d(lw.Angle(gamma), n)["tables"]["steps"]
+        m2 = table["rows"][-1][table["columns"].index("second_moment")]
         predicted = 1.0 - abs(math.sin(gamma / 2.0))
         assert abs(m2 / n**2 - predicted) <= 0.02, (gamma, m2 / n**2, predicted)
     elapsed = time.perf_counter() - started
@@ -111,10 +110,8 @@ def test_06_identical_profile_tv():
     n = 50
 
     def tv_for(beta):
-        state = lw.evolve(lw.localized_ladder(half_width=n + 2),
-                          lw.Ladder(-math.pi / 4, beta), n)
-        side0, side1 = lw.position_distribution(state)
-        return lw.total_variation(side0 / np.sum(side0), side1 / np.sum(side1))
+        table = run_ladder(lw.Angle(-math.pi / 4), lw.Angle(beta), n)["tables"]["steps"]
+        return table["rows"][-1][table["columns"].index("tv_sides")]
 
     tv_identical = tv_for(3 * math.pi / 4)
     tv_reference = tv_for(math.pi / 2)
@@ -174,7 +171,7 @@ def test_08_invariant_fuzz_suite():
             occupied = state.rungs()[np.any(joint > 0, axis=0)]
             if occupied.size:
                 assert np.max(np.abs(occupied)) <= n
-        assert abs(state.norm_sq() - 1.0) <= 1e-10
+        assert abs(np.sum(lw.position_distribution(state)) - 1.0) <= 1e-10
 
         rho1 = lw.asymptotic_rho(float(rng.uniform(-2 * math.pi, 2 * math.pi)))
         rho2 = lw.asymptotic_rho(float(rng.uniform(-2 * math.pi, 2 * math.pi)))

@@ -2,8 +2,9 @@
 
 The commands observe one stepping pass a block of states at a time.  The
 references below take one ``evolve(state, spec, 1)`` step at a time and
-read each observable with the per-state library functions over the whole
-array.  Both must give the same datasets, bit for bit.
+read each observable over the whole array, with the per-state library
+functions or, for the second moment and the side-profile distance, their
+sums written out.  Both must give the same datasets, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import ladderwalk as lw
 from ladderwalk import cli, core
-from ladderwalk.observables import _sector_magnetization
+from ladderwalk.spectral import _sector_magnetization
 
 
 def _per_site_table(**columns) -> dict:
@@ -49,7 +50,8 @@ def reference_walk1d(gamma, steps, half_width=None, initial_theta=0.0, initial_p
         nonzero = probs > 0.0
         site_parts.append(sites[nonzero])
         prob_parts.append(probs[nonzero])
-        step_rows.append([step, lw.second_moment(probs, sites),
+        # the second moment about the origin, sum P(m) m^2
+        step_rows.append([step, float(np.sum(probs * sites.astype(float) ** 2)),
                           lw.entropy(lw.finite_n_rho(state)), total])
     rho_inf = lw.asymptotic_rho(gamma.radians)
     params = {
@@ -99,7 +101,8 @@ def reference_ladder(alpha, beta, steps, gamma_y=None, half_width=None,
         if min(mass0, mass1) < cli._SIDE_MASS_FLOOR:
             tv = None
         else:
-            tv = lw.total_variation(side0 / mass0, side1 / mass1)
+            # the total-variation distance of the renormalized side profiles
+            tv = 0.5 * float(np.sum(np.abs(side0 / mass0 - side1 / mass1)))
         pair = lw.sector_project(state)
         if step > 0:
             for sums, sector in zip(rho_sums, (pair.sector_k0, pair.sector_kpi)):

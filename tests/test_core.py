@@ -15,6 +15,10 @@ from ladderwalk.core import _stages
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
 
+def norm_sq(state) -> float:
+    return float(np.sum(lw.position_distribution(state)))
+
+
 def up_at(state, m):
     return state.amplitudes[0, m + state.half_width]
 
@@ -84,6 +88,25 @@ class TestSpinorAndFactories:
         with pytest.raises(ValueError):
             lw.localized_walker(lw.CoinSpinor(1.0, 1.0), half_width=4)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: lw.localized_walker(lw.CoinSpinor(1.0, 1.0), half_width=4),
+         "initial coin state must be normalized"),
+        (lambda: lw.localized_ladder(lw.CoinSpinor(1.0, 1.0), half_width=4),
+         "initial coin state must be normalized"),
+        (lambda: lw.localized_walker(half_width=0), "half_width must be >= 1"),
+        (lambda: lw.localized_ladder(half_width=0), "half_width must be >= 1"),
+        (lambda: lw.localized_walker(half_width=3, origin=4), "origin outside the lattice"),
+        (lambda: lw.localized_walker(half_width=3, origin=-4), "origin outside the lattice"),
+        (lambda: lw.localized_ladder(half_width=3, origin=4), "origin outside the lattice"),
+        (lambda: lw.localized_ladder(half_width=3, origin=-4), "origin outside the lattice"),
+        (lambda: lw.localized_ladder(half_width=3, side=2), "side must be 0 or 1"),
+        (lambda: lw.evolve_spectral(lw.CoinSpinor(1.0, 1.0), 0.5, 2, 8),
+         "initial coin state must be normalized"),
+    ])
+    def test_refusals_name_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
 
 class TestShifts:
     # Zero coin angles make every stage a pure shift, and a split step
@@ -130,7 +153,7 @@ class TestShifts:
     def test_norm_preserved_exactly(self):
         coin = lw.CoinSpinor(0.6, 0.8j)
         state = lw.localized_walker(coin, half_width=3)
-        assert lw.evolve(state, lw.Conventional(0.0), 1).norm_sq() == state.norm_sq()
+        assert norm_sq(lw.evolve(state, lw.Conventional(0.0), 1)) == norm_sq(state)
 
 
 class TestConventionalStep:
@@ -214,7 +237,7 @@ class TestLadderStep:
             alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
             state = lw.evolve(lw.localized_ladder(half_width=52),
                               lw.Ladder(alpha, beta), 50)
-            assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
+            assert norm_sq(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_requires_matching_state(self):
         with pytest.raises(TypeError):
@@ -347,14 +370,14 @@ class TestInvariants:
     def test_unitarity_splitstep(self, alpha, beta, n):
         state = lw.evolve(lw.localized_walker(half_width=12),
                           lw.SplitStep(alpha, beta), n)
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert norm_sq(state) == pytest.approx(1.0, abs=1e-10)
 
     @given(ANGLES, ANGLES, st.integers(min_value=0, max_value=8))
     @settings(max_examples=40, deadline=None)
     def test_unitarity_and_locality_ladder(self, alpha, beta, n):
         state = lw.evolve(lw.localized_ladder(half_width=10),
                           lw.Ladder(alpha, beta), n)
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert norm_sq(state) == pytest.approx(1.0, abs=1e-10)
         joint = lw.position_distribution(state)
         occupied = state.rungs()[np.any(joint > 0, axis=0)]
         assert np.all(np.abs(occupied) <= n)

@@ -1,19 +1,21 @@
 """Package hygiene that a linter would otherwise check.
 
-The package re-exports exactly the public names of its modules, and no
-module imports a name it never uses (a deletion easily leaves one
-behind).
+The package re-exports exactly the public names of its modules, every
+public name has a reader outside its own tests, and no module imports a
+name it never uses (a deletion easily leaves one behind).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+from test_readme import README, python_blocks
 
 import ladderwalk as lw
-from ladderwalk import core, observables, sectors, spectral
+from ladderwalk import core, sectors, spectral
 
 PACKAGE = Path(lw.__file__).resolve().parent
 
@@ -22,8 +24,17 @@ def test_package_reexports_exactly_the_module_names():
     exported = {name for name in vars(lw)
                 if not name.startswith("_")
                 and not isinstance(getattr(lw, name), type(lw))}
-    modules = (core, observables, sectors, spectral)
+    modules = (core, sectors, spectral)
     assert exported == {name for module in modules for name in module.__all__}
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -38,10 +49,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used |= _public_names(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -58,3 +66,46 @@ def test_unused_import_scan_finds_one():
     tree = ast.parse("from dataclasses import dataclass\nimport math\n"
                      "__all__ = ['f']\nfrom x import f\nmath.pi\n")
     assert _unused_imports(tree) == ["dataclass (line 1)"]
+
+
+def _read_names(source: str) -> set[str]:
+    """The names and attributes that code reads; a ``def``, a ``class`` and
+    an ``__all__`` entry only define or list theirs."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+# a backticked name, optionally qualified and called: `run_sweep`, `lw.Angle`,
+# `sweep_summary(alpha_grid, beta_grid, gamma_y)`
+_README_NAME = re.compile(r"`(?:\w+\.)*(\w+)(?:\([^`]*\))?`")
+
+
+def _unread_public_names(package: Path, readers: list[Path], readme: str,
+                         readme_code: list[str]) -> list[str]:
+    """Public names of ``package`` that no code of it or of ``readers``
+    reads, nor ``readme_code``, and that ``readme`` does not name as a
+    backticked name."""
+    public = set().union(*(_public_names(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in package.glob("*.py")))
+    read = set().union(*(_read_names(path.read_text(encoding="utf-8"))
+                         for folder in (package, *readers) for path in folder.glob("*.py")))
+    read |= set().union(*map(_read_names, readme_code))
+    read |= set(_README_NAME.findall(readme))
+    return sorted(public - read)
+
+
+def test_every_public_name_has_a_reader_besides_the_tests():
+    """A public name that only tests read is a deletion candidate: remove it
+    and move the property its tests checked onto the path that remains."""
+    readme = README.read_text(encoding="utf-8")
+    readme_code = [source for _line, source in python_blocks()]
+    assert _unread_public_names(PACKAGE, [README.parent / "perfbench"], readme,
+                                readme_code) == []
+
+
+def test_unread_name_scan_finds_one(tmp_path):
+    (tmp_path / "m.py").write_text("__all__ = ['f', 'g', 'h', 'k']\n"
+                                   "def f(): pass\ndef g(): return f()\n"
+                                   "def h(): pass\ndef k(): pass\n")
+    assert _unread_public_names(tmp_path, [], "Call `h(x)`.", ["m.k()"]) == ["g"]

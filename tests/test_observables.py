@@ -7,38 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk.observables import _sector_magnetization
+from ladderwalk.cli import run_ladder, run_walk1d
+from ladderwalk.spectral import _sector_magnetization
 
 ANY_ANGLE = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 
+def last_second_moment(gamma: float, steps: int) -> float:
+    """The last ``second_moment`` of the ``walk1d`` steps table, taken
+    about the starting site."""
+    table = run_walk1d(lw.Angle(gamma), steps)["tables"]["steps"]
+    return table["rows"][-1][table["columns"].index("second_moment")]
+
+
 class TestSecondMoment:
     def test_deterministic_motion(self):
-        state = lw.evolve(lw.localized_walker(half_width=12), lw.Conventional(0.0), 10)
-        m2 = lw.second_moment(lw.position_distribution(state), state.sites())
-        assert m2 == pytest.approx(100.0, abs=1e-12)
+        assert last_second_moment(0.0, 10) == pytest.approx(100.0, abs=1e-12)
 
     def test_pi_coin_stays_bounded(self):
-        state = lw.evolve(lw.localized_walker(half_width=102),
-                          lw.Conventional(math.pi), 100)
-        m2 = lw.second_moment(lw.position_distribution(state), state.sites())
-        assert m2 <= 1.0
-
-    def test_origin_offset(self):
-        probs = np.array([0.5, 0.0, 0.5])
-        sites = np.array([-1, 0, 1])
-        assert lw.second_moment(probs, sites, origin=1.0) == pytest.approx(2.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lw.second_moment(np.ones(3) / 3, np.arange(4))
+        assert last_second_moment(math.pi, 100) <= 1.0
 
     def test_hadamard_like_long_run(self):
         n = 500
-        state = lw.evolve(lw.localized_walker(half_width=n + 2),
-                          lw.Conventional(math.pi / 2), n)
-        m2 = lw.second_moment(lw.position_distribution(state), state.sites())
-        assert m2 / n**2 == pytest.approx(0.2929, abs=0.02)
+        assert last_second_moment(math.pi / 2, n) / n**2 == pytest.approx(0.2929, abs=0.02)
 
 
 class TestMagnetization:
@@ -129,23 +120,12 @@ class TestSideMarginals:
 
 
 class TestTotalVariation:
-    def test_identical_distributions(self):
-        p = np.array([0.25, 0.75])
-        assert lw.total_variation(p, p) == 0.0
-
-    def test_disjoint_point_masses(self):
-        assert lw.total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lw.total_variation(np.ones(2) / 2, np.ones(3) / 3)
+    """The ``tv_sides`` column of the ``ladder`` steps table."""
 
     def test_identical_walk_sides_nearly_agree(self):
         # Pinned by the oracle run: TV = 2.98e-08 at n = 50 (the residual is
         # the interference with the ballistic edge of the dominated sector).
         n = 50
-        state = lw.evolve(lw.localized_ladder(half_width=n + 2),
-                          lw.Ladder(-math.pi / 4, 3 * math.pi / 4), n)
-        side0, side1 = lw.position_distribution(state)
-        tv = lw.total_variation(side0 / np.sum(side0), side1 / np.sum(side1))
+        table = run_ladder(lw.Angle(-math.pi / 4), lw.Angle(3 * math.pi / 4), n)["tables"]["steps"]
+        tv = table["rows"][-1][table["columns"].index("tv_sides")]
         assert tv < 1e-6

@@ -139,7 +139,7 @@ class TestSectorProject:
         raw_kpi = pair.sector_kpi.amplitudes * math.sqrt(pair.weight_kpi)
         rebuilt = np.stack([raw_k0 + raw_kpi, raw_k0 - raw_kpi], axis=1) / math.sqrt(2.0)
         assert np.max(np.abs(rebuilt - state.amplitudes)) < 1e-12
-        assert pair.weight_k0 + pair.weight_kpi == pytest.approx(state.norm_sq(), abs=1e-12)
+        assert pair.weight_k0 + pair.weight_kpi == pytest.approx(np.sum(lw.position_distribution(state)), abs=1e-12)
 
     def test_sectors_evolve_as_conventional_walks(self):
         # The central decomposition claim: each quasi-momentum sector of the

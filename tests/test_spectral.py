@@ -525,6 +525,9 @@ class TestSweepSummary:
     def test_empty_grids(self):
         assert len(lw.sweep_summary([], [0.3])) == 0
         assert len(lw.sweep_summary([0.3], [])) == 0
+        # no point, so nothing to refuse
+        assert len(lw.sweep_summary([], [math.inf])) == 0
+        assert len(lw.sweep_summary([0.3], [], math.nan)) == 0
 
     @pytest.mark.parametrize("alphas,betas", [
         ([0.0, 1e308], [1e308]),           # gamma1 past the range at the second point
@@ -532,6 +535,9 @@ class TestSweepSummary:
         ([_exact(1, 2), _exact(5 * 10**307, 1)], [_exact(5 * 10**307, 1), _exact(1, 5)]),
         ([1e308], [-5e307]),               # gamma1 + gamma2 past the range
         ([1e308], [0.1, 1e308]),           # the pattern first, then gamma1
+        ([0.0, math.nan], [math.inf]),     # beta at the first point, not alpha
+        ([1e308], [-1e308, math.inf]),     # phi at the first point, not beta
+        ([lw.Angle(math.inf, Fraction(1))], [_exact(1, 2)]),  # a pi-fraction is not enough
     ])
     def test_refuses_like_walk_summary_at_the_first_point(self, alphas, betas):
         self.assert_refuses_like_effective_angles(alphas, betas)
@@ -542,6 +548,7 @@ class TestSweepSummary:
         ([0.0, 1e308], [0.5], 8e307),        # gamma1 past the range at the second point
         ([0.3], [0.1, -1e308], -8e307),      # the same, below the range
         ([_exact(1, 2)], [_exact(1, 5), _exact(5 * 10**307, 1)], _exact(10**307, 1)),
+        ([0.0, math.nan], [0.5], math.inf),  # gamma_y at the first point, not alpha
     ])
     def test_refuses_gamma_y_overflow_at_the_first_point(self, alphas, betas, gamma_y):
         self.assert_refuses_like_effective_angles(alphas, betas, gamma_y)
