@@ -398,7 +398,10 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         np.square(sp[..., lo:hi], out=sp[..., lo:hi])
         weights = np.sum(sp.reshape(n, 2, -1), axis=-1)
         empty = ~(weights >= _EMPTY_SECTOR_WEIGHT)
-        np.divide(raw, np.sqrt(np.where(empty, 1.0, weights))[..., None, None], out=raw)
+        # a real multiply by 1 / sqrt(w), as sector_project does
+        parts = raw.view(np.float64)
+        np.multiply(parts, (1.0 / np.sqrt(np.where(empty, 1.0, weights)))[..., None, None],
+                    out=parts)
         raw[empty] = 0.0
         np.abs(raw, out=sp[..., lo:hi])
         np.square(sp[..., lo:hi], out=sp[..., lo:hi])

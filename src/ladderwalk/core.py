@@ -11,11 +11,14 @@ are periodic.
 
 :func:`evolve` is the single stepping entry point.  It is pure: it returns
 a new state and never mutates its input.  It steps only the window of
-occupied sites, grown by one site per shift, so its cost follows the
+occupied sites, grown by one site per shift, and a conventional or
+ladder walk whose occupied sites share one parity (every walk from a
+point mass) only the sites of that parity, so its cost follows the
 support of the walk rather than the size of the array.
 
 The stage loop behind it is the private generator ``_steps``, which
-carries the window and its buffers from step to step.  ``_state_blocks``
+carries the window and its buffers from step to step and writes each
+stage's product straight into its shifted place.  ``_state_blocks``
 runs the same loop and yields every state of the walk, steps ``0 .. n``,
 in blocks of about ``_BLOCK_BYTES`` of amplitudes with the block's
 window: the ``walk1d`` and ``ladder`` commands observe each block at once
@@ -27,7 +30,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+import operator
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,9 +245,13 @@ def _ladder_unitary(spec: Ladder) -> np.ndarray:
 def _stages(state, spec: ProtocolSpec) -> tuple[tuple[np.ndarray, bool, bool], ...]:
     """One step of ``spec`` as (local unitary, move up, move down) stages.
 
-    There are one or two stages per step; :func:`evolve` relies on that
-    when it reuses its buffers.  The table is built once per spec and
-    shared between calls, so its unitaries are read-only.
+    This is the full-lattice description of a step: each stage applies
+    its unitary at every site, then shifts the up rows (first half) one
+    site right and/or the down rows one site left.  ``_steps`` derives
+    its sublattice or full-lattice plan from it.  There are one or two
+    stages per step; ``_steps`` relies on that when it reuses its
+    buffers.  The table is built once per spec and shared between calls,
+    so its unitaries are read-only.
     """
     if isinstance(spec, Conventional):
         if not isinstance(state, WalkerState1D):
@@ -257,14 +266,15 @@ def _stages(state, spec: ProtocolSpec) -> tuple[tuple[np.ndarray, bool, bool], .
         raise TypeError(f"unknown protocol spec {spec!r}")
     # Keyed on the angles' bits: specs holding 0.0 and -0.0 are equal and
     # hash alike, but their coins differ in the sign of zero.
-    return _stage_table(type(spec), tuple(float(v).hex() for v in vars(spec).values()))
+    angles = vars(spec).values()
+    return _stage_table(type(spec), struct.pack(f"{len(angles)}d", *map(float, angles)))
 
 
 @functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
-def _stage_table(protocol: type, angles: tuple[str, ...]) -> tuple:
-    """:func:`_stages` of ``protocol(*angles)``, the angles given by
-    ``float.hex``.  A non-finite angle raises, and is not cached."""
-    spec = protocol(*map(float.fromhex, angles))
+def _stage_table(protocol: type, angles: bytes) -> tuple:
+    """:func:`_stages` of ``protocol(*angles)``, the angles packed as
+    float64s.  A non-finite angle raises, and is not cached."""
+    spec = protocol(*struct.unpack(f"{len(angles) // 8}d", angles))
     if issubclass(protocol, Conventional):
         stages = ((_coin("gamma", spec.gamma), True, True),)
     elif issubclass(protocol, SplitStep):
@@ -285,82 +295,129 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
     down rows left: one stage for the conventional and the ladder walk,
     two (one per half-shift) for the split-step walk.
 
-    Only the support window is stepped.  The nonzero columns ``[lo, hi)``
-    are found once per call, and each stage grows the window by one
-    column on each side that moves.  Columns outside it stay exactly
-    zero, so the result equals a full-lattice step.  The stage unitaries
-    are real, so they act on the float64 view of the amplitudes.  A moved
-    row with amplitude on its leading edge after the unitary raises
+    Only the occupied sites are stepped (see ``_steps``), so the result
+    equals a full-lattice step at a cost that follows the support of the
+    walk.  ``n_steps`` must be an integer (a bool is refused).  The
+    result is a fresh array, filled once at the end.  A moved row with
+    amplitude on its leading edge after the unitary raises
     :class:`LatticeOverflowError`; nothing can reach an edge before the
     window does, so the check is exact.
     """
-    for amps, _lo, _hi in _steps(state, spec, n_steps):
+    if isinstance(n_steps, bool):
+        raise TypeError("n_steps must be an integer, not bool")
+    n_steps = operator.index(n_steps)
+    for cols, columns in _steps(state, spec, n_steps):
         pass
-    if not n_steps:
-        amps = amps.copy()  # the input's own array, or a view of it
-    return replace(state, amplitudes=amps.reshape(state.amplitudes.shape),
-                   steps_taken=state.steps_taken + n_steps)
+    amps = np.zeros(state.amplitudes.shape, np.complex128)
+    amps.reshape(len(cols), -1)[:, columns] = cols
+    return type(state)(amps, state.origin, state.steps_taken + n_steps)
 
 
 def _steps(state, spec: ProtocolSpec, n_steps: int):
-    """The stage loop of :func:`evolve`: yields ``(amps, lo, hi)`` at steps
-    ``0 .. n_steps``, the amplitudes as ``(rows, sites)`` and their window.
+    """The stage loop of :func:`evolve`: yields ``(cols, columns)`` at steps
+    ``0 .. n_steps``.  The full-lattice columns ``columns``, a slice of
+    step 1 or 2, hold the ``(rows, len)`` amplitudes ``cols``, and every
+    other column is zero.
 
-    ``amps`` is the input at step 0 and a buffer of the loop after that,
-    valid until the generator resumes.  The window only grows.  An
-    overflow raises when the generator is resumed for that step.
+    The loop keeps the occupied window in padded buffers, a zero column
+    past each edge of the lattice.  A conventional or ladder step moves
+    every component by one site, so a state whose occupied sites share
+    one parity keeps that property, with the parity flipping each step:
+    such a state (every walk from a point mass) is kept on its sublattice
+    alone, buffer column ``c`` holding site ``2 (c - 1) + parity``.  The
+    +-1 shift then moves the up rows one column right from parity 1 and
+    the down rows one column left from parity 0.  Other states, and every
+    split-step state (its half-shifts mix the parities), keep all sites,
+    column ``c`` holding site ``c - 1``.
+
+    Each stage writes its product straight into the shifted columns of
+    the next buffer, with no product buffer and no shift copies: a
+    two-row state through an output view whose row stride takes the
+    shift (one product: split into one-row products the BLAS takes its
+    matrix-vector path, whose bits differ), the ladder's four rows as a
+    stack of two products, one per spin half, in one call.  The stage
+    unitaries are real, so they act on the float64 view of the
+    amplitudes.
+
+    ``cols`` is a view of a buffer of the loop, valid until the
+    generator resumes.  The window grows by one site per shift until it
+    meets an edge of the lattice; there a sublattice window starts at
+    site 0 and site 1 by turns.  An overflow raises when the generator
+    is resumed for that step.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     stages = _stages(state, spec)
-    shape = state.amplitudes.shape
-    amps = src = np.ascontiguousarray(state.amplitudes,
-                                      dtype=np.complex128).reshape(-1, shape[-1])
+    src = np.asarray(state.amplitudes, np.complex128)
+    src = src.reshape(-1, src.shape[-1])
     rows, sites = src.shape
     h = rows // 2
     # an all-zero state gets the whole lattice as its window
     occupied = src.any(axis=0)
     lo, hi = int(occupied.argmax()), sites - int(occupied[::-1].argmax())
+    # One product per stage, into a view of the next buffer that the
+    # shifts offset: two rows with a row stride that takes the shift, or
+    # the two spin halves as a stack of two products.
+    lead = (2,) if h == 1 else (2, h)
+    # One sublattice: one stage moving both halves, every occupied site of
+    # one parity, and two sites or more of each parity (see the one-column
+    # rule below).
+    if len(stages) == 1 and stages[0][1] and stages[0][2] and sites >= 4 \
+            and not np.count_nonzero(occupied[lo + 1:hi:2]):
+        # plans[parity]: (unitary, up shift, down shift, next parity) per
+        # stage, the shifts in columns
+        stride, parity = 2, lo % 2
+        widths = ((sites + 1) // 2, sites // 2)
+        unitary = stages[0][0].reshape(lead + (rows,))
+        plans = (((unitary, 0, -1, 1),), ((unitary, 1, 0, 0),))
+    else:
+        stride, parity = 1, 0
+        widths = (sites,)
+        plans = (tuple((u.reshape(lead + (rows,)), int(up), -int(down), 0)
+                       for u, up, down in stages),)
+    width = widths[0] + 2
+    # The window in buffer columns: the sites of a parity are columns
+    # 1 .. widths[parity], and columns 0 and widths[parity] + 1 lie past
+    # the lattice's edges.
+    lo, hi = (lo - parity) // stride + 1, (hi - 1 - parity) // stride + 2
     if hi - lo == 1:
         # A one-column product can take another BLAS path, whose last bit
         # differs from the same column inside a wider product.
-        lo, hi = (lo, hi + 1) if hi < sites else (lo - 1, hi)
-    yield amps, lo, hi
-    # One product buffer for the walk: a fresh window-sized result per
-    # stage would be mapped and page-faulted anew each time.
-    product = np.empty((rows, 2 * sites))
-    window = product.view(np.complex128)
+        lo, hi = (lo, hi + 1) if hi <= widths[parity] else (lo - 1, hi)
+    columns = _columns(lo, hi, stride, parity)
+    amps = gathered = np.empty((rows, width), np.complex128)
+    amps[:, lo:hi] = src[:, columns]
+    yield amps[:, lo:hi], columns
     out = None
     for _ in range(n_steps):
-        for unitary, move_up, move_down in stages:
-            np.matmul(unitary, amps.view(np.float64)[:, 2 * lo:2 * hi],
-                      out=product[:, 2 * lo:2 * hi])
-            moved = window[:, lo:hi]
-            if move_up and hi == sites and any(moved[:h, -1].tolist()):
+        for unitary, up, down, after in plans[parity]:
+            edge = widths[after] + 1
+            # A reused out holds the stage before last, which had this
+            # stage's shifts and a window inside this one, so this write
+            # covers everything that one wrote.
+            if out is None:
+                out = np.zeros((rows, width), np.complex128)
+            x = amps.view(np.float64)[:, 2 * lo:2 * hi]
+            # the up half starts at column lo + up, the down half h rows
+            # and down - up columns after it
+            np.matmul(unitary, x, out=np.ndarray(
+                lead + x.shape[-1:], np.float64, out, 16 * (lo + up),
+                (16 * (h * width + down - up), 16 * width)[:len(lead)] + (8,)))
+            if hi + up > edge and any(out[:h, edge].tolist()):
                 raise LatticeOverflowError(
                     "up amplitude reached the +edge; enlarge half_width")
-            if move_down and lo == 0 and any(moved[h:, 0].tolist()):
+            if lo + down < 1 and any(out[h:, 0].tolist()):
                 raise LatticeOverflowError(
                     "down amplitude reached the -edge; enlarge half_width")
-            # A reused out holds the stage before last.  With one or two
-            # stages per step that is this same stage, over a window inside
-            # this one, so this write covers everything that one wrote.
-            if out is None:
-                out = np.zeros((rows, sites), np.complex128)
-            if move_up:
-                top = min(hi + 1, sites)
-                out[:h, lo + 1:top] = moved[:h, :top - lo - 1]
-            else:
-                out[:h, lo:hi] = moved[:h]
-            if move_down:
-                bottom = max(lo - 1, 0)
-                out[h:, bottom:hi - 1] = moved[h:, bottom - lo + 1:]
-            else:
-                out[h:, lo:hi] = moved[h:]
-            lo, hi = max(lo - move_down, 0), min(hi + move_up, sites)
-            # the input is never written, so it is not recycled
-            amps, out = out, (amps if amps is not src else None)
-        yield amps, lo, hi
+            lo, hi, parity = max(lo + down, 1), min(hi + up, edge), after
+            # the gathered input is not recycled: no stage wrote it
+            amps, out = out, (amps if amps is not gathered else None)
+        yield amps[:, lo:hi], _columns(lo, hi, stride, parity)
+
+
+def _columns(lo: int, hi: int, stride: int, parity: int) -> slice:
+    """The full-lattice columns of buffer columns ``[lo, hi)``."""
+    return slice(stride * (lo - 1) + parity, stride * (hi - 2) + parity + 1, stride)
 
 
 def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
@@ -368,25 +425,32 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
     blocks of consecutive steps: yields ``(block, lo, hi)``.
 
     ``block[i]`` holds the amplitudes of one step in the state's shape,
-    exactly zero outside the columns ``[lo, hi)``, the window of the
-    block's last step, which covers those of its earlier steps.  A block
-    holds about ``_BLOCK_BYTES`` of amplitudes, one state at least; it
-    and its array are valid until the generator resumes, and the next
-    block reuses the array.  A step that overflows raises after the
-    block of the steps before it.
+    exactly zero outside the columns ``[lo, hi)``, the union of the
+    windows of the walk so far, which only grows.  A block holds about
+    ``_BLOCK_BYTES`` of amplitudes, one state at least; it and its array
+    are valid until the generator resumes, and the next block reuses the
+    array.  A step that overflows raises after the block of the steps
+    before it.
     """
     shape = state.amplitudes.shape
     state_bytes = math.prod(shape) * np.dtype(np.complex128).itemsize
     capacity = max(1, _BLOCK_BYTES // state_bytes)
     blocks = None
     filled = 0
+    lo, hi = shape[-1], 0
     try:
-        for amps, lo, hi in _steps(state, spec, n_steps):
+        for cols, columns in _steps(state, spec, n_steps):
             if blocks is None:
                 blocks = np.zeros((min(capacity, n_steps + 1),) + shape, np.complex128)
-                rows = blocks.reshape((len(blocks),) + amps.shape)
-            # the windows only grow, so this write covers the row's last state
-            rows[filled, :, lo:hi] = amps[:, lo:hi]
+                rows = blocks.reshape(len(blocks), len(cols), shape[-1])
+            lo, hi = min(lo, columns.start), max(hi, columns.stop)
+            # A reused row holds an earlier step, inside [lo, hi), whose
+            # sublattice may be the other one: clear the window (a
+            # contiguous fill costs less than a strided one), then write.
+            row = rows[filled]
+            if columns.step == 2:
+                row[:, lo:hi] = 0.0
+            row[:, columns] = cols
             filled += 1
             if filled == len(blocks):
                 yield blocks, lo, hi

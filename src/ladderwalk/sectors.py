@@ -208,6 +208,21 @@ class SectorPair:
     weight_kpi: float
 
 
+def _renormalized(raw: np.ndarray, weight: float) -> np.ndarray:
+    """``raw / sqrt(weight)`` in place, or zeros below the empty-sector weight.
+
+    A real multiply of the float64 view by ``1 / sqrt(weight)``: numpy's
+    complex division by ``sqrt(weight) + 0j`` computes ``(re + im * 0) *
+    (1 / sqrt(weight))`` per part, the same bits for every nonzero part
+    and at a fraction of the cost.
+    """
+    if not weight >= _EMPTY_SECTOR_WEIGHT:
+        return np.zeros_like(raw)
+    parts = raw.view(np.float64)
+    np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
+    return raw
+
+
 def sector_project(state: LadderState) -> SectorPair:
     """Project a ladder state onto the ``k_x = 0`` and ``k_x = pi`` sectors,
     ``(psi(s, x=0, y) +- psi(s, x=1, y)) / sqrt(2)``.
@@ -221,8 +236,7 @@ def sector_project(state: LadderState) -> SectorPair:
     raw_k0 = (amps[:, 0, :] + amps[:, 1, :]) * _SQRT_HALF
     raw_kpi = (amps[:, 0, :] - amps[:, 1, :]) * _SQRT_HALF
     w0, wpi = (float(np.sum(np.abs(raw) ** 2)) for raw in (raw_k0, raw_kpi))
-    k0 = raw_k0 / math.sqrt(w0) if w0 >= _EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_k0)
-    kpi = raw_kpi / math.sqrt(wpi) if wpi >= _EMPTY_SECTOR_WEIGHT else np.zeros_like(raw_kpi)
+    k0, kpi = _renormalized(raw_k0, w0), _renormalized(raw_kpi, wpi)
     return SectorPair(
         sector_k0=WalkerState1D(amplitudes=k0, origin=state.origin,
                                 steps_taken=state.steps_taken),

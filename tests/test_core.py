@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 from unittest import mock
@@ -267,6 +268,19 @@ class TestEvolve:
         with pytest.raises(ValueError):
             lw.evolve(lw.localized_walker(half_width=3), lw.Conventional(0.0), -1)
 
+    @pytest.mark.parametrize("n_steps", [True, False, np.True_, 2.0, "2", None])
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        # refused before any work: the non-finite angle is never reached
+        with pytest.raises(TypeError):
+            lw.evolve(lw.localized_walker(half_width=3), lw.Conventional(math.nan), n_steps)
+
+    def test_integer_like_n_steps_counts_as_an_int(self):
+        state = lw.localized_walker(half_width=4)
+        out = lw.evolve(state, lw.Conventional(0.3), np.int64(2))
+        assert type(out.steps_taken) is int and out.steps_taken == 2
+        assert np.array_equal(out.amplitudes,
+                              lw.evolve(state, lw.Conventional(0.3), 2).amplitudes)
+
     def test_fig2b_panel_parity_and_support(self):
         state = lw.evolve(lw.localized_walker(half_width=33),
                           lw.Conventional(math.pi / 2), 31)
@@ -446,7 +460,7 @@ def walks(draw):
     """A protocol with a start state: a point mass with a random Bloch coin
     at a random origin (and side), or two of them with zeros in between."""
     protocol = draw(st.sampled_from(["conventional", "splitstep", "ladder"]))
-    r = draw(st.integers(min_value=2, max_value=12))
+    r = draw(st.integers(min_value=1, max_value=12))
     origin = draw(st.integers(min_value=-r, max_value=r))
     coin = lw.CoinSpinor.from_bloch(draw(st.floats(min_value=0.0, max_value=math.pi)),
                                     draw(ANGLES))
@@ -524,6 +538,59 @@ class TestSupportWindow:
         assert not np.any(out.amplitudes) and out.steps_taken == 5
 
 
+class TestSublattice:
+    """A conventional or ladder state on one sublattice (sites of one
+    parity) is stepped on that sublattice alone, any other on all sites."""
+
+    @staticmethod
+    def step_of_columns(state, spec):
+        _cols, columns = next(core._steps(state, spec, 0))
+        return columns.step
+
+    @given(st.sampled_from(["conventional", "ladder"]), st.integers(min_value=2, max_value=12),
+           st.data(), st.integers(min_value=0, max_value=14))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_parity_is_the_sum_of_its_sublattices(self, protocol, r, data, n):
+        # Two point masses an odd distance apart: the whole state takes
+        # the full-lattice path, each of them the sublattice path, and
+        # their supports stay disjoint, so the sum is exact.
+        origin = data.draw(st.integers(min_value=-r, max_value=r - 1))
+        other = data.draw(st.sampled_from(range(origin + 1, r + 1, 2)))
+        coins = [lw.CoinSpinor.from_bloch(data.draw(st.floats(0.0, math.pi)), data.draw(ANGLES))
+                 for _ in range(2)]
+        alpha, beta, gamma_y = data.draw(st.tuples(ANGLES, ANGLES, ANGLES))
+        if protocol == "ladder":
+            side = data.draw(st.integers(min_value=0, max_value=1))
+            localized = functools.partial(lw.localized_ladder, side=side)
+            spec = lw.Ladder(alpha, beta, gamma_y)
+        else:
+            localized, spec = lw.localized_walker, lw.Conventional(alpha)
+        parts = [localized(coin, half_width=r, origin=o) for coin, o in zip(coins, (origin, other))]
+        whole = dataclasses.replace(parts[0],
+                                    amplitudes=parts[0].amplitudes + parts[1].amplitudes)
+        assert self.step_of_columns(whole, spec) == 1
+        assert [self.step_of_columns(part, spec) for part in parts] == [2, 2]
+        try:
+            expected = sum(lw.evolve(part, spec, n).amplitudes for part in parts)
+        except lw.LatticeOverflowError:
+            with pytest.raises(lw.LatticeOverflowError):
+                lw.evolve(whole, spec, n)
+            return
+        assert np.array_equal(lw.evolve(whole, spec, n).amplitudes, expected)
+
+    @pytest.mark.parametrize("localized,spec,step", [
+        (lw.localized_walker, lw.Conventional(0.6), 2),
+        (lw.localized_walker, lw.SplitStep(0.5, -0.4), 1),
+        (lw.localized_ladder, lw.Ladder(-0.7, 1.1), 2),
+    ], ids=["conventional", "splitstep", "ladder"])
+    def test_benchmark_specs_match_the_full_lattice_reference(self, localized, spec, step):
+        # the specs of the library benchmark's evolve calls, at 400 steps
+        state = localized(half_width=402)
+        assert self.step_of_columns(state, spec) == step
+        assert np.array_equal(lw.evolve(state, spec, 400).amplitudes,
+                              reference_evolve(state, spec, 400))
+
+
 class TestStateBlocks:
     """``core._state_blocks``: the states of one stepping pass, in blocks."""
 
@@ -547,7 +614,18 @@ class TestStateBlocks:
            st.sampled_from([1, 100, 300, 2000, 1 << 18]))
     @settings(max_examples=200, deadline=None)
     def test_every_state_is_evolve(self, walk, n, block_bytes):
-        state, spec = walk
+        self.check_pass(*walk, n, block_bytes)
+
+    @given(walks().filter(lambda walk: not isinstance(walk[1], lw.SplitStep)),
+           st.integers(min_value=0, max_value=14), st.sampled_from([1, 3, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_odd_capacities(self, walk, n, capacity):
+        # With an odd number of states per block, a reused row holds a step
+        # of the other parity, and so of the other sublattice.
+        state, _spec = walk
+        self.check_pass(*walk, n, capacity * state.amplitudes.nbytes)
+
+    def check_pass(self, state, spec, n, block_bytes):
         before = state.amplitudes.tobytes()
         states, lengths, error = self.collect(state, spec, n, block_bytes)
         capacity = max(1, block_bytes // state.amplitudes.nbytes)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk import sectors
+from ladderwalk import core, sectors
 from ladderwalk.sectors import WalkPattern
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -187,6 +187,29 @@ class TestSectorProject:
                             lw.Conventional(gamma), n)
             assert np.max(np.abs(lw.position_distribution(sector)
                                  - lw.position_distribution(ref))) < 1e-10
+
+    def test_renormalizing_multiply_keeps_the_division_bits(self):
+        """The sectors are renormalized by a real multiply of their float64
+        parts by ``1 / sqrt(w)``; on every nonzero part of every step of the
+        ``ladder-csv`` reference walk (alpha -0.7, beta 1.1, 600 steps,
+        half-width 602) that gives the bits of the complex division
+        ``raw / sqrt(w)`` it replaced."""
+        compared = 0
+        for block, _lo, _hi in core._state_blocks(lw.localized_ladder(half_width=602),
+                                                  lw.Ladder(-0.7, 1.1), 600):
+            for amps in block:
+                pair = lw.sector_project(lw.LadderState(amplitudes=amps))
+                for raw, sector, weight in (
+                        (amps[:, 0] + amps[:, 1], pair.sector_k0, pair.weight_k0),
+                        (amps[:, 0] - amps[:, 1], pair.sector_kpi, pair.weight_kpi)):
+                    raw = raw * sectors._SQRT_HALF
+                    divided = (raw / math.sqrt(weight)).view(np.uint64)
+                    nonzero = raw.view(np.float64) != 0.0
+                    assert np.array_equal(sector.amplitudes.view(np.uint64)[nonzero],
+                                          divided[nonzero])
+                    assert not np.any(sector.amplitudes.view(np.float64)[~nonzero])
+                    compared += int(np.count_nonzero(nonzero))
+        assert compared > 500_000
 
     @given(ANGLES, ANGLES, st.integers(min_value=0, max_value=10))
     @settings(max_examples=30, deadline=None)
