@@ -62,7 +62,6 @@ from .core import (
 )
 from .sectors import (
     _DEFAULT_GAMMA_Y,
-    _EMPTY_SECTOR_WEIGHT,
     _SQRT_HALF,
     Angle,
     WalkPattern,
@@ -388,7 +387,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         masses = np.sum(j, axis=-1)
 
         # sector_project: (side 0 +- side 1) / sqrt(2), the weights, and
-        # each sector renormalized, or zero below the empty-sector weight
+        # each sector renormalized; a walk from side 0 keeps both weights
+        # at 1/2, so neither sector is ever empty
         raw = sectors[:n, ..., lo:hi]
         np.add(amps[:, :, 0], amps[:, :, 1], out=raw[:, 0])
         np.subtract(amps[:, :, 0], amps[:, :, 1], out=raw[:, 1])
@@ -397,12 +397,9 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         np.abs(raw, out=sp[..., lo:hi])
         np.square(sp[..., lo:hi], out=sp[..., lo:hi])
         weights = np.sum(sp.reshape(n, 2, -1), axis=-1)
-        empty = ~(weights >= _EMPTY_SECTOR_WEIGHT)
         # a real multiply by 1 / sqrt(w), as sector_project does
         parts = raw.view(np.float64)
-        np.multiply(parts, (1.0 / np.sqrt(np.where(empty, 1.0, weights)))[..., None, None],
-                    out=parts)
-        raw[empty] = 0.0
+        np.multiply(parts, (1.0 / np.sqrt(weights))[..., None, None], out=parts)
         np.abs(raw, out=sp[..., lo:hi])
         np.square(sp[..., lo:hi], out=sp[..., lo:hi])
         rho11, rho22, rho12 = _coin_rho_sums(sectors[:n], sp, cross[:n], lo, hi)

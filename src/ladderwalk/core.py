@@ -359,10 +359,9 @@ def _steps(state, spec: ProtocolSpec, n_steps: int):
     # shifts offset: two rows with a row stride that takes the shift, or
     # the two spin halves as a stack of two products.
     lead = (2,) if h == 1 else (2, h)
-    # One sublattice: one stage moving both halves, every occupied site of
-    # one parity, and two sites or more of each parity (see the one-column
-    # rule below).
-    if len(stages) == 1 and stages[0][1] and stages[0][2] and sites >= 4 \
+    # One sublattice: one stage moving both halves, and every occupied site
+    # of one parity.
+    if len(stages) == 1 and stages[0][1] and stages[0][2] \
             and not np.count_nonzero(occupied[lo + 1:hi:2]):
         # plans[parity]: (unitary, up shift, down shift, next parity) per
         # stage, the shifts in columns
@@ -380,10 +379,6 @@ def _steps(state, spec: ProtocolSpec, n_steps: int):
     # 1 .. widths[parity], and columns 0 and widths[parity] + 1 lie past
     # the lattice's edges.
     lo, hi = (lo - parity) // stride + 1, (hi - 1 - parity) // stride + 2
-    if hi - lo == 1:
-        # A one-column product can take another BLAS path, whose last bit
-        # differs from the same column inside a wider product.
-        lo, hi = (lo, hi + 1) if hi <= widths[parity] else (lo - 1, hi)
     columns = _columns(lo, hi, stride, parity)
     amps = gathered = np.empty((rows, width), np.complex128)
     amps[:, lo:hi] = src[:, columns]

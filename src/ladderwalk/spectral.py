@@ -15,11 +15,11 @@ stepping in :mod:`ladderwalk.core`.  :func:`sweep_summary` is the one
 path from ``(alpha, beta, gamma_y)`` to the sector analytics, over a
 whole ``(alpha, beta)`` grid or a one-point grid.  It evaluates the
 sector closed forms (density matrix, eigenvalue gap, entropy,
-magnetization) once per distinct sector angle, so per point it does only
-what depends on both sectors: gathers, the mean magnetization, the
-pattern rules and the entropy of the mixture.  Every sector closed form
-lives here; the magnetization is also the ``walk1d`` command's spread
-prediction.
+magnetization) once per distinct sector-angle sum of the whole grid, into
+one table, so per point it does only what depends on both sectors:
+gathers, the mean magnetization, the pattern rules and the entropy of the
+mixture.  Every sector closed form lives here; the magnetization is also
+the ``walk1d`` command's spread prediction.
 """
 
 from __future__ import annotations
@@ -279,14 +279,7 @@ def mutual_information(rho1: DensityMatrix2, rho2: DensityMatrix2) -> float:
     With the mixture in place of a joint state this may come out negative;
     the value is reported as is.
     """
-    return _mutual_information(rho1, entropy(rho1), rho2, entropy(rho2))
-
-
-def _mutual_information(rho1: DensityMatrix2, s1: float,
-                        rho2: DensityMatrix2, s2: float) -> float:
-    """:func:`mutual_information` given the entropies ``s1, s2`` of
-    ``rho1, rho2``."""
-    return s1 + s2 - entropy(average_rho(rho1, rho2))
+    return entropy(rho1) + entropy(rho2) - entropy(average_rho(rho1, rho2))
 
 
 def finite_n_rho(state: WalkerState1D) -> DensityMatrix2:
@@ -359,9 +352,6 @@ _SWEEP_DTYPE = np.dtype([
     ("pattern", _PATTERN_LABELS.dtype)])
 # Exact numerators below this bound add up in int64 without overflow.
 _INT64_NUMERATOR = 2 ** 59
-# sweep_summary holds the closed forms of at most this many sector-angle
-# sums at once, or of one alpha row's if that row alone has more.
-_SWEEP_KEYS = 1024
 
 
 def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
@@ -381,12 +371,13 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     pi-fraction the sector angles are added and reduced in exact
     arithmetic.  Each grid holds pi-fractions only or plain floats only; a
     grid mixing the two is refused with ``ValueError``.  The sector closed
-    forms are evaluated once per distinct sector-angle sum of a group of
-    consecutive alpha rows, and the rows are filled one at a time.  A
-    point that ``effective_angles`` or its pattern refuses is refused with
-    the same exception, at the first such point; a non-finite angle is
-    refused there too, so an empty grid, which has no points, gives an
-    empty array even next to a non-finite angle.
+    forms are evaluated once per distinct sector-angle sum of the whole
+    grid, into one table of float columns, and the rows are filled from
+    it one alpha row at a time.  A point that ``effective_angles`` or its
+    pattern refuses is refused with the same exception, at the first such
+    point; a non-finite angle is refused there too, so an empty grid,
+    which has no points, gives an empty array even next to a non-finite
+    angle.
     """
     alphas = [_as_angle(value) for value in alpha_grid]
     betas = [_as_angle(value) for value in beta_grid]
@@ -394,11 +385,8 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     for name, angles in (("alpha", alphas), ("beta", betas)):
         if len({angle.pi_fraction is None for angle in angles}) > 1:
             raise ValueError(f"the {name} grid mixes pi-fractions and plain floats")
-    rows = np.empty((len(alphas), len(betas)), dtype=_SWEEP_DTYPE)
-    if not rows.size:
-        return rows.reshape(-1)
-    rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
-    rows["beta"] = [angle.radians for angle in betas]
+    if not (alphas and betas):
+        return np.empty(0, dtype=_SWEEP_DTYPE)
     values, half_turn, reduce, radians = _angle_arithmetic([*alphas, *betas, gamma_y])
     exact = isinstance(half_turn, int)
     dtype = (np.float64 if not exact else
@@ -417,51 +405,46 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
             pair = gamma1, gamma1 + phi_sum
         return pair if exact else tuple(x.view(np.uint64) for x in pair)
 
-    row_keys = ({n for x in sums(i) for n in x.tolist()} for i in range(len(alphas)))
-    for group, keys in _key_groups(row_keys, _SWEEP_KEYS):
-        keys = np.array(sorted(keys), dtype=dtype if exact else np.uint64)
-        gamma, forms = [], []
-        for n in (keys if exact else keys.view(np.float64)).tolist():
-            gamma.append(radians(n))
-            if math.isfinite(gamma[-1]):
-                reduced = radians(reduce(n))
-                forms.append((*_sector_closed_forms(reduced), _sector_magnetization(reduced)))
-            else:  # refused below, at its first point
-                forms.append((None, math.nan, math.nan, math.nan))
-        rho, d, s, m = zip(*forms)
-        gamma, d, s_array, m = (np.array(x, dtype=np.float64) for x in (gamma, d, s, m))
-        for i in group:
-            i1, i2 = (np.searchsorted(keys, x) for x in sums(i))
-            gamma1, gamma2 = gamma[i1], gamma[i2]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
-            except ValueError:  # refuse as effective_angles and its pattern do
-                for beta in betas:
-                    effective_angles(alphas[i], beta, gamma_y).pattern
-                raise
-            row = rows[i]
-            m1, m2 = m[i1], m[i2]
-            row["gamma1"], row["gamma2"] = gamma1, gamma2
-            row["m1"], row["m2"], row["m"] = m1, m2, (m1 + m2) / 2.0
-            row["d1"], row["d2"] = d[i1], d[i2]
-            row["s1"], row["s2"] = s_array[i1], s_array[i2]
-            row["mutual_information"] = [
-                _mutual_information(rho[x], s[x], rho[y], s[y])
-                for x, y in zip(i1.tolist(), i2.tolist())]
-            row["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
+    keys = set()
+    for i in range(len(alphas)):
+        for x in sums(i):
+            keys.update(x.tolist())
+    keys = np.array(sorted(keys), dtype=dtype if exact else np.uint64)
+    # the closed-form table: one row per distinct sum, columns gamma,
+    # rho11, rho22, Re rho12 (its imaginary part is +0.0), d, s, m
+    table = np.full((len(keys), 7), math.nan)
+    for j, n in enumerate((keys if exact else keys.view(np.float64)).tolist()):
+        gamma = radians(n)
+        table[j, 0] = gamma
+        if math.isfinite(gamma):  # else refused below, at its first point
+            reduced = radians(reduce(n))
+            rho, d, s = _sector_closed_forms(reduced)
+            table[j, 1:] = rho.rho11, rho.rho22, rho.rho12.real, d, s, _sector_magnetization(reduced)
+    gamma, rho11, rho22, rho12, d, s, m = table.T
+    # after the table, so that the rows and the set of sums are never held at once
+    rows = np.empty((len(alphas), len(betas)), dtype=_SWEEP_DTYPE)
+    rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
+    rows["beta"] = [angle.radians for angle in betas]
+    for i in range(len(alphas)):
+        i1, i2 = (np.searchsorted(keys, x) for x in sums(i))
+        gamma1, gamma2 = gamma[i1], gamma[i2]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
+        except ValueError:  # refuse as effective_angles and its pattern do
+            for beta in betas:
+                effective_angles(alphas[i], beta, gamma_y).pattern
+            raise
+        row = rows[i]
+        m1, m2 = m[i1], m[i2]
+        row["gamma1"], row["gamma2"] = gamma1, gamma2
+        row["m1"], row["m2"], row["m"] = m1, m2, (m1 + m2) / 2.0
+        row["d1"], row["d2"] = d[i1], d[i2]
+        s1, s2 = s[i1], s[i2]
+        row["s1"], row["s2"] = s1, s2
+        # the entropy of average_rho's mixture, as mutual_information takes it
+        mixture = (0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12))
+        row["mutual_information"] = s1 + s2 - np.array(
+            [entropy(DensityMatrix2(x, y, z)) for x, y, z in zip(*(x.tolist() for x in mixture))])
+        row["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
     return rows.reshape(-1)
-
-
-def _key_groups(key_sets, limit: int):
-    """``(indices, union)`` of runs of consecutive ``key_sets`` whose union
-    holds at most ``limit`` keys; a set that alone holds more is a run."""
-    group, union = [], set()
-    for i, keys in enumerate(key_sets):
-        if group and len(union) + len(keys - union) > limit:
-            yield group, union
-            group, union = [], set()
-        group.append(i)
-        union |= keys
-    if group:
-        yield group, union

@@ -226,14 +226,21 @@ class TestLadderCmd:
         equal = params["m1"] == pytest.approx(params["m2"], abs=1e-12)
         assert equal == (pattern == "hadamard-degenerate")
 
-    def test_sector_weights_constant(self, tmp_path):
-        out = tmp_path / "ladder.json"
-        cli.main(["ladder", "--alpha", "0.3", "--beta", "1.1", "--steps", "10",
-                  "--out", str(out), "--format", "json"])
-        data = json.loads(out.read_text())
-        for row in data["tables"]["steps"]["rows"]:
-            assert row[3] == pytest.approx(0.5, abs=1e-10)
-            assert row[4] == pytest.approx(0.5, abs=1e-10)
+    @given(st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 2,
+                     st.none() | st.floats(min_value=-math.pi, max_value=math.pi)),
+           st.floats(min_value=0.0, max_value=math.pi),
+           st.floats(min_value=-math.pi, max_value=math.pi),
+           st.integers(min_value=0, max_value=200))
+    @example(("0.3", "1.1", None), 0.0, 0.0, 10)
+    @settings(max_examples=30, deadline=None)
+    def test_sector_weights_constant(self, angles, theta, phi, steps):
+        """A walk from side 0 keeps both sector weights at 1/2 at every
+        step, so ``run_ladder`` never meets an empty sector."""
+        alpha, beta, gamma_y = (None if v is None else cli.parse_angle(v) for v in angles)
+        rows = cli.run_ladder(alpha, beta, steps, gamma_y, initial_theta=theta,
+                              initial_phi=phi)["tables"]["steps"]["rows"]
+        for row in rows:
+            assert abs(row[3] - 0.5) <= 1e-12 and abs(row[4] - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("alpha,beta,gamma_y", [(-0.7, 1.1, None), (0.4, -2.3, 0.9)])
     def test_steps_table_matches_the_observables(self, alpha, beta, gamma_y):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
@@ -480,8 +480,26 @@ def walks(draw):
     return state, spec
 
 
+def narrow_walk(protocol: str, r: int):
+    """A point mass with a Bloch coin at the center of a half-width ``r``
+    lattice: one sublattice column at the start, and with ``r = 1`` a
+    sublattice of one site."""
+    coin = lw.CoinSpinor.from_bloch(1.1, 0.4)
+    if protocol == "ladder":
+        return lw.localized_ladder(coin, half_width=r), lw.Ladder(-0.7, 1.1, 0.3)
+    return lw.localized_walker(coin, half_width=r), lw.Conventional(0.9)
+
+
 class TestSupportWindow:
     @given(walks(), st.integers(min_value=0, max_value=14))
+    @example(narrow_walk("conventional", 1), 1)
+    @example(narrow_walk("conventional", 1), 2)  # one step past the edge
+    @example(narrow_walk("conventional", 2), 2)
+    @example(narrow_walk("conventional", 2), 3)
+    @example(narrow_walk("ladder", 1), 1)
+    @example(narrow_walk("ladder", 1), 2)
+    @example(narrow_walk("ladder", 2), 2)
+    @example(narrow_walk("ladder", 2), 3)
     @settings(max_examples=200, deadline=None)
     def test_matches_full_lattice_reference(self, walk, n):
         state, spec = walk
@@ -547,7 +565,7 @@ class TestSublattice:
         _cols, columns = next(core._steps(state, spec, 0))
         return columns.step
 
-    @given(st.sampled_from(["conventional", "ladder"]), st.integers(min_value=2, max_value=12),
+    @given(st.sampled_from(["conventional", "ladder"]), st.integers(min_value=1, max_value=12),
            st.data(), st.integers(min_value=0, max_value=14))
     @settings(max_examples=150, deadline=None)
     def test_mixed_parity_is_the_sum_of_its_sublattices(self, protocol, r, data, n):

@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -503,16 +505,34 @@ class TestSweepSummary:
         points = [(a, b, *gamma_y) for a in alphas for b in betas]
         assert [_row_hex(row) for row in rows] == [reference_summary(*p) for p in points]
 
-    def test_rows_share_closed_forms_up_to_a_bound(self, monkeypatch):
-        # 17 x 17 coprime steps: every alpha row brings new sector angles,
-        # so a bound of 40 keys splits the rows into groups
-        alphas, betas = parse_grid("0:1/13pi:17"), parse_grid("0:1/11pi:17")
-        want = lw.sweep_summary(alphas, betas)
-        monkeypatch.setattr(lw.spectral, "_SWEEP_KEYS", 40)
-        assert [_row_hex(row) for row in lw.sweep_summary(alphas, betas)] == [
-            _row_hex(row) for row in want]
-        groups = list(lw.spectral._key_groups([{1, 2}, {2, 3}, {9, 10, 11}, {4}], 3))
-        assert [group for group, _ in groups] == [[0, 1], [2], [3]]
+    @pytest.mark.parametrize("alpha_grid,beta_grid", [
+        ("0:1/13pi:17", "0:1/11pi:17"),  # coprime steps: every row brings new sums
+        ("-3:3:120", "-2.9:3.1:120"),    # float sums that recur across the rows
+    ])
+    def test_one_closed_form_per_distinct_sum(self, alpha_grid, beta_grid):
+        alphas, betas = parse_grid(alpha_grid), parse_grid(beta_grid)
+        sums = set()
+        for alpha in alphas:
+            for beta in betas:
+                eff = lw.effective_angles(alpha, beta)
+                sums |= {eff.gamma1.hex(), eff.gamma2.hex()}
+        forms = lw.spectral._sector_closed_forms
+        with mock.patch.object(lw.spectral, "_sector_closed_forms", wraps=forms) as counted:
+            lw.sweep_summary(alphas, betas)
+        assert counted.call_count == len(sums)
+
+    def test_memory_follows_the_rows(self):
+        # coprime steps: no sector-angle sum repeats, so there are 20,000
+        # of them, two per point; a peak of 3x the rows leaves no room for
+        # a Python object per sum held beside the rows
+        alphas, betas = parse_grid("0pi:1/1009pi:100"), parse_grid("0pi:1/1013pi:100")
+        tracemalloc.start()
+        try:
+            rows = lw.sweep_summary(alphas, betas)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rows.nbytes
 
     @pytest.mark.parametrize("alphas,betas", [
         ([0.3, _exact(1, 2)], [0.1]),
