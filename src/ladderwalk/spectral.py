@@ -18,7 +18,11 @@ sector closed forms (density matrix, eigenvalue gap, entropy,
 magnetization) once per distinct sector-angle sum of the whole grid, into
 one table, so per point it does only what depends on both sectors:
 gathers, the mean magnetization, the pattern rules and the entropy of the
-mixture.  Every sector closed form lives here; the magnetization is also
+mixture.  Those per-point steps run on whole alpha rows: the mixtures are
+checked as ``DensityMatrix2`` checks them, with numpy masks, and their
+entropies come from one scalar pass of the 2x2 closed form, the one that
+:func:`rho_eigenvalues` and :func:`entropy` also take a single matrix
+through.  Every sector closed form lives here; the magnetization is also
 the ``walk1d`` command's spread prediction.
 """
 
@@ -237,31 +241,67 @@ def asymptotic_rho(gamma: float) -> DensityMatrix2:
     return DensityMatrix2(rho11=rho11, rho22=1.0 - rho11, rho12=complex(rho12))
 
 
+def _spectra(rho11, rho22, rho12) -> tuple[list[tuple[float, float]], list[float]]:
+    """Closed-form spectra of the 2x2 density matrices with entries
+    ``rho11[i], rho22[i], rho12[i]``: the eigenvalues ``(lambda_plus,
+    lambda_minus)`` of each, clamped into ``[0, 1]``, and its von Neumann
+    entropy in bits, with ``0 log 0 = 0``.
+
+    One scalar pass through ``math``: numpy's ``hypot`` and ``log2`` differ
+    from it in the last bit.  A matrix with an eigenvalue below
+    ``-_PSD_TOL`` is refused with ``ValueError``.
+    """
+    hypot, log2 = math.hypot, math.log2
+    eigenvalues, entropies = [], []
+    for x, y, z in zip(rho11, rho22, rho12):
+        trace = x + y
+        root = hypot(x - y, 2.0 * abs(z))
+        lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
+        if lo < -_PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
+        # min(max(lam, 0.0), 1.0), nan and -0.0 included, without the calls
+        hi = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
+        lo = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
+        bits = 0.0
+        if hi > 0.0:
+            bits -= hi * log2(hi)
+        if lo > 0.0:
+            bits -= lo * log2(lo)
+        eigenvalues.append((hi, lo))
+        entropies.append(bits)
+    return eigenvalues, entropies
+
+
 def rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
     """Eigenvalues ``(lambda_plus, lambda_minus)`` with
     ``lambda_plus >= lambda_minus >= 0``, each clamped into ``[0, 1]``.
 
     Closed form ``(tr rho +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)) / 2``.
     """
-    trace = rho.rho11 + rho.rho22
-    root = math.hypot(rho.rho11 - rho.rho22, 2.0 * abs(rho.rho12))
-    lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
-    if lo < -_PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
-    return min(max(hi, 0.0), 1.0), min(max(lo, 0.0), 1.0)
-
-
-def _entropy_bits(eigenvalues: tuple[float, float]) -> float:
-    result = 0.0
-    for lam in eigenvalues:
-        if lam > 0.0:
-            result -= lam * math.log2(lam)
-    return result
+    return _spectra((rho.rho11,), (rho.rho22,), (rho.rho12,))[0][0]
 
 
 def entropy(rho: DensityMatrix2) -> float:
     """Von Neumann entropy in bits, with ``0 log 0 = 0``."""
-    return _entropy_bits(rho_eigenvalues(rho))
+    return _spectra((rho.rho11,), (rho.rho22,), (rho.rho12,))[1][0]
+
+
+def _check_mixtures(rho11: np.ndarray, rho22: np.ndarray, rho12: np.ndarray) -> None:
+    """Raise what ``DensityMatrix2`` raises at the first of these matrices,
+    whose ``rho12`` is real, that it refuses.
+
+    Its trace and diagonal checks are exact as numpy masks, with ``min``
+    taken as Python takes it.  Its determinant squares ``abs(rho12)``
+    through libm's ``pow``, which can differ from ``rho12 * rho12`` by an
+    ulp, so that mask enlarges the square by ``2**-50`` and flags every
+    matrix that ``pow`` could refuse; each flagged matrix is then checked
+    by ``DensityMatrix2`` itself.
+    """
+    flagged = ((np.abs(rho11 + rho22 - 1.0) > 1e-12)
+               | (np.where(rho22 < rho11, rho22, rho11) < -_PSD_TOL)
+               | (rho11 * rho22 - rho12 * rho12 * (1.0 + 2.0 ** -50) < -_PSD_TOL))
+    for j in np.flatnonzero(flagged).tolist():
+        DensityMatrix2(float(rho11[j]), float(rho22[j]), float(rho12[j]))
 
 
 def average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
@@ -327,7 +367,7 @@ def _sector_closed_forms(gamma_reduced: float) -> tuple[DensityMatrix2, float, f
     walk with reduced coin angle ``gamma_reduced``."""
     rho = asymptotic_rho(gamma_reduced)
     lam_plus, lam_minus = rho_eigenvalues(rho)
-    return rho, lam_plus - lam_minus, _entropy_bits((lam_plus, lam_minus))
+    return rho, lam_plus - lam_minus, entropy(rho)
 
 
 def _sector_magnetization(gamma: float) -> float:
@@ -373,11 +413,16 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     grid mixing the two is refused with ``ValueError``.  The sector closed
     forms are evaluated once per distinct sector-angle sum of the whole
     grid, into one table of float columns, and the rows are filled from
-    it one alpha row at a time.  A point that ``effective_angles`` or its
-    pattern refuses is refused with the same exception, at the first such
-    point; a non-finite angle is refused there too, so an empty grid,
-    which has no points, gives an empty array even next to a non-finite
-    angle.
+    it one alpha row at a time.  Per row, each point's equal-weight
+    mixture of its two sector matrices is checked with numpy masks for
+    what ``DensityMatrix2`` refuses, and the row's mixture entropies come
+    from one scalar ``math`` pass, with the bits :func:`entropy` gives.  A
+    point that ``effective_angles`` or its pattern refuses is refused with
+    the same exception, at the first such point; a non-finite angle is
+    refused there too, so an empty grid, which has no points, gives an
+    empty array even next to a non-finite angle.  Within a row, a pattern
+    refusal comes before a mixture that ``DensityMatrix2`` refuses, which
+    raises its ``DensityMatrixError`` at the first such point.
     """
     alphas = [_as_angle(value) for value in alpha_grid]
     betas = [_as_angle(value) for value in beta_grid]
@@ -443,8 +488,8 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
         s1, s2 = s[i1], s[i2]
         row["s1"], row["s2"] = s1, s2
         # the entropy of average_rho's mixture, as mutual_information takes it
-        mixture = (0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12))
-        row["mutual_information"] = s1 + s2 - np.array(
-            [entropy(DensityMatrix2(x, y, z)) for x, y, z in zip(*(x.tolist() for x in mixture))])
+        mixture = [0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12)]
+        _check_mixtures(*mixture)
+        row["mutual_information"] = s1 + s2 - np.array(_spectra(*(x.tolist() for x in mixture))[1])
         row["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
     return rows.reshape(-1)

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 import ladderwalk as lw
 from ladderwalk.cli import parse_angle, parse_grid, run_sweep
+from ladderwalk.spectral import _check_mixtures, _spectra
+from test_cli import run_main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,6 +31,64 @@ def _eigenvalues(mode) -> tuple:
     """The eigenvalues ``(e^{-i omega}, e^{+i omega})`` that ``e_plus`` and
     ``e_minus`` carry."""
     return np.exp(-1j * mode.omega), np.exp(1j * mode.omega)
+
+
+def reference_spectrum(rho11: float, rho22: float, rho12: complex) -> tuple:
+    """Eigenvalues ``(lambda_plus, lambda_minus)``, clamped into ``[0, 1]``,
+    and entropy in bits of one 2x2 density matrix: the scalar closed form,
+    written apart from the package's so that it checks it bit for bit."""
+    trace = rho11 + rho22
+    root = math.hypot(rho11 - rho22, 2.0 * abs(rho12))
+    lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
+    if lo < -1e-12:
+        raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
+    eigenvalues = min(max(hi, 0.0), 1.0), min(max(lo, 0.0), 1.0)
+    bits = 0.0
+    for lam in eigenvalues:
+        if lam > 0.0:
+            bits -= lam * math.log2(lam)
+    return eigenvalues, bits
+
+
+def _ulps(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` ulps up, or down for negative ``steps``."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def _trace_edge(x: float, sign: float, steps: int, z: float) -> tuple:
+    return x, _ulps(1.0 - x + sign * 1e-12, steps), z
+
+
+def _diagonal_edge(d: float, steps: int, swap: bool, z: float) -> tuple:
+    d = _ulps(d, steps)
+    pair = (1.0 - d, d) if swap else (d, 1.0 - d)
+    return (*pair, z)
+
+
+def _determinant_edge(x: float, steps: int, sign: float) -> tuple:
+    y = 1.0 - x
+    return x, y, sign * _ulps(math.sqrt(x * y + 1e-12), steps)
+
+
+def _density_matrix(x: float, r: float, phase: float) -> tuple:
+    y = 1.0 - x
+    return x, y, cmath.rect(r * math.sqrt(x * y), phase)
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+# (rho11, rho22, rho12) with a real rho12, each within a few ulps of one
+# of DensityMatrix2's bounds: the trace, a diagonal entry, the determinant.
+BOUNDARY_TRIPLES = st.one_of(
+    st.builds(_trace_edge, st.floats(-0.5, 1.5), st.sampled_from([1.0, -1.0]),
+              st.integers(-3, 3), SIGNED_ZEROS),
+    st.builds(_diagonal_edge, st.sampled_from([-1e-12, 0.0, -0.0]), st.integers(-3, 3),
+              st.booleans(), SIGNED_ZEROS),
+    st.builds(_determinant_edge, st.floats(0.0, 1.0), st.integers(-3, 3),
+              st.sampled_from([1.0, -1.0])))
+DENSITY_TRIPLES = st.builds(_density_matrix, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                            st.floats(-4.0, 4.0))
 
 
 class TestDispersion:
@@ -255,6 +316,31 @@ class TestEntropy:
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSpectra:
+    """``_spectra``, the one closed form behind ``rho_eigenvalues``,
+    ``entropy`` and the sweep's mixture entropies, against the scalar
+    reference."""
+
+    @given(st.lists(st.one_of(DENSITY_TRIPLES, BOUNDARY_TRIPLES), min_size=1, max_size=4))
+    @example([(1.0, 0.0, 0j)])  # pure
+    @example([(0.5, 0.5, 0j)])  # maximally mixed
+    @example([(1.0 + 5e-13, -5e-13, 0j)])  # roundoff puts a lambda outside [0, 1]
+    @settings(max_examples=300)
+    def test_matches_the_scalar_reference_bit_for_bit(self, triples):
+        expected = []
+        for triple in triples:
+            try:
+                expected.append(reference_spectrum(*triple))
+            except ValueError as error:
+                with pytest.raises(ValueError) as raised:
+                    _spectra(*zip(*triples))
+                assert str(raised.value) == str(error)
+                return
+        eigenvalues, entropies = _spectra(*zip(*triples))
+        assert [(*map(float.hex, pair), s.hex()) for pair, s in zip(eigenvalues, entropies)] == [
+            (*map(float.hex, pair), s.hex()) for pair, s in expected]
+
+
 class TestMutualInformation:
     def test_identical_components(self):
         rho = lw.asymptotic_rho(1.0)
@@ -370,7 +456,8 @@ class TestWalkSummary:
 def reference_summary(alpha, beta, gamma_y=lw.Angle(-math.pi / 2, Fraction(-1, 2))) -> tuple:
     """The ``sweep_summary`` row at ``(alpha, beta, gamma_y)`` by an
     independent route: exact sector angles in ``Fraction`` arithmetic,
-    every closed form evaluated afresh.  ``float.hex`` of each float field,
+    every closed form evaluated afresh, the spectra by
+    ``reference_spectrum``.  ``float.hex`` of each float field,
     which keeps the sign of a zero apart, and the pattern label."""
     angles = [a if isinstance(a, lw.Angle) else lw.Angle(a) for a in (alpha, beta, gamma_y)]
     if all(a.pi_fraction is not None for a in angles):
@@ -390,12 +477,13 @@ def reference_summary(alpha, beta, gamma_y=lw.Angle(-math.pi / 2, Fraction(-1, 2
         eff = lw.effective_angles(*angles)
     rho1 = lw.asymptotic_rho(eff.gamma1_reduced)
     rho2 = lw.asymptotic_rho(eff.gamma2_reduced)
-    (hi1, lo1), (hi2, lo2) = lw.rho_eigenvalues(rho1), lw.rho_eigenvalues(rho2)
-    s1, s2 = lw.entropy(rho1), lw.entropy(rho2)
+    (hi1, lo1), s1 = reference_spectrum(rho1.rho11, rho1.rho22, rho1.rho12)
+    (hi2, lo2), s2 = reference_spectrum(rho2.rho11, rho2.rho22, rho2.rho12)
+    mixture = lw.average_rho(rho1, rho2)
     m1, m2 = (1.0 - abs(math.sin(g / 2.0)) for g in (eff.gamma1_reduced, eff.gamma2_reduced))
     values = (angles[0].radians, angles[1].radians, eff.gamma1, eff.gamma2,
               m1, m2, (m1 + m2) / 2.0, hi1 - lo1, hi2 - lo2, s1, s2,
-              s1 + s2 - lw.entropy(lw.average_rho(rho1, rho2)))
+              s1 + s2 - reference_spectrum(mixture.rho11, mixture.rho22, mixture.rho12)[1])
     return (*map(float.hex, values), eff.pattern.value)
 
 
@@ -586,3 +674,105 @@ class TestSweepSummary:
         with pytest.raises(ValueError) as raised:
             lw.sweep_summary(alphas, betas, *gamma_y)
         assert str(raised.value) == str(expected)
+
+
+def _corrupt_one_sum(target: float):
+    """Patch ``_sector_closed_forms`` so that the sector matrix at reduced
+    angle ``target`` has its ``rho11`` 4e-12 off, unvalidated; every
+    mixture with it then fails its trace check."""
+    forms = lw.spectral._sector_closed_forms
+
+    def corrupted(gamma_reduced):
+        rho, d, s = forms(gamma_reduced)
+        if gamma_reduced == target:
+            rho = SimpleNamespace(rho11=rho.rho11 + 4e-12, rho22=rho.rho22, rho12=rho.rho12)
+        return rho, d, s
+
+    return mock.patch.object(lw.spectral, "_sector_closed_forms", corrupted)
+
+
+def _mixture_refusals(alphas, betas, target) -> list:
+    """The ``DensityMatrixError`` message at every point, in alpha-major
+    order, whose mixture ``_corrupt_one_sum(target)`` makes refused."""
+    messages = []
+    for alpha in alphas:
+        for beta in betas:
+            eff = lw.effective_angles(alpha, beta)
+            rhos = [lw.asymptotic_rho(g) for g in (eff.gamma1_reduced, eff.gamma2_reduced)]
+            offsets = [4e-12 if g == target else 0.0
+                       for g in (eff.gamma1_reduced, eff.gamma2_reduced)]
+            mixture = (0.5 * ((rhos[0].rho11 + offsets[0]) + (rhos[1].rho11 + offsets[1])),
+                       0.5 * (rhos[0].rho22 + rhos[1].rho22),
+                       0.5 * (rhos[0].rho12.real + rhos[1].rho12.real))
+            try:
+                lw.DensityMatrix2(*mixture)
+            except lw.DensityMatrixError as error:
+                messages.append(str(error))
+    return messages
+
+
+class TestMixtureRefusal:
+    """A sweep mixture that ``DensityMatrix2`` refuses is refused with its
+    ``DensityMatrixError``, at the first such point."""
+
+    GRID = "-pi:pi:9"
+
+    def target(self):
+        grid = parse_grid(self.GRID)
+        return lw.effective_angles(grid[4], grid[3]).gamma1_reduced
+
+    def test_sweep_summary_raises_at_the_first_refused_mixture(self):
+        grid = parse_grid(self.GRID)
+        messages = _mixture_refusals(grid, grid, self.target())
+        # refused at more than one point, with more than one message, so
+        # the first is told apart
+        assert len(set(messages)) > 1
+        with _corrupt_one_sum(self.target()):
+            with pytest.raises(lw.DensityMatrixError) as raised:
+                lw.sweep_summary(grid, grid)
+        assert str(raised.value) == messages[0]
+
+    def test_sweep_command_exits_three(self, tmp_path):
+        with _corrupt_one_sum(self.target()):
+            code, out, err = run_main(["sweep", f"--alpha-grid={self.GRID}",
+                                       f"--beta-grid={self.GRID}", "--format", "csv",
+                                       "--out", str(tmp_path / "sweep.csv")])
+        assert code == 3
+        assert err.startswith("ladderwalk: numeric invariant violated: trace must be 1")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pattern_refusal_of_the_row_comes_first(self):
+        # the corrupted mixture is the row's first point, the pattern
+        # refusal its second
+        target = lw.effective_angles(0.3, 0.1).gamma1_reduced
+        with _corrupt_one_sum(target):
+            with pytest.raises(lw.DensityMatrixError):
+                lw.sweep_summary([0.3], [0.1])
+            TestSweepSummary.assert_refuses_like_effective_angles([0.3], [0.1, 1e308])
+
+    @given(st.lists(BOUNDARY_TRIPLES, min_size=1, max_size=4))
+    # refused through pow's square of rho12, not through rho12 * rho12 ...
+    @example([(0.058451599998049386, 0.9415484000019506, 0.23459541866097347)])
+    # ... and the converse
+    @example([(0.24073570681692125, 0.7592642931830788, 0.427530146634455)])
+    @example([(1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.5, 0.5 + 3e-12, 0.0)])
+    # Python's min(rho11, rho22) keeps a nan rho11 but not a nan rho22
+    @example([(math.nan, -1.0, 0.0), (-1.0, math.nan, 0.0)])
+    @settings(max_examples=300)
+    def test_mixture_check_refuses_as_density_matrix_does(self, triples):
+        expected = None
+        for x, y, z in triples:
+            try:
+                lw.DensityMatrix2(x, y, complex(z))
+            except lw.DensityMatrixError as error:
+                expected = str(error)
+                break
+        columns = [np.array(column, dtype=np.float64) for column in zip(*triples)]
+        if expected is None:
+            _check_mixtures(*columns)
+        else:
+            with pytest.raises(lw.DensityMatrixError) as raised:
+                _check_mixtures(*columns)
+            assert str(raised.value) == expected
