@@ -56,20 +56,22 @@ from .core import (
     Conventional,
     Ladder,
     LatticeOverflowError,
+    _probabilities,
     _state_blocks,
     localized_ladder,
     localized_walker,
 )
 from .sectors import (
     _DEFAULT_GAMMA_Y,
-    _SQRT_HALF,
     Angle,
     WalkPattern,
+    _sector_blocks,
     effective_angles,
 )
 from .spectral import (
     DensityMatrix2,
     DensityMatrixError,
+    _coin_rho_sums,
     _sector_magnetization,
     asymptotic_rho,
     entropy,
@@ -249,37 +251,11 @@ def _per_site_table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
     return {"columns": names, "rows": rows}
 
 
-# The observables of a block of states (``core._state_blocks``) are
-# formed on the block's window into full-width rows that are zero outside
-# it, and every sum runs over a whole row along the last axis: that is
-# the summation order of the per-state functions (``position_distribution``,
-# ``finite_n_rho``, ``sector_project``) and of the test references'
-# second moment and side-profile distance, so each step's values keep
-# their bits.  The
-# workspaces are allocated for the first block, the longest, and reused:
-# the windows only grow, so each block overwrites what the last one left.
-
-def _window_probabilities(amps: np.ndarray, spin_probs: np.ndarray,
-                          probs: np.ndarray) -> None:
-    """``|amps|^2`` (complex abs, then square) into ``spin_probs``, and its
-    sum over the spin axis (``amps[:, 0]`` + ``amps[:, 1]``) into ``probs``."""
-    np.abs(amps, out=spin_probs)
-    np.square(spin_probs, out=spin_probs)
-    np.add(spin_probs[:, 0], spin_probs[:, 1], out=probs)
-
-
-def _coin_rho_sums(amps: np.ndarray, spin_probs: np.ndarray, cross: np.ndarray,
-                   lo: int, hi: int) -> tuple[list, list, list]:
-    """``finite_n_rho``'s ``rho11``, ``rho22`` and ``rho12`` of each state in
-    ``amps`` (spin axis second to last), given ``spin_probs = |amps|^2``, as
-    nested lists; ``cross`` takes the coin cross terms."""
-    window = cross[..., lo:hi]
-    np.conjugate(amps[..., 1, lo:hi], out=window)
-    np.multiply(amps[..., 0, lo:hi], window, out=window)
-    return (np.sum(spin_probs[..., 0, :], axis=-1).tolist(),
-            np.sum(spin_probs[..., 1, :], axis=-1).tolist(),
-            np.sum(cross, axis=-1).tolist())
-
+# A block of states (``core._state_blocks``) is observed by the library's
+# block helpers, and here by the second moment and side-profile distance,
+# on the block's window into full-width rows, zero outside it, each summed
+# over whole rows, so every value keeps its bits.  The workspaces are sized
+# for the first, longest block and reused, as the windows only grow.
 
 def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
@@ -305,9 +281,9 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
             probs, moments = np.zeros((2, n, width))
             cross = np.zeros((n, width), np.complex128)
         p = probs[:n]
-        _window_probabilities(block[..., lo:hi], spin_probs[:n, :, lo:hi], p[:, lo:hi])
+        _probabilities(block, lo, hi, spin_probs[:n], p)
         np.multiply(p[:, lo:hi], squared_sites[lo:hi], out=moments[:n, lo:hi])
-        rho11, rho22, rho12 = _coin_rho_sums(block, spin_probs[:n], cross[:n], lo, hi)
+        rho11, rho22, rho12 = _coin_rho_sums(block, lo, hi, spin_probs[:n], cross[:n])
         positive = p[:, lo:hi] > 0.0
         index, column = np.nonzero(positive)
         site_blocks.append((np.bincount(index, minlength=n), sites[lo:hi][column],
@@ -380,30 +356,13 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
             sectors = np.zeros(block.shape, np.complex128)
             joint, profiles = np.zeros((2, n, 2, width))
             cross = np.zeros((n, 2, width), np.complex128)
-        amps = block[..., lo:hi]
         j = joint[:n]
-        _window_probabilities(amps, spin_probs[:n, ..., lo:hi], j[..., lo:hi])
+        _probabilities(block, lo, hi, spin_probs[:n], j)
         totals = np.sum(j.reshape(n, -1), axis=-1).tolist()
         masses = np.sum(j, axis=-1)
-
-        # sector_project: (side 0 +- side 1) / sqrt(2), the weights, and
-        # each sector renormalized; a walk from side 0 keeps both weights
-        # at 1/2, so neither sector is ever empty
-        raw = sectors[:n, ..., lo:hi]
-        np.add(amps[:, :, 0], amps[:, :, 1], out=raw[:, 0])
-        np.subtract(amps[:, :, 0], amps[:, :, 1], out=raw[:, 1])
-        np.multiply(raw, _SQRT_HALF, out=raw)
-        sp = sector_probs[:n]
-        np.abs(raw, out=sp[..., lo:hi])
-        np.square(sp[..., lo:hi], out=sp[..., lo:hi])
-        weights = np.sum(sp.reshape(n, 2, -1), axis=-1)
-        # a real multiply by 1 / sqrt(w), as sector_project does
-        parts = raw.view(np.float64)
-        np.multiply(parts, (1.0 / np.sqrt(weights))[..., None, None], out=parts)
-        np.abs(raw, out=sp[..., lo:hi])
-        np.square(sp[..., lo:hi], out=sp[..., lo:hi])
-        rho11, rho22, rho12 = _coin_rho_sums(sectors[:n], sp, cross[:n], lo, hi)
-
+        weights = _sector_blocks(block, lo, hi, sectors[:n], sector_probs[:n])
+        _probabilities(sectors[:n], lo, hi, sector_probs[:n])
+        rho11, rho22, rho12 = _coin_rho_sums(sectors[:n], lo, hi, sector_probs[:n], cross[:n])
         # total_variation of the side profiles, each renormalized to one
         shown = masses.min(axis=-1) >= _SIDE_MASS_FLOOR
         prof = profiles[:n, :, lo:hi]

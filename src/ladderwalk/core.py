@@ -22,7 +22,9 @@ stage's product straight into its shifted place.  ``_state_blocks``
 runs the same loop and yields every state of the walk, steps ``0 .. n``,
 in blocks of about ``_BLOCK_BYTES`` of amplitudes with the block's
 window: the ``walk1d`` and ``ladder`` commands observe each block at once
-instead of calling ``evolve(state, spec, 1)`` per step.
+instead of calling ``evolve(state, spec, 1)`` per step.  ``_probabilities``
+is the one implementation of ``|psi|^2``, on such a block and its window;
+:func:`position_distribution` is its view of one state.
 """
 
 from __future__ import annotations
@@ -458,6 +460,19 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
         yield blocks[:filled], lo, hi
 
 
+def _probabilities(block: np.ndarray, lo: int, hi: int, spin_probs: np.ndarray,
+                   probs: np.ndarray | None = None) -> None:
+    """``|block|^2`` (complex abs, then square) of a block of states (axes:
+    state, spin, ...) into ``spin_probs``, and with ``probs`` given its sum
+    over the spin axis (spin 0 + spin 1) into ``probs``, each on the
+    columns ``[lo, hi)`` only; the workspaces keep their other columns."""
+    window = spin_probs[..., lo:hi]
+    np.abs(block[..., lo:hi], out=window)
+    np.square(window, out=window)
+    if probs is not None:
+        np.add(window[:, 0], window[:, 1], out=probs[..., lo:hi])
+
+
 def position_distribution(state) -> np.ndarray:
     """Probability of finding the walker at each site.
 
@@ -467,4 +482,7 @@ def position_distribution(state) -> np.ndarray:
     """
     if not isinstance(state, (WalkerState1D, LadderState)):
         raise TypeError(f"unsupported state {type(state).__name__}")
-    return np.sum(np.abs(state.amplitudes) ** 2, axis=0)
+    amps = state.amplitudes
+    probs = np.empty(amps.shape[1:])
+    _probabilities(amps[None], 0, amps.shape[-1], np.empty((1,) + amps.shape), probs[None])
+    return probs

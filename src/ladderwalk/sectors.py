@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_GAMMA_Y, LadderState, WalkerState1D, _require_finite
+from .core import DEFAULT_GAMMA_Y, LadderState, WalkerState1D, _probabilities, _require_finite
 
 __all__ = [
     "Angle",
@@ -208,19 +208,29 @@ class SectorPair:
     weight_kpi: float
 
 
-def _renormalized(raw: np.ndarray, weight: float) -> np.ndarray:
-    """``raw / sqrt(weight)`` in place, or zeros below the empty-sector weight.
+def _sector_blocks(block: np.ndarray, lo: int, hi: int, sectors: np.ndarray,
+                   sector_probs: np.ndarray) -> np.ndarray:
+    """The sectors of a block of ladder states (axes: state, spin, side,
+    rung), renormalized, into the columns ``[lo, hi)`` of ``sectors`` (axes:
+    state, sector, spin, rung), zero outside them; returns the weights,
+    each a sum of ``|raw|^2`` (left in ``sector_probs``) over whole rows.
 
-    A real multiply of the float64 view by ``1 / sqrt(weight)``: numpy's
-    complex division by ``sqrt(weight) + 0j`` computes ``(re + im * 0) *
-    (1 / sqrt(weight))`` per part, the same bits for every nonzero part
-    and at a fraction of the cost.
+    A real multiply of the float64 parts by ``1 / sqrt(weight)`` has the
+    bits of numpy's complex division by ``sqrt(weight) + 0j`` on every
+    nonzero part, at a fraction of the cost.  An empty sector is ``+0.0``.
     """
-    if not weight >= _EMPTY_SECTOR_WEIGHT:
-        return np.zeros_like(raw)
+    amps = block[..., lo:hi]
+    raw = sectors[..., lo:hi]
+    np.add(amps[:, :, 0], amps[:, :, 1], out=raw[:, 0])
+    np.subtract(amps[:, :, 0], amps[:, :, 1], out=raw[:, 1])
+    np.multiply(raw, _SQRT_HALF, out=raw)
+    _probabilities(sectors, lo, hi, sector_probs)
+    weights = np.sum(sector_probs.reshape(len(block), 2, -1), axis=-1)
+    empty = ~(weights >= _EMPTY_SECTOR_WEIGHT)
     parts = raw.view(np.float64)
-    np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
-    return raw
+    np.multiply(parts, 1.0 / np.sqrt(np.where(empty, 1.0, weights))[..., None, None], out=parts)
+    raw[empty] = 0.0
+    return weights
 
 
 def sector_project(state: LadderState) -> SectorPair:
@@ -228,20 +238,15 @@ def sector_project(state: LadderState) -> SectorPair:
     ``(psi(s, x=0, y) +- psi(s, x=1, y)) / sqrt(2)``.
 
     Each sector is returned renormalized with its squared norm recorded as
-    the weight.  The ``ladder`` command projects every step: it writes the
-    weights and averages the sector states' coin density matrices into the
-    finite-time mutual information.
+    the weight.  It is the one-state view of the block observable
+    ``_sector_blocks``, which the ``ladder`` command runs on every step:
+    it writes the weights and averages the sector states' coin density
+    matrices into the finite-time mutual information.
     """
-    amps = state.amplitudes
-    raw_k0 = (amps[:, 0, :] + amps[:, 1, :]) * _SQRT_HALF
-    raw_kpi = (amps[:, 0, :] - amps[:, 1, :]) * _SQRT_HALF
-    w0, wpi = (float(np.sum(np.abs(raw) ** 2)) for raw in (raw_k0, raw_kpi))
-    k0, kpi = _renormalized(raw_k0, w0), _renormalized(raw_kpi, wpi)
-    return SectorPair(
-        sector_k0=WalkerState1D(amplitudes=k0, origin=state.origin,
-                                steps_taken=state.steps_taken),
-        sector_kpi=WalkerState1D(amplitudes=kpi, origin=state.origin,
-                                 steps_taken=state.steps_taken),
-        weight_k0=w0,
-        weight_kpi=wpi,
-    )
+    if not isinstance(state, LadderState):
+        raise TypeError(f"sector_project needs a LadderState, got {type(state).__name__}")
+    amps = state.amplitudes[None]
+    sectors = np.empty(amps.shape, np.complex128)
+    weights = _sector_blocks(amps, 0, amps.shape[-1], sectors, np.empty(amps.shape))
+    k0, kpi = (WalkerState1D(sector, state.origin, state.steps_taken) for sector in sectors[0])
+    return SectorPair(k0, kpi, *weights[0].tolist())

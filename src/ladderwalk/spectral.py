@@ -38,6 +38,7 @@ from .core import (
     Conventional,
     WalkerState1D,
     _check_initial_coin,
+    _probabilities,
     _require_finite,
     evolve,
     localized_walker,
@@ -322,12 +323,27 @@ def mutual_information(rho1: DensityMatrix2, rho2: DensityMatrix2) -> float:
     return entropy(rho1) + entropy(rho2) - entropy(average_rho(rho1, rho2))
 
 
+def _coin_rho_sums(block: np.ndarray, lo: int, hi: int, spin_probs: np.ndarray,
+                   cross: np.ndarray) -> tuple[list, list, list]:
+    """``rho11``, ``rho22`` and ``rho12`` of each state of a block (spin
+    axis second to last) as nested lists, given ``spin_probs = |block|^2``,
+    each summed over whole rows; the cross terms go into the columns
+    ``[lo, hi)`` of ``cross``, never over an input of the product (an
+    in-place one-element complex multiply has other bits)."""
+    np.multiply(block[..., 0, lo:hi], np.conjugate(block[..., 1, lo:hi]), out=cross[..., lo:hi])
+    return (np.sum(spin_probs[..., 0, :], axis=-1).tolist(),
+            np.sum(spin_probs[..., 1, :], axis=-1).tolist(),
+            np.sum(cross, axis=-1).tolist())
+
+
 def finite_n_rho(state: WalkerState1D) -> DensityMatrix2:
-    """Coin density matrix of a finite-time state: partial trace over position."""
-    amps = state.amplitudes
-    rho11 = float(np.sum(np.abs(amps[0]) ** 2))
-    rho22 = float(np.sum(np.abs(amps[1]) ** 2))
-    rho12 = complex(np.sum(amps[0] * np.conj(amps[1])))
+    """Coin density matrix of a finite-time state, traced over position and
+    the side of a ladder state: the one-state view of ``_coin_rho_sums``,
+    the block observable of the ``walk1d`` and ``ladder`` commands."""
+    amps = state.amplitudes.reshape(1, 2, -1)
+    spin_probs, cross = np.empty(amps.shape), np.empty((1, amps.shape[-1]), np.complex128)
+    _probabilities(amps, 0, amps.shape[-1], spin_probs)
+    (rho11,), (rho22,), (rho12,) = _coin_rho_sums(amps, 0, amps.shape[-1], spin_probs, cross)
     return DensityMatrix2(rho11=rho11, rho22=rho22, rho12=rho12)
 
 
@@ -339,12 +355,12 @@ def cesaro_rho(gamma: float, n_steps: int,
     converges to :func:`asymptotic_rho` and is the right finite-time
     object to compare against it.
 
-    This is the reference route: it runs its own 1D walk with coin angle
-    ``gamma``, one ``evolve(state, spec, 1)`` step and one
-    :func:`finite_n_rho` at a time.  The ``ladder`` command takes the same
-    mean of each sector from the ladder's own states, a block of steps at
-    a time, and the tests hold the two routes together.  It stays on the
-    one-step route so that it remains independent of that block path.
+    This stays the independent one-step reference: it runs its own 1D
+    walk with coin angle ``gamma``, one ``evolve(state, spec, 1)`` step and
+    one :func:`finite_n_rho` at a time.  The ``ladder`` command takes the
+    same mean of each sector from the ladder's own states in the blocked
+    pass, and the tests hold the two routes together; they share only the
+    coin-matrix sums, of which ``finite_n_rho`` is the one-state view.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
