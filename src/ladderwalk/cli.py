@@ -575,14 +575,15 @@ def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""
     pass; ``cells`` are the columns' cell formats from ``formats`` by numpy
     kind.
 
-    A column with few distinct values is rendered once per value, and the
-    cells are gathered from those texts (cell format ``%s``).  That is an
+    A column with few distinct values is rendered once per value before
+    the first chunk, and each chunk gathers its cells from those texts
+    (cell format ``%s``), which are held for the whole table.  That is an
     integer column whose span ``max - min`` is at most the row count,
     ``str(v)`` for each ``v`` in the span (a per-site column spans at most
-    ``2 * steps + 3`` values), and a float column whose first chunk holds at
-    most half as many distinct values as rows, its format applied once per
-    distinct bit pattern of each chunk (``0.0`` and ``-0.0`` print apart).
-    Every other column passes its Python values through.
+    ``2 * steps + 3`` values), and a float column whose first chunk and
+    whole column each hold at most half as many distinct values as rows,
+    its format applied once per distinct bit pattern (``0.0`` and ``-0.0``
+    print apart).  Every other column passes its Python values through.
     """
     names = rows.dtype.names
     texts = {}  # name -> a function from a chunk's column to its cell texts
@@ -594,9 +595,11 @@ def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""
                 table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
                 texts[name] = lambda c, lo=lo, table=table: table[c - lo]
         elif column.dtype.kind == "f":
-            head = column[:_CHUNK_ROWS].view(np.uint64).tolist()
-            if 2 * len(set(head)) <= len(head):
-                texts[name] = lambda c, cell=formats["f"]: _float_texts(c, cell)
+            found = _float_table(column, formats["f"])
+            if found is not None:
+                keys, table = found
+                texts[name] = lambda c, keys=keys, table=table: table[
+                    np.searchsorted(keys, c.view(np.uint64))]
     row_format = row_format([
         "%s" if name in texts else cell for name, cell in zip(names, _cell_formats(rows, formats))])
     for start in range(0, len(rows), _CHUNK_ROWS):
@@ -608,13 +611,20 @@ def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""
         yield sep + text if start else text
 
 
-def _float_texts(column: np.ndarray, cell: str) -> np.ndarray:
-    """``cell % v`` for each float ``v`` of ``column``, formatted once per
-    distinct bit pattern."""
+def _float_table(column: np.ndarray, cell: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted distinct bit patterns of a float ``column`` and ``cell % v``
+    for each; None when the column is empty, or when its first chunk or
+    the whole column holds more than half as many distinct values as rows.
+    The first chunk is tested first, so a column mostly distinct there (a
+    walk's probabilities) is never sorted."""
+    head = column[:_CHUNK_ROWS].view(np.uint64).tolist()
+    if not head or 2 * len(set(head)) > len(head):
+        return None
     bits = np.sort(column.view(np.uint64))
     keys = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
-    table = np.array([cell % v for v in keys.view(np.float64).tolist()], dtype=object)
-    return table[np.searchsorted(keys, column.view(np.uint64))]
+    if 2 * len(keys) > len(column):
+        return None
+    return keys, np.array([cell % v for v in keys.view(np.float64).tolist()], dtype=object)
 
 
 # Stands in for a structured table's rows in the text ``json`` writes; the

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -407,6 +408,12 @@ class TestTable1:
         assert len(data["tables"]["checks"]["rows"]) == 12
 
 
+# Repetitive in the first 1024 rows only ("head"), and repetitive with
+# only new values after them ("late"): "head" is written cell by cell.
+DISTINCT_AFTER_HEAD = {"head": [0.25] * 1024 + (np.arange(1200) / 3.0).tolist(),
+                       "late": [0.5] * 1024 + np.repeat(np.arange(600) / 7.0, 2).tolist()}
+
+
 class TestOutputPlumbing:
     def test_json_round_trip_exact(self, tmp_path):
         out = tmp_path / "data.json"
@@ -475,15 +482,17 @@ class TestOutputPlumbing:
         {"distinct": np.linspace(-1.0, 1.0, 1500) ** 3, "one": [1 / 3] * 1500},
         {"single": [-0.0], "other": [5e-324]},
         {"empty": [], "also": []},
-    ], ids=["signed-zeros", "half-distinct", "all-distinct", "one-row", "zero-rows"])
+        # repetitive, but every value after the first 1024 rows is new
+        {"late": [0.5] * 1024 + np.repeat(np.arange(600) / 7.0, 2).tolist(),
+         "zeros": [-0.0] * 1024 + [0.0, -0.0] * 600},
+        DISTINCT_AFTER_HEAD,
+    ], ids=["signed-zeros", "half-distinct", "all-distinct", "one-row", "zero-rows",
+            "new-values-after-head", "distinct-after-head"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_float_cells_as_row_by_row_formats(self, monkeypatch, fmt, columns, chunk_rows):
         """Float cells rendered once per distinct bit pattern give the bytes
         ``%.17g`` (CSV) and ``repr`` (JSON) give row by row."""
-        rows = np.empty(len(next(iter(columns.values()))),
-                        dtype=[(name, "f8") for name in columns])
-        for name, column in columns.items():
-            rows[name] = column
+        rows = self.float_rows(columns)
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
         cells, row_format, sep = self.layout(fmt)
         one_row = row_format(["%.17g" if fmt == "csv" else "%s"] * len(columns))
@@ -493,6 +502,69 @@ class TestOutputPlumbing:
         # line lists: a failure reports the first differing line quickly
         assert got.splitlines() == expected.splitlines()
         assert got == expected
+
+    @staticmethod
+    def float_rows(columns: dict) -> np.ndarray:
+        """A structured table of the float64 ``columns``, by name."""
+        rows = np.empty(len(next(iter(columns.values()))),
+                        dtype=[(name, "f8") for name in columns])
+        for name, column in columns.items():
+            rows[name] = column
+        return rows
+
+    @pytest.mark.parametrize("chunk_rows", [cli._CHUNK_ROWS, 3])
+    @pytest.mark.parametrize("table", ["sweep", "distinct-after-head"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_repeated_float_formatted_once_per_table(self, monkeypatch, fmt, table,
+                                                          chunk_rows):
+        """A float column whose first chunk and whole column hold at most
+        half as many distinct values as rows is formatted once per distinct
+        bit pattern, however many chunks the values recur in; any other is
+        not formatted ahead (on the 1,089 rows of a 33 x 33 sweep, and on a
+        column that turns all-distinct after its first chunk)."""
+        calls = []
+
+        class Counted(str):
+            def __mod__(self, value):
+                calls.append(value)
+                return str.__mod__(self, value)
+
+        if table == "sweep":
+            grid = cli.parse_grid("-pi:pi:33")
+            rows = cli.run_sweep(grid, grid)["tables"]["sweep"]["rows"]
+        else:
+            rows = self.float_rows(DISTINCT_AFTER_HEAD)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        cells, row_format, sep = self.layout(fmt)
+        cells = {**cells, "f": Counted(cells["f"])}
+        expected = 0
+        for name in rows.dtype.names:
+            if rows.dtype[name].kind == "f":
+                bits = rows[name].view(np.uint64).tolist()
+                head = bits[:chunk_rows]
+                if 2 * len(set(head)) <= len(head) and 2 * len(set(bits)) <= len(bits):
+                    expected += len(set(bits))
+        assert expected > 0
+        "".join(cli._formatted_chunks(rows, cells, row_format, sep))
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("alpha_grid,beta_grid", [
+        ("-pi:pi:129", "-pi:pi:129"),     # pi fractions: few distinct values
+        ("-3:3:300", "-2.9:3.1:300"),     # plain floats: few values repeat
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_memory_stays_below_the_rows(self, tmp_path, fmt, alpha_grid, beta_grid):
+        """The text tables of repeated floats are held for the whole write,
+        and one chunk's text at a time; together they stay below the rows
+        being written."""
+        dataset = cli.run_sweep(cli.parse_grid(alpha_grid), cli.parse_grid(beta_grid))
+        tracemalloc.start()
+        try:
+            cli.write_dataset(dataset, str(tmp_path / f"sweep.{fmt}"), fmt)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dataset["tables"]["sweep"]["rows"].nbytes
 
     @pytest.mark.parametrize("out,siblings", [
         ("run.csv", ["run.csv", "run.params.csv", "run.steps.csv"]),

@@ -53,6 +53,8 @@ CASES = {
                    "--format", "json", "--out", "sweep.json"],
     "sweep-wide-csv": ["sweep", "--alpha-grid=-pi:pi:33", "--beta-grid=-pi:pi:33",
                        "--format", "csv", "--out", "sweep.csv"],
+    "sweep-wide-json": ["sweep", "--alpha-grid=-pi:pi:33", "--beta-grid=-pi:pi:33",
+                        "--format", "json", "--out", "sweep.json"],
     "sweep-float-json": ["sweep", "--alpha-grid=-2.5:2.5:7", "--beta-grid=-1:4:9",
                          "--format", "json", "--out", "sweep.json"],
     "table1-csv": ["table1", "--steps", "16", "--format", "csv", "--out", "table1.csv"],
@@ -91,12 +93,13 @@ def test_outputs_match_golden_bytes(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["walk1d-csv", "walk1d-json", "ladder-csv", "ladder-json",
                                   "sweep-csv", "sweep-json", "sweep-wide-csv",
-                                  "sweep-float-json", "walk1d-stdout"])
+                                  "sweep-wide-json", "sweep-float-json", "walk1d-stdout"])
 def test_chunk_boundaries_leave_bytes_unchanged(tmp_path, monkeypatch, case):
     """Most goldens hold fewer rows than one formatting pass; small passes
     put chunk boundaries inside each structured table (``sweep-json`` has
     four rows) and change which float columns the first pass finds
-    repetitive (``sweep-wide-csv`` has 1,089 rows)."""
+    repetitive (``sweep-wide-csv`` and ``sweep-wide-json`` have 1,089
+    rows)."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
     expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert run_case(CASES[case], tmp_path) == expected
