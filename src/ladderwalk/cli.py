@@ -449,7 +449,8 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
 
     The rows are :func:`~ladderwalk.spectral.sweep_summary`'s structured
     array, float64 fields and a text ``pattern``, built column by column
-    with each sector closed form evaluated once per distinct angle."""
+    with each sector closed form evaluated once per distinct sector-angle
+    sum."""
     if not alpha_grid or not beta_grid:
         raise UsageError("sweep needs nonempty alpha and beta grids")
     rows = sweep_summary(alpha_grid, beta_grid)

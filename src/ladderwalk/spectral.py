@@ -18,12 +18,13 @@ sector closed forms (density matrix, eigenvalue gap, entropy,
 magnetization) once per distinct sector-angle sum of the whole grid, into
 one table, so per point it does only what depends on both sectors:
 gathers, the mean magnetization, the pattern rules and the entropy of the
-mixture.  Those per-point steps run on whole alpha rows: the mixtures are
-checked as ``DensityMatrix2`` checks them, with numpy masks, and their
-entropies come from one scalar pass of the 2x2 closed form, the one that
-:func:`rho_eigenvalues` and :func:`entropy` also take a single matrix
-through.  Every sector closed form lives here; the magnetization is also
-the ``walk1d`` command's spread prediction.
+mixture.  Those per-point steps run on blocks of whole alpha rows, about
+2,048 points each: the mixtures are checked as ``DensityMatrix2`` checks
+them, with numpy masks, and their entropies come from one scalar pass of
+the 2x2 closed form, the one that :func:`rho_eigenvalues` and
+:func:`entropy` also take a single matrix through.  Every sector closed
+form lives here; the magnetization is also the ``walk1d`` command's
+spread prediction.
 """
 
 from __future__ import annotations
@@ -287,21 +288,26 @@ def entropy(rho: DensityMatrix2) -> float:
     return _spectra((rho.rho11,), (rho.rho22,), (rho.rho12,))[1][0]
 
 
-def _check_mixtures(rho11: np.ndarray, rho22: np.ndarray, rho12: np.ndarray) -> None:
-    """Raise what ``DensityMatrix2`` raises at the first of these matrices,
-    whose ``rho12`` is real, that it refuses.
+def _mixture_flags(rho11: np.ndarray, rho22: np.ndarray, rho12: np.ndarray) -> np.ndarray:
+    """Flag each of these matrices, whose ``rho12`` is real, that
+    ``DensityMatrix2`` could refuse, without raising.
 
     Its trace and diagonal checks are exact as numpy masks, with ``min``
     taken as Python takes it.  Its determinant squares ``abs(rho12)``
     through libm's ``pow``, which can differ from ``rho12 * rho12`` by an
     ulp, so that mask enlarges the square by ``2**-50`` and flags every
-    matrix that ``pow`` could refuse; each flagged matrix is then checked
-    by ``DensityMatrix2`` itself.
+    matrix that ``pow`` could refuse.
     """
-    flagged = ((np.abs(rho11 + rho22 - 1.0) > 1e-12)
-               | (np.where(rho22 < rho11, rho22, rho11) < -_PSD_TOL)
-               | (rho11 * rho22 - rho12 * rho12 * (1.0 + 2.0 ** -50) < -_PSD_TOL))
-    for j in np.flatnonzero(flagged).tolist():
+    return ((np.abs(rho11 + rho22 - 1.0) > 1e-12)
+            | (np.where(rho22 < rho11, rho22, rho11) < -_PSD_TOL)
+            | (rho11 * rho22 - rho12 * rho12 * (1.0 + 2.0 ** -50) < -_PSD_TOL))
+
+
+def _check_mixtures(rho11: np.ndarray, rho22: np.ndarray, rho12: np.ndarray) -> None:
+    """Raise what ``DensityMatrix2`` raises at the first of these matrices,
+    whose ``rho12`` is real, that it refuses: each matrix that
+    ``_mixture_flags`` flags is checked by ``DensityMatrix2`` itself."""
+    for j in np.flatnonzero(_mixture_flags(rho11, rho22, rho12)).tolist():
         DensityMatrix2(float(rho11[j]), float(rho22[j]), float(rho12[j]))
 
 
@@ -408,6 +414,16 @@ _SWEEP_DTYPE = np.dtype([
     ("pattern", _PATTERN_LABELS.dtype)])
 # Exact numerators below this bound add up in int64 without overflow.
 _INT64_NUMERATOR = 2 ** 59
+# Points in a block of alpha rows that sweep_summary fills in one pass; a
+# block holds at least one row.
+_SWEEP_BLOCK = 2048
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, sorted, as ``np.unique`` gives them
+    without its import of ``numpy.ma``."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
@@ -429,16 +445,19 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     grid mixing the two is refused with ``ValueError``.  The sector closed
     forms are evaluated once per distinct sector-angle sum of the whole
     grid, into one table of float columns, and the rows are filled from
-    it one alpha row at a time.  Per row, each point's equal-weight
-    mixture of its two sector matrices is checked with numpy masks for
-    what ``DensityMatrix2`` refuses, and the row's mixture entropies come
-    from one scalar ``math`` pass, with the bits :func:`entropy` gives.  A
-    point that ``effective_angles`` or its pattern refuses is refused with
-    the same exception, at the first such point; a non-finite angle is
-    refused there too, so an empty grid, which has no points, gives an
-    empty array even next to a non-finite angle.  Within a row, a pattern
-    refusal comes before a mixture that ``DensityMatrix2`` refuses, which
-    raises its ``DensityMatrixError`` at the first such point.
+    it a block of consecutive alpha rows at a time, about 2,048 points and
+    at least one row.  Per block, each point's equal-weight mixture of its
+    two sector matrices is checked with numpy masks for what
+    ``DensityMatrix2`` refuses, and the block's mixture entropies come from
+    one scalar ``math`` pass, with the bits :func:`entropy` gives.  A point
+    that ``effective_angles`` or its pattern refuses is refused with the
+    same exception, at the first such point; a non-finite angle is refused
+    there too, so an empty grid, which has no points, gives an empty array
+    even next to a non-finite angle.  Within a row, a pattern refusal comes
+    before a mixture that ``DensityMatrix2`` refuses, which raises its
+    ``DensityMatrixError`` at the first such point.  The first row of a
+    block that either could refuse is filled alone, after the rows before
+    it, so the refusals come where a row-by-row pass gives them.
     """
     alphas = [_as_angle(value) for value in alpha_grid]
     betas = [_as_angle(value) for value in beta_grid]
@@ -456,21 +475,22 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     with np.errstate(over="ignore"):  # refused per point below
         phi_sum = 2 * (half_turn - b)
     phi = np.array([radians(n) for n in phi_sum.tolist()], dtype=np.float64)
+    block_rows = max(1, _SWEEP_BLOCK // len(betas))
 
-    def sums(i: int) -> tuple[np.ndarray, np.ndarray]:
-        # row i's gamma1 and gamma2 as effective_angles adds them; float
-        # sums keyed on their bits, so that a nan sum (inf - inf) sorts and
-        # is found like any other
+    def sums(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # gamma1 and gamma2 of the rows [lo, hi) as effective_angles adds
+        # them; float sums keyed on their bits, so that a nan sum (inf - inf)
+        # sorts and is found like any other
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma1 = a[i] + b + values[-1]
+            gamma1 = a[lo:hi, None] + b + values[-1]
             pair = gamma1, gamma1 + phi_sum
         return pair if exact else tuple(x.view(np.uint64) for x in pair)
 
-    keys = set()
-    for i in range(len(alphas)):
-        for x in sums(i):
-            keys.update(x.tolist())
-    keys = np.array(sorted(keys), dtype=dtype if exact else np.uint64)
+    # the distinct sums of each block, then of the grid, so that beside
+    # the distinct sums only one block's sums are held
+    keys = _distinct(np.concatenate([
+        _distinct(np.concatenate(sums(lo, lo + block_rows), axis=None))
+        for lo in range(0, len(alphas), block_rows)]))
     # the closed-form table: one row per distinct sum, columns gamma,
     # rho11, rho22, Re rho12 (its imaginary part is +0.0), d, s, m
     table = np.full((len(keys), 7), math.nan)
@@ -482,30 +502,46 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
             rho, d, s = _sector_closed_forms(reduced)
             table[j, 1:] = rho.rho11, rho.rho22, rho.rho12.real, d, s, _sector_magnetization(reduced)
     gamma, rho11, rho22, rho12, d, s, m = table.T
-    # after the table, so that the rows and the set of sums are never held at once
+    # after the table, so that the rows and the sums are never held at once
     rows = np.empty((len(alphas), len(betas)), dtype=_SWEEP_DTYPE)
     rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
     rows["beta"] = [angle.radians for angle in betas]
-    for i in range(len(alphas)):
-        i1, i2 = (np.searchsorted(keys, x) for x in sums(i))
+    finite_phi = bool(np.isfinite(phi).all())
+    lo = 0
+    while lo < len(alphas):
+        i1, i2 = (np.searchsorted(keys, x) for x in sums(lo, lo + block_rows))
         gamma1, gamma2 = gamma[i1], gamma[i2]
+        # average_rho's mixture, as mutual_information takes it
+        mixture = [0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            refusable = ~(finite_phi & np.isfinite((gamma1 + gamma2) / 2.0).all(axis=1))
+        refusable |= _mixture_flags(*mixture).any(axis=1)
+        # the n rows before the first one that may be refused are filled as
+        # one unit; that row is then filled alone, refused as a point is: by
+        # its pattern, then by DensityMatrix2, then by _spectra
+        n = int(refusable.argmax()) if refusable.any() else len(refusable)
+        alone = n == 0
+        n = max(n, 1)
+        i1, i2, gamma1, gamma2 = i1[:n], i2[:n], gamma1[:n], gamma2[:n]
+        mixture = [x[:n] for x in mixture]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
         except ValueError:  # refuse as effective_angles and its pattern do
             for beta in betas:
-                effective_angles(alphas[i], beta, gamma_y).pattern
+                effective_angles(alphas[lo], beta, gamma_y).pattern
             raise
-        row = rows[i]
+        if alone:
+            _check_mixtures(*(x[0] for x in mixture))
+        block = rows[lo:lo + n]
         m1, m2 = m[i1], m[i2]
-        row["gamma1"], row["gamma2"] = gamma1, gamma2
-        row["m1"], row["m2"], row["m"] = m1, m2, (m1 + m2) / 2.0
-        row["d1"], row["d2"] = d[i1], d[i2]
+        block["gamma1"], block["gamma2"] = gamma1, gamma2
+        block["m1"], block["m2"], block["m"] = m1, m2, (m1 + m2) / 2.0
+        block["d1"], block["d2"] = d[i1], d[i2]
         s1, s2 = s[i1], s[i2]
-        row["s1"], row["s2"] = s1, s2
-        # the entropy of average_rho's mixture, as mutual_information takes it
-        mixture = [0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12)]
-        _check_mixtures(*mixture)
-        row["mutual_information"] = s1 + s2 - np.array(_spectra(*(x.tolist() for x in mixture))[1])
-        row["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
+        block["s1"], block["s2"] = s1, s2
+        entropies = _spectra(*(x.ravel().tolist() for x in mixture))[1]
+        block["mutual_information"] = s1 + s2 - np.reshape(entropies, s1.shape)
+        block["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
+        lo += n
     return rows.reshape(-1)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ladderwalk import cli
+from ladderwalk import cli, spectral
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -101,6 +101,20 @@ def test_chunk_boundaries_leave_bytes_unchanged(tmp_path, monkeypatch, case):
     repetitive (``sweep-wide-csv`` and ``sweep-wide-json`` have 1,089
     rows)."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
+    assert run_case(CASES[case], tmp_path) == expected
+
+
+@pytest.mark.parametrize("block", [1, 70])
+@pytest.mark.parametrize("case", [case for case in CASES
+                                  if case.startswith(("sweep-", "ladder-", "table1-"))])
+def test_sweep_blocks_leave_bytes_unchanged(tmp_path, monkeypatch, case, block):
+    """``sweep_summary`` fills its rows a block of alpha rows at a time; one
+    point per block fills every row on its own, and 70 points split the
+    33-row grids of ``sweep-wide-csv`` and ``sweep-wide-json`` unevenly
+    (two rows per block, the last row alone).  The ``ladder-*`` and
+    ``table1-*`` goldens make one-point calls."""
+    monkeypatch.setattr(spectral, "_SWEEP_BLOCK", block)
     expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert run_case(CASES[case], tmp_path) == expected
 

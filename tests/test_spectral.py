@@ -573,10 +573,10 @@ class TestSweepSummary:
     @given(grids=st.one_of(st.tuples(EXACT_GRIDS, EXACT_GRIDS),
                            st.tuples(FLOAT_GRIDS, FLOAT_GRIDS)))
     @settings(max_examples=80, deadline=None)
-    def test_run_sweep_rows_match_walk_summary_bits(self, grids):
+    def test_run_sweep_rows_match_reference_summary_bits(self, grids):
         self.assert_sweep_rows_match_reference(*grids)
 
-    def test_reference_grid_rows_match_walk_summary_bits(self):
+    def test_reference_grid_rows_match_reference_summary_bits(self):
         grid = parse_grid("-pi:pi:129")
         self.assert_sweep_rows_match_reference(grid, grid)
 
@@ -587,7 +587,7 @@ class TestSweepSummary:
     @example([_exact(1, 2)], [0.0, -0.0], ())  # an exact alpha row with float betas
     @example([_exact(1, 2)], [_exact(3, 4)], (0.7,))  # exact grids, a float gamma_y
     @settings(max_examples=150, deadline=None)
-    def test_matches_walk_summary_bits(self, alphas, betas, gamma_y):
+    def test_matches_reference_summary_bits(self, alphas, betas, gamma_y):
         """At the default ``gamma_y`` (``()``) and at drawn ones."""
         rows = lw.sweep_summary(alphas, betas, *gamma_y)
         points = [(a, b, *gamma_y) for a in alphas for b in betas]
@@ -647,7 +647,7 @@ class TestSweepSummary:
         ([1e308], [-1e308, math.inf]),     # phi at the first point, not beta
         ([lw.Angle(math.inf, Fraction(1))], [_exact(1, 2)]),  # a pi-fraction is not enough
     ])
-    def test_refuses_like_walk_summary_at_the_first_point(self, alphas, betas):
+    def test_refuses_like_effective_angles_at_the_first_point(self, alphas, betas):
         self.assert_refuses_like_effective_angles(alphas, betas)
 
     @pytest.mark.parametrize("alphas,betas,gamma_y", [
@@ -752,6 +752,23 @@ class TestMixtureRefusal:
                 lw.sweep_summary([0.3], [0.1])
             TestSweepSummary.assert_refuses_like_effective_angles([0.3], [0.1, 1e308])
 
+    @pytest.mark.parametrize("alphas,betas,refused", [
+        ([0.3, 1e308], [0.1], (lw.DensityMatrixError, "trace must be 1")),
+        ([1e308, 0.3], [0.1], (ValueError, "a walk pattern needs finite angles")),
+        ([0.2, 0.3, 1e308], [0.1, 0.5], (lw.DensityMatrixError, "trace must be 1")),
+        ([0.2, 1e308, 0.3], [0.1, 0.5], (ValueError, "a walk pattern needs finite angles")),
+    ])
+    def test_the_first_refused_row_of_a_block_wins(self, alphas, betas, refused):
+        # the corrupted mixture is at (0.3, 0.1), the pattern refusal
+        # (gamma1 + gamma2 past the range) in the row of 1e308: whichever
+        # row comes first is refused, though both are in one block
+        target = lw.effective_angles(0.3, 0.1).gamma1_reduced
+        with _corrupt_one_sum(target):
+            with pytest.raises(ValueError) as raised:
+                lw.sweep_summary(alphas, betas)
+        assert type(raised.value) is refused[0]
+        assert str(raised.value).startswith(refused[1])
+
     @given(st.lists(BOUNDARY_TRIPLES, min_size=1, max_size=4))
     # refused through pow's square of rho12, not through rho12 * rho12 ...
     @example([(0.058451599998049386, 0.9415484000019506, 0.23459541866097347)])
@@ -776,3 +793,28 @@ class TestMixtureRefusal:
             with pytest.raises(lw.DensityMatrixError) as raised:
                 _check_mixtures(*columns)
             assert str(raised.value) == expected
+
+
+@pytest.fixture(scope="class")
+def one_point_blocks():
+    """``sweep_summary`` with one point per block: every alpha row is
+    filled, checked and refused on its own."""
+    with mock.patch.object(lw.spectral, "_SWEEP_BLOCK", 1):
+        yield
+
+
+@pytest.mark.usefixtures("one_point_blocks")
+class TestSweepSummaryInOnePointBlocks(TestSweepSummary):
+    """``TestSweepSummary``'s cases, refusals included, one row at a time."""
+
+    # Hypothesis runs a test method for one class only
+    test_run_sweep_rows_match_reference_summary_bits = None
+    test_matches_reference_summary_bits = None
+
+
+@pytest.mark.usefixtures("one_point_blocks")
+class TestMixtureRefusalInOnePointBlocks(TestMixtureRefusal):
+    """``TestMixtureRefusal``'s cases, refusal order included, one row at a
+    time."""
+
+    test_mixture_check_refuses_as_density_matrix_does = None  # no sweep, and Hypothesis
