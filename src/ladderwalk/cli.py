@@ -72,6 +72,7 @@ from .spectral import (
     DensityMatrix2,
     DensityMatrixError,
     _coin_rho_sums,
+    _distinct,
     _sector_magnetization,
     asymptotic_rho,
     entropy,
@@ -621,8 +622,7 @@ def _float_table(column: np.ndarray, cell: str) -> tuple[np.ndarray, np.ndarray]
     head = column[:_CHUNK_ROWS].view(np.uint64).tolist()
     if not head or 2 * len(set(head)) > len(head):
         return None
-    bits = np.sort(column.view(np.uint64))
-    keys = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+    keys = _distinct(column.view(np.uint64))
     if 2 * len(keys) > len(column):
         return None
     return keys, np.array([cell % v for v in keys.view(np.float64).tolist()], dtype=object)

@@ -82,6 +82,14 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_integer(name: str, value: int) -> int:
+    """``value`` as an ``int``; a bool, a float or any other type without
+    ``__index__`` is refused with ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class CoinSpinor:
     """Amplitudes of the up and down coin states."""
@@ -305,9 +313,7 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
     :class:`LatticeOverflowError`; nothing can reach an edge before the
     window does, so the check is exact.
     """
-    if isinstance(n_steps, bool):
-        raise TypeError("n_steps must be an integer, not bool")
-    n_steps = operator.index(n_steps)
+    n_steps = _require_integer("n_steps", n_steps)
     for cols, columns in _steps(state, spec, n_steps):
         pass
     amps = np.zeros(state.amplitudes.shape, np.complex128)

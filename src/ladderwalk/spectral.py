@@ -20,7 +20,9 @@ one table, so per point it does only what depends on both sectors:
 gathers, the mean magnetization, the pattern rules and the entropy of the
 mixture.  Those per-point steps run on blocks of whole alpha rows, about
 2,048 points each: the mixtures are checked as ``DensityMatrix2`` checks
-them, with numpy masks, and their entropies come from one scalar pass of
+them, with numpy masks; flagged rows are checked point by point, by
+``effective_angles`` and ``DensityMatrix2``, before their block is
+filled; and the mixture entropies come from one scalar pass of
 the 2x2 closed form, the one that :func:`rho_eigenvalues` and
 :func:`entropy` also take a single matrix through.  Every sector closed
 form lives here; the magnetization is also the ``walk1d`` command's
@@ -41,6 +43,7 @@ from .core import (
     _check_initial_coin,
     _probabilities,
     _require_finite,
+    _require_integer,
     evolve,
     localized_walker,
 )
@@ -181,8 +184,10 @@ def evolve_spectral(initial: CoinSpinor, gamma: float, n: int,
     sites; the propagator ``U(k)^n`` is applied on the momentum grid
     ``k_j = 2 pi j / ring_size`` band by band and transformed back.  With
     ``ring_size > 2 n`` the wave front cannot wrap, so the result equals
-    open-lattice evolution.
+    open-lattice evolution.  ``n`` and ``ring_size`` must be integers (a
+    bool is refused).
     """
+    n, ring_size = _require_integer("n", n), _require_integer("ring_size", ring_size)
     gamma = _require_finite("gamma", gamma)
     if ring_size % 2 != 0:
         raise AliasingError("ring_size must be even")
@@ -367,7 +372,9 @@ def cesaro_rho(gamma: float, n_steps: int,
     same mean of each sector from the ladder's own states in the blocked
     pass, and the tests hold the two routes together; they share only the
     coin-matrix sums, of which ``finite_n_rho`` is the one-state view.
+    ``n_steps`` must be an integer (a bool is refused).
     """
+    n_steps = _require_integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     state = localized_walker(initial, half_width=n_steps + 2)
@@ -455,9 +462,12 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     there too, so an empty grid, which has no points, gives an empty array
     even next to a non-finite angle.  Within a row, a pattern refusal comes
     before a mixture that ``DensityMatrix2`` refuses, which raises its
-    ``DensityMatrixError`` at the first such point.  The first row of a
-    block that either could refuse is filled alone, after the rows before
-    it, so the refusals come where a row-by-row pass gives them.
+    ``DensityMatrixError`` at the first such point.  Flagged rows are
+    checked point by point, by ``effective_angles`` and ``DensityMatrix2``,
+    before their block is filled, so these refusals come where a
+    row-by-row pass gives them.  A mixture with an eigenvalue below
+    ``-1e-12``, which no two sector matrices make, is refused as its block
+    is filled, after the flagged rows of the whole block.
     """
     alphas = [_as_angle(value) for value in alpha_grid]
     betas = [_as_angle(value) for value in beta_grid]
@@ -507,8 +517,7 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
     rows["beta"] = [angle.radians for angle in betas]
     finite_phi = bool(np.isfinite(phi).all())
-    lo = 0
-    while lo < len(alphas):
+    for lo in range(0, len(alphas), block_rows):
         i1, i2 = (np.searchsorted(keys, x) for x in sums(lo, lo + block_rows))
         gamma1, gamma2 = gamma[i1], gamma[i2]
         # average_rho's mixture, as mutual_information takes it
@@ -516,24 +525,15 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
         with np.errstate(over="ignore", invalid="ignore"):
             refusable = ~(finite_phi & np.isfinite((gamma1 + gamma2) / 2.0).all(axis=1))
         refusable |= _mixture_flags(*mixture).any(axis=1)
-        # the n rows before the first one that may be refused are filled as
-        # one unit; that row is then filled alone, refused as a point is: by
-        # its pattern, then by DensityMatrix2, then by _spectra
-        n = int(refusable.argmax()) if refusable.any() else len(refusable)
-        alone = n == 0
-        n = max(n, 1)
-        i1, i2, gamma1, gamma2 = i1[:n], i2[:n], gamma1[:n], gamma2[:n]
-        mixture = [x[:n] for x in mixture]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
-        except ValueError:  # refuse as effective_angles and its pattern do
+        # each flagged row is checked point by point, in order, as a point is
+        # refused: by its pattern, then by DensityMatrix2; a false alarm
+        # falls through, and the whole block is then filled at once
+        for row in np.flatnonzero(refusable).tolist():
             for beta in betas:
-                effective_angles(alphas[lo], beta, gamma_y).pattern
-            raise
-        if alone:
-            _check_mixtures(*(x[0] for x in mixture))
-        block = rows[lo:lo + n]
+                effective_angles(alphas[lo + row], beta, gamma_y).pattern
+            _check_mixtures(*(x[row] for x in mixture))
+        rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
+        block = rows[lo:lo + block_rows]
         m1, m2 = m[i1], m[i2]
         block["gamma1"], block["gamma2"] = gamma1, gamma2
         block["m1"], block["m2"], block["m"] = m1, m2, (m1 + m2) / 2.0
@@ -543,5 +543,4 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
         entropies = _spectra(*(x.ravel().tolist() for x in mixture))[1]
         block["mutual_information"] = s1 + s2 - np.reshape(entropies, s1.shape)
         block["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
-        lo += n
     return rows.reshape(-1)

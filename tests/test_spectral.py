@@ -196,6 +196,19 @@ class TestEvolveSpectral:
         with pytest.raises(lw.AliasingError):
             lw.evolve_spectral(lw.CoinSpinor(), 1.0, 3, 15)
 
+    @pytest.mark.parametrize("n,ring_size", [
+        (2.5, 10), (True, 10), (np.True_, 10), (2.0, 10), ("2", 10), (None, 10),
+        (2, True), (2, 10.0),
+    ])
+    def test_counts_must_be_integers(self, n, ring_size):
+        with pytest.raises(TypeError):
+            lw.evolve_spectral(lw.CoinSpinor(), 0.7, n, ring_size)
+
+    def test_integer_like_counts_count_as_ints(self):
+        state = lw.evolve_spectral(lw.CoinSpinor(), 0.7, np.int64(3), np.int64(10))
+        assert type(state.steps_taken) is int and state.steps_taken == 3
+        assert state.amplitudes.shape == (2, 11)
+
     def test_general_initial_coin(self):
         coin = lw.CoinSpinor.from_bloch(1.1, 0.4)
         spectral = lw.evolve_spectral(coin, 2.2, 7, 32)
@@ -392,6 +405,11 @@ class TestFiniteNRho:
             rho = lw.finite_n_rho(state)
             assert rho.rho11 + rho.rho22 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_steps", [True, np.True_, 2.5, 1.0, "2", None])
+    def test_cesaro_n_steps_must_be_an_integer(self, n_steps):
+        with pytest.raises(TypeError):
+            lw.cesaro_rho(0.7, n_steps)
+
     def test_cesaro_average_approaches_asymptotic(self):
         ces = lw.cesaro_rho(math.pi / 2, 400)
         asy = lw.asymptotic_rho(math.pi / 2)
@@ -399,7 +417,7 @@ class TestFiniteNRho:
         assert ces.rho12.real == pytest.approx(asy.rho12.real, abs=1e-2)
 
 
-class TestWalkSummary:
+class TestSectorAnalytics:
     """The per-point sector analytics, read off one-point ``sweep_summary``
     rows and ``effective_angles``."""
 
@@ -498,7 +516,7 @@ def _exact(numerator: int, denominator: int) -> lw.Angle:
     return lw.Angle(float(f) * math.pi, f)
 
 
-class TestWalkSummaryBits:
+class TestOnePointRowBits:
     """``sweep_summary`` adds exact angles as integers and evaluates the
     sector closed forms once per distinct angle; neither may move a bit
     of a one-point row, at the default ``gamma_y`` or any other."""
@@ -711,6 +729,13 @@ def _mixture_refusals(alphas, betas, target) -> list:
     return messages
 
 
+def _flag_every_mixture():
+    """Patch ``_mixture_flags`` to flag every mixture: each row is then
+    checked point by point, and every point that passes is a false alarm."""
+    return mock.patch.object(lw.spectral, "_mixture_flags",
+                             lambda rho11, rho22, rho12: np.ones(np.shape(rho11), dtype=bool))
+
+
 class TestMixtureRefusal:
     """A sweep mixture that ``DensityMatrix2`` refuses is refused with its
     ``DensityMatrixError``, at the first such point."""
@@ -731,6 +756,26 @@ class TestMixtureRefusal:
             with pytest.raises(lw.DensityMatrixError) as raised:
                 lw.sweep_summary(grid, grid)
         assert str(raised.value) == messages[0]
+
+    @pytest.mark.parametrize("betas", [slice(None), slice(3, 4)], ids=["grid", "one-beta"])
+    def test_false_alarms_leave_the_first_refused_mixture(self, betas):
+        # the check above, with every point before the refused one a false
+        # alarm; with one beta the first refused row is the third
+        grid = parse_grid(self.GRID)
+        with _corrupt_one_sum(self.target()), _flag_every_mixture():
+            with pytest.raises(lw.DensityMatrixError) as raised:
+                lw.sweep_summary(grid, grid[betas])
+        assert str(raised.value) == _mixture_refusals(grid, grid[betas], self.target())[0]
+
+    @pytest.mark.parametrize("alpha_grid,beta_grid", [
+        ("-pi:pi:33", "-pi:pi:33"),
+        ("-3:3:40", "-3:3:40"),
+    ])
+    def test_false_alarms_are_filled_as_unflagged_rows(self, alpha_grid, beta_grid):
+        alphas, betas = parse_grid(alpha_grid), parse_grid(beta_grid)
+        expected = lw.sweep_summary(alphas, betas).tobytes()
+        with _flag_every_mixture():
+            assert lw.sweep_summary(alphas, betas).tobytes() == expected
 
     def test_sweep_command_exits_three(self, tmp_path):
         with _corrupt_one_sum(self.target()):
