@@ -208,9 +208,13 @@ def _point_mass(coin: CoinSpinor | None, half_width: int, origin: int,
                 *side: int) -> np.ndarray:
     """Amplitudes of a walker at site ``origin`` of ``-half_width ..
     half_width`` with ``coin`` (default up): shape ``(2, 2R+1)`` on the
-    line, or ``(2, 2, 2R+1)`` on ``side`` of the ladder."""
+    line, or ``(2, 2, 2R+1)`` on ``side`` of the ladder.  ``half_width``,
+    ``origin`` and ``side`` must be integers (a bool is refused)."""
     coin = coin if coin is not None else CoinSpinor()
     _check_initial_coin(coin)
+    half_width = _require_integer("half_width", half_width)
+    origin = _require_integer("origin", origin)
+    side = [_require_integer("side", x) for x in side]
     if any(x not in (0, 1) for x in side):
         raise ValueError("side must be 0 or 1")
     if half_width < 1:

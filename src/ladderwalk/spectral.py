@@ -19,14 +19,17 @@ magnetization) once per distinct sector-angle sum of the whole grid, into
 one table, so per point it does only what depends on both sectors:
 gathers, the mean magnetization, the pattern rules and the entropy of the
 mixture.  Those per-point steps run on blocks of whole alpha rows, about
-2,048 points each: the mixtures are checked as ``DensityMatrix2`` checks
-them, with numpy masks; flagged rows are checked point by point, by
-``effective_angles`` and ``DensityMatrix2``, before their block is
-filled; and the mixture entropies come from one scalar pass of
-the 2x2 closed form, the one that :func:`rho_eigenvalues` and
-:func:`entropy` also take a single matrix through.  Every sector closed
-form lives here; the magnetization is also the ``walk1d`` command's
-spread prediction.
+2,048 points each: rows where an angle, the phase or a sector-angle sum
+is not finite are checked point by point, by ``effective_angles``, before
+their block is filled; and the mixture entropies come from one scalar
+pass of the 2x2 closed form, the one that :func:`rho_eigenvalues` and
+:func:`entropy` also take a single matrix through, whose
+negative-eigenvalue refusal is the one numeric check on a mixture.  A
+mixture needs no ``DensityMatrix2`` check of its own: each sector matrix
+is an :func:`asymptotic_rho`, with determinant ``s / (2 (1 + s))`` for
+``s = |sin(gamma/2)|``, and an equal mixture of two density matrices is
+one.  Every sector closed form lives here; the magnetization is also the
+``walk1d`` command's spread prediction.
 """
 
 from __future__ import annotations
@@ -108,12 +111,13 @@ class DensityMatrix2:
     rho12: complex
 
     def __post_init__(self):
-        if abs(self.rho11 + self.rho22 - 1.0) > 1e-12:
+        # each comparison fails on nan, so a non-finite entry is refused
+        if not abs(self.rho11 + self.rho22 - 1.0) <= 1e-12:
             raise DensityMatrixError(
                 f"trace must be 1, got {self.rho11 + self.rho22!r}")
-        if min(self.rho11, self.rho22) < -_PSD_TOL:
+        if not min(self.rho11, self.rho22) >= -_PSD_TOL:
             raise DensityMatrixError("negative diagonal entry")
-        if self.determinant < -_PSD_TOL:
+        if not self.determinant >= -_PSD_TOL:
             raise DensityMatrixError(
                 f"not positive semidefinite, det = {self.determinant!r}")
 
@@ -256,7 +260,8 @@ def _spectra(rho11, rho22, rho12) -> tuple[list[tuple[float, float]], list[float
 
     One scalar pass through ``math``: numpy's ``hypot`` and ``log2`` differ
     from it in the last bit.  A matrix with an eigenvalue below
-    ``-_PSD_TOL`` is refused with ``ValueError``.
+    ``-_PSD_TOL`` is refused with ``DensityMatrixError``: for the computed
+    matrices given here that is a numeric invariant violation.
     """
     hypot, log2 = math.hypot, math.log2
     eigenvalues, entropies = [], []
@@ -265,7 +270,7 @@ def _spectra(rho11, rho22, rho12) -> tuple[list[tuple[float, float]], list[float
         root = hypot(x - y, 2.0 * abs(z))
         lo, hi = (trace - root) / 2.0, (trace + root) / 2.0
         if lo < -_PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
+            raise DensityMatrixError(f"density matrix has negative eigenvalue {lo!r}")
         # min(max(lam, 0.0), 1.0), nan and -0.0 included, without the calls
         hi = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
         lo = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
@@ -291,29 +296,6 @@ def rho_eigenvalues(rho: DensityMatrix2) -> tuple[float, float]:
 def entropy(rho: DensityMatrix2) -> float:
     """Von Neumann entropy in bits, with ``0 log 0 = 0``."""
     return _spectra((rho.rho11,), (rho.rho22,), (rho.rho12,))[1][0]
-
-
-def _mixture_flags(rho11: np.ndarray, rho22: np.ndarray, rho12: np.ndarray) -> np.ndarray:
-    """Flag each of these matrices, whose ``rho12`` is real, that
-    ``DensityMatrix2`` could refuse, without raising.
-
-    Its trace and diagonal checks are exact as numpy masks, with ``min``
-    taken as Python takes it.  Its determinant squares ``abs(rho12)``
-    through libm's ``pow``, which can differ from ``rho12 * rho12`` by an
-    ulp, so that mask enlarges the square by ``2**-50`` and flags every
-    matrix that ``pow`` could refuse.
-    """
-    return ((np.abs(rho11 + rho22 - 1.0) > 1e-12)
-            | (np.where(rho22 < rho11, rho22, rho11) < -_PSD_TOL)
-            | (rho11 * rho22 - rho12 * rho12 * (1.0 + 2.0 ** -50) < -_PSD_TOL))
-
-
-def _check_mixtures(rho11: np.ndarray, rho22: np.ndarray, rho12: np.ndarray) -> None:
-    """Raise what ``DensityMatrix2`` raises at the first of these matrices,
-    whose ``rho12`` is real, that it refuses: each matrix that
-    ``_mixture_flags`` flags is checked by ``DensityMatrix2`` itself."""
-    for j in np.flatnonzero(_mixture_flags(rho11, rho22, rho12)).tolist():
-        DensityMatrix2(float(rho11[j]), float(rho22[j]), float(rho12[j]))
 
 
 def average_rho(rho1: DensityMatrix2, rho2: DensityMatrix2) -> DensityMatrix2:
@@ -453,21 +435,19 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     forms are evaluated once per distinct sector-angle sum of the whole
     grid, into one table of float columns, and the rows are filled from
     it a block of consecutive alpha rows at a time, about 2,048 points and
-    at least one row.  Per block, each point's equal-weight mixture of its
-    two sector matrices is checked with numpy masks for what
-    ``DensityMatrix2`` refuses, and the block's mixture entropies come from
-    one scalar ``math`` pass, with the bits :func:`entropy` gives.  A point
-    that ``effective_angles`` or its pattern refuses is refused with the
-    same exception, at the first such point; a non-finite angle is refused
-    there too, so an empty grid, which has no points, gives an empty array
-    even next to a non-finite angle.  Within a row, a pattern refusal comes
-    before a mixture that ``DensityMatrix2`` refuses, which raises its
-    ``DensityMatrixError`` at the first such point.  Flagged rows are
-    checked point by point, by ``effective_angles`` and ``DensityMatrix2``,
-    before their block is filled, so these refusals come where a
-    row-by-row pass gives them.  A mixture with an eigenvalue below
-    ``-1e-12``, which no two sector matrices make, is refused as its block
-    is filled, after the flagged rows of the whole block.
+    at least one row.  Per block, the entropies of each point's
+    equal-weight mixture of its two sector matrices come from one scalar
+    ``math`` pass, with the bits :func:`entropy` gives.  A point that
+    ``effective_angles`` or its pattern refuses is refused with the same
+    exception, at the first such point; a non-finite angle is refused there
+    too, so an empty grid, which has no points, gives an empty array even
+    next to a non-finite angle.  Rows where an angle, the phase or a
+    sector-angle sum is not finite are checked point by point, by
+    ``effective_angles``, before their block is filled, so these refusals
+    come where a row-by-row pass gives them.  A mixture with an eigenvalue
+    below ``-1e-12``, which no two sector matrices make, raises
+    ``DensityMatrixError`` as its block is filled: after every pattern
+    refusal of the whole block, and at the first such point of the block.
     """
     alphas = [_as_angle(value) for value in alpha_grid]
     betas = [_as_angle(value) for value in beta_grid]
@@ -524,14 +504,12 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
         mixture = [0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12)]
         with np.errstate(over="ignore", invalid="ignore"):
             refusable = ~(finite_phi & np.isfinite((gamma1 + gamma2) / 2.0).all(axis=1))
-        refusable |= _mixture_flags(*mixture).any(axis=1)
         # each flagged row is checked point by point, in order, as a point is
-        # refused: by its pattern, then by DensityMatrix2; a false alarm
-        # falls through, and the whole block is then filled at once
+        # refused: by effective_angles and its pattern; the whole block is
+        # then filled at once
         for row in np.flatnonzero(refusable).tolist():
             for beta in betas:
                 effective_angles(alphas[lo + row], beta, gamma_y).pattern
-            _check_mixtures(*(x[row] for x in mixture))
         rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
         block = rows[lo:lo + block_rows]
         m1, m2 = m[i1], m[i2]

@@ -108,6 +108,21 @@ class TestSpinorAndFactories:
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: lw.localized_walker(half_width=True), "half_width must be an integer, not bool"),
+        (lambda: lw.localized_ladder(half_width=True), "half_width must be an integer, not bool"),
+        (lambda: lw.localized_walker(half_width=4.0), "cannot be interpreted as an integer"),
+        (lambda: lw.localized_walker(origin=True), "origin must be an integer, not bool"),
+        (lambda: lw.localized_ladder(origin=True), "origin must be an integer, not bool"),
+        (lambda: lw.localized_walker(origin=1.0), "cannot be interpreted as an integer"),
+        (lambda: lw.localized_ladder(origin=1.0), "cannot be interpreted as an integer"),
+        (lambda: lw.localized_ladder(side=True), "side must be an integer, not bool"),
+        (lambda: lw.localized_ladder(side=1.0), "cannot be interpreted as an integer"),
+    ])
+    def test_type_refusals_name_the_fault(self, make, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            make()
+
 
 class TestShifts:
     # Zero coin angles make every stage a pure shift, and a split step

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ladderwalk as lw
 from ladderwalk.cli import parse_angle, parse_grid, run_sweep
-from ladderwalk.spectral import _check_mixtures, _spectra
+from ladderwalk.spectral import _spectra
 from test_cli import run_main
 
 SQRT2 = math.sqrt(2.0)
@@ -251,6 +251,17 @@ class TestAsymptoticRho:
         assert rho.rho11 + rho.rho22 == pytest.approx(1.0, abs=1e-12)
         assert rho.determinant >= -1e-12
 
+    @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+    @example(0.0)
+    @example(math.pi)
+    @settings(max_examples=300)
+    def test_determinant_closed_form(self, gamma):
+        # det = s / (2 (1 + s)) >= 0: an equal mixture of two sector
+        # matrices is a density matrix, and the sweep checks none of them
+        s = abs(math.sin(lw.reduce_angle(gamma) / 2.0))
+        determinant = lw.asymptotic_rho(gamma).determinant
+        assert abs(determinant - s / (2.0 * (1.0 + s))) <= 4 * math.ulp(0.25)
+
     def test_validation_rejects_bad_matrix(self):
         # a ValueError still, for callers that catch that
         assert issubclass(lw.DensityMatrixError, ValueError)
@@ -260,6 +271,13 @@ class TestAsymptoticRho:
             lw.DensityMatrix2(rho11=1.5, rho22=-0.5, rho12=0.0)
         with pytest.raises(lw.DensityMatrixError, match="positive semidefinite"):
             lw.DensityMatrix2(rho11=0.5, rho22=0.5, rho12=0.9)
+        # a non-finite entry fails a check rather than pass all three
+        for bad in (math.nan, math.inf, -math.inf):
+            for entries, message in (((bad, 0.5, 0j), "trace"), ((0.5, bad, 0j), "trace"),
+                                     ((0.5, 0.5, complex(bad, 0.0)), "positive semidefinite"),
+                                     ((0.5, 0.5, complex(0.0, bad)), "positive semidefinite")):
+                with pytest.raises(lw.DensityMatrixError, match=message):
+                    lw.DensityMatrix2(*entries)
 
 
 class TestRhoEigenvalues:
@@ -345,7 +363,7 @@ class TestSpectra:
             try:
                 expected.append(reference_spectrum(*triple))
             except ValueError as error:
-                with pytest.raises(ValueError) as raised:
+                with pytest.raises(lw.DensityMatrixError) as raised:
                     _spectra(*zip(*triples))
                 assert str(raised.value) == str(error)
                 return
@@ -694,51 +712,82 @@ class TestSweepSummary:
         assert str(raised.value) == str(expected)
 
 
+class TestSweepMixtures:
+    """What makes a check of each sweep mixture needless: every mixture
+    that ``sweep_summary`` takes the entropy of is a density matrix."""
+
+    @pytest.mark.parametrize("alpha_grid,beta_grid", [
+        ("-pi:pi:129", "-pi:pi:129"),
+        ("-3:3:60", "-2.9:3.1:60"),
+        ("0pi:1/13pi:120", "0pi:1/11pi:120"),
+    ])
+    def test_every_mixture_has_no_negative_eigenvalue(self, alpha_grid, beta_grid):
+        calls = []
+
+        def recording(rho11, rho22, rho12):
+            calls.append((rho11, rho22, rho12))
+            return _spectra(rho11, rho22, rho12)
+
+        with mock.patch.object(lw.spectral, "_spectra", recording):
+            rows = lw.sweep_summary(parse_grid(alpha_grid), parse_grid(beta_grid))
+        # the sector matrices come one at a time, the mixtures a block at a time
+        mixtures = [m for call in calls if len(call[0]) > 1 for m in zip(*call)]
+        assert len(mixtures) == len(rows)
+        lowest = min((x + y - math.hypot(x - y, 2.0 * abs(z))) / 2.0 for x, y, z in mixtures)
+        assert lowest >= -4 * math.ulp(1.0)
+
+
+# added to the corrupted sector matrix's rho12: its mixture with any sector
+# matrix, whose |rho12| is below 1/2, then has |rho12| above 1/2 and a
+# negative eigenvalue
+_CORRUPTION = 2.0
+
+
 def _corrupt_one_sum(target: float):
     """Patch ``_sector_closed_forms`` so that the sector matrix at reduced
-    angle ``target`` has its ``rho11`` 4e-12 off, unvalidated; every
-    mixture with it then fails its trace check."""
+    angle ``target`` has ``_CORRUPTION`` added to its ``rho12``,
+    unvalidated; every mixture with it then has a negative eigenvalue."""
     forms = lw.spectral._sector_closed_forms
 
     def corrupted(gamma_reduced):
         rho, d, s = forms(gamma_reduced)
         if gamma_reduced == target:
-            rho = SimpleNamespace(rho11=rho.rho11 + 4e-12, rho22=rho.rho22, rho12=rho.rho12)
+            rho = SimpleNamespace(rho11=rho.rho11, rho22=rho.rho22,
+                                  rho12=rho.rho12 + _CORRUPTION)
         return rho, d, s
 
     return mock.patch.object(lw.spectral, "_sector_closed_forms", corrupted)
 
 
 def _mixture_refusals(alphas, betas, target) -> list:
-    """The ``DensityMatrixError`` message at every point, in alpha-major
+    """The negative-eigenvalue message at every point, in alpha-major
     order, whose mixture ``_corrupt_one_sum(target)`` makes refused."""
     messages = []
     for alpha in alphas:
         for beta in betas:
             eff = lw.effective_angles(alpha, beta)
             rhos = [lw.asymptotic_rho(g) for g in (eff.gamma1_reduced, eff.gamma2_reduced)]
-            offsets = [4e-12 if g == target else 0.0
+            offsets = [_CORRUPTION if g == target else 0.0
                        for g in (eff.gamma1_reduced, eff.gamma2_reduced)]
-            mixture = (0.5 * ((rhos[0].rho11 + offsets[0]) + (rhos[1].rho11 + offsets[1])),
+            mixture = (0.5 * (rhos[0].rho11 + rhos[1].rho11),
                        0.5 * (rhos[0].rho22 + rhos[1].rho22),
-                       0.5 * (rhos[0].rho12.real + rhos[1].rho12.real))
+                       0.5 * ((rhos[0].rho12.real + offsets[0])
+                              + (rhos[1].rho12.real + offsets[1])))
             try:
-                lw.DensityMatrix2(*mixture)
-            except lw.DensityMatrixError as error:
+                reference_spectrum(*mixture)
+            except ValueError as error:
                 messages.append(str(error))
     return messages
 
 
-def _flag_every_mixture():
-    """Patch ``_mixture_flags`` to flag every mixture: each row is then
-    checked point by point, and every point that passes is a false alarm."""
-    return mock.patch.object(lw.spectral, "_mixture_flags",
-                             lambda rho11, rho22, rho12: np.ones(np.shape(rho11), dtype=bool))
+PATTERN_REFUSAL = (ValueError, "a walk pattern needs finite angles")
+MIXTURE_REFUSAL = (lw.DensityMatrixError, "density matrix has negative eigenvalue")
 
 
 class TestMixtureRefusal:
-    """A sweep mixture that ``DensityMatrix2`` refuses is refused with its
-    ``DensityMatrixError``, at the first such point."""
+    """A sweep mixture with an eigenvalue below ``-1e-12`` is refused with
+    ``DensityMatrixError``, at the first such point of its block, after
+    the pattern refusals of the whole block."""
 
     GRID = "-pi:pi:9"
 
@@ -757,33 +806,14 @@ class TestMixtureRefusal:
                 lw.sweep_summary(grid, grid)
         assert str(raised.value) == messages[0]
 
-    @pytest.mark.parametrize("betas", [slice(None), slice(3, 4)], ids=["grid", "one-beta"])
-    def test_false_alarms_leave_the_first_refused_mixture(self, betas):
-        # the check above, with every point before the refused one a false
-        # alarm; with one beta the first refused row is the third
-        grid = parse_grid(self.GRID)
-        with _corrupt_one_sum(self.target()), _flag_every_mixture():
-            with pytest.raises(lw.DensityMatrixError) as raised:
-                lw.sweep_summary(grid, grid[betas])
-        assert str(raised.value) == _mixture_refusals(grid, grid[betas], self.target())[0]
-
-    @pytest.mark.parametrize("alpha_grid,beta_grid", [
-        ("-pi:pi:33", "-pi:pi:33"),
-        ("-3:3:40", "-3:3:40"),
-    ])
-    def test_false_alarms_are_filled_as_unflagged_rows(self, alpha_grid, beta_grid):
-        alphas, betas = parse_grid(alpha_grid), parse_grid(beta_grid)
-        expected = lw.sweep_summary(alphas, betas).tobytes()
-        with _flag_every_mixture():
-            assert lw.sweep_summary(alphas, betas).tobytes() == expected
-
     def test_sweep_command_exits_three(self, tmp_path):
         with _corrupt_one_sum(self.target()):
             code, out, err = run_main(["sweep", f"--alpha-grid={self.GRID}",
                                        f"--beta-grid={self.GRID}", "--format", "csv",
                                        "--out", str(tmp_path / "sweep.csv")])
         assert code == 3
-        assert err.startswith("ladderwalk: numeric invariant violated: trace must be 1")
+        assert err.startswith("ladderwalk: numeric invariant violated: "
+                              "density matrix has negative eigenvalue")
         assert err.count("\n") == 1
         assert "Traceback" not in err and out == ""
         assert list(tmp_path.iterdir()) == []
@@ -797,47 +827,25 @@ class TestMixtureRefusal:
                 lw.sweep_summary([0.3], [0.1])
             TestSweepSummary.assert_refuses_like_effective_angles([0.3], [0.1, 1e308])
 
-    @pytest.mark.parametrize("alphas,betas,refused", [
-        ([0.3, 1e308], [0.1], (lw.DensityMatrixError, "trace must be 1")),
-        ([1e308, 0.3], [0.1], (ValueError, "a walk pattern needs finite angles")),
-        ([0.2, 0.3, 1e308], [0.1, 0.5], (lw.DensityMatrixError, "trace must be 1")),
-        ([0.2, 1e308, 0.3], [0.1, 0.5], (ValueError, "a walk pattern needs finite angles")),
+    @pytest.mark.parametrize("alphas,betas,in_one_block,row_by_row", [
+        ([0.3, 1e308], [0.1], PATTERN_REFUSAL, MIXTURE_REFUSAL),
+        ([1e308, 0.3], [0.1], PATTERN_REFUSAL, PATTERN_REFUSAL),
+        ([0.2, 0.3, 1e308], [0.1, 0.5], PATTERN_REFUSAL, MIXTURE_REFUSAL),
+        ([0.2, 1e308, 0.3], [0.1, 0.5], PATTERN_REFUSAL, PATTERN_REFUSAL),
     ])
-    def test_the_first_refused_row_of_a_block_wins(self, alphas, betas, refused):
+    def test_pattern_refusals_of_a_block_come_first(self, alphas, betas, in_one_block,
+                                                     row_by_row):
         # the corrupted mixture is at (0.3, 0.1), the pattern refusal
-        # (gamma1 + gamma2 past the range) in the row of 1e308: whichever
-        # row comes first is refused, though both are in one block
+        # (gamma1 + gamma2 past the range) in the row of 1e308: in one
+        # block the pattern refusal wins wherever its row is, and with a
+        # row per block whichever row comes first is refused
         target = lw.effective_angles(0.3, 0.1).gamma1_reduced
+        refused = row_by_row if lw.spectral._SWEEP_BLOCK == 1 else in_one_block
         with _corrupt_one_sum(target):
             with pytest.raises(ValueError) as raised:
                 lw.sweep_summary(alphas, betas)
         assert type(raised.value) is refused[0]
         assert str(raised.value).startswith(refused[1])
-
-    @given(st.lists(BOUNDARY_TRIPLES, min_size=1, max_size=4))
-    # refused through pow's square of rho12, not through rho12 * rho12 ...
-    @example([(0.058451599998049386, 0.9415484000019506, 0.23459541866097347)])
-    # ... and the converse
-    @example([(0.24073570681692125, 0.7592642931830788, 0.427530146634455)])
-    @example([(1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.5, 0.5 + 3e-12, 0.0)])
-    # Python's min(rho11, rho22) keeps a nan rho11 but not a nan rho22
-    @example([(math.nan, -1.0, 0.0), (-1.0, math.nan, 0.0)])
-    @settings(max_examples=300)
-    def test_mixture_check_refuses_as_density_matrix_does(self, triples):
-        expected = None
-        for x, y, z in triples:
-            try:
-                lw.DensityMatrix2(x, y, complex(z))
-            except lw.DensityMatrixError as error:
-                expected = str(error)
-                break
-        columns = [np.array(column, dtype=np.float64) for column in zip(*triples)]
-        if expected is None:
-            _check_mixtures(*columns)
-        else:
-            with pytest.raises(lw.DensityMatrixError) as raised:
-                _check_mixtures(*columns)
-            assert str(raised.value) == expected
 
 
 @pytest.fixture(scope="class")
@@ -861,5 +869,3 @@ class TestSweepSummaryInOnePointBlocks(TestSweepSummary):
 class TestMixtureRefusalInOnePointBlocks(TestMixtureRefusal):
     """``TestMixtureRefusal``'s cases, refusal order included, one row at a
     time."""
-
-    test_mixture_check_refuses_as_density_matrix_does = None  # no sweep, and Hypothesis
