@@ -25,8 +25,8 @@ written as a single JSON document or as CSV files, one per table, CSV
 floats at 17 significant digits.
 
 Each command's options are the parameters of its ``run_*`` function
-(``--half-width`` for ``half_width``; a parameter without a default is
-required), plus ``--out``, ``--format`` and ``--config``; ``sweep`` also
+(``--initial-theta`` for ``initial_theta``; a parameter without a default
+is required), plus ``--out``, ``--format`` and ``--config``; ``sweep`` also
 takes ``--alpha``/``--beta`` as one-point grids.  A JSON config file
 holds the same keys, and a flag overrides the key of the same name.  A
 flag or config key the command does not take is a usage error.  Each
@@ -57,6 +57,7 @@ from .core import (
     Ladder,
     LatticeOverflowError,
     _probabilities,
+    _require_integer,
     _state_blocks,
     localized_ladder,
     localized_walker,
@@ -212,16 +213,12 @@ def _format(value) -> str:
     return value
 
 
-def _half_width(steps: int, half_width: int | None) -> int:
-    """The lattice half width of a ``steps``-step walk; ``steps + 2``
-    unless given."""
-    if steps < 0:
+def _half_width(steps: int) -> int:
+    """The lattice half width of a ``steps``-step walk from the origin,
+    ``steps + 2``: its last step leaves two empty sites before each edge."""
+    if _require_integer("steps", steps) < 0:
         raise UsageError("steps must be >= 0")
-    if half_width is None:
-        return steps + 2
-    if half_width <= steps + 1:
-        raise UsageError("half_width must exceed steps + 1")
-    return half_width
+    return steps + 2
 
 
 def _check_step_sum(step: int, total: float) -> None:
@@ -258,12 +255,14 @@ def _per_site_table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
 # over whole rows, so every value keeps its bits.  The workspaces are sized
 # for the first, longest block and reused, as the windows only grow.
 
-def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
+def run_walk1d(gamma: Angle, steps: int,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate a 1D conventional walk and collect its per-step datasets.
 
-    The walk is one stepping pass, observed a block of steps at a time."""
-    r = _half_width(steps, half_width)
+    The walker starts at site 0 of the sites ``-(steps + 2) .. steps + 2``,
+    which it cannot leave in ``steps`` steps.  The walk is one stepping
+    pass, observed a block of steps at a time."""
+    r = _half_width(steps)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
     spec = Conventional(gamma.radians)
@@ -325,14 +324,15 @@ def run_walk1d(gamma: Angle, steps: int, half_width: int | None = None,
 
 def run_ladder(alpha: Angle, beta: Angle, steps: int,
                gamma_y: Angle | None = None,
-               half_width: int | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate the mixed ladder protocol and collect per-step datasets.
 
-    The walk is one stepping pass, observed a block of steps at a time:
-    the joint and side masses, the sector projection and weights, the
-    coin matrices of the normalized sectors and the side-profile distance."""
-    r = _half_width(steps, half_width)
+    The walker starts on side 0 at rung 0 of the rungs ``-(steps + 2) ..
+    steps + 2``, which it cannot leave in ``steps`` steps.  The walk is one
+    stepping pass, observed a block of steps at a time: the joint and side
+    masses, the sector projection and weights, the coin matrices of the
+    normalized sectors and the side-profile distance."""
+    r = _half_width(steps)
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
     # before the walk: it refuses angles whose sector sums or pattern overflow
     summary, = _summaries(alpha, [beta], gy)
@@ -475,7 +475,7 @@ def run_table1(steps: int = 64) -> dict:
     Analytic checks use exact pi-fraction arithmetic; simulation checks run
     the full ladder protocol for ``steps`` steps.
     """
-    if steps < 1:
+    if _require_integer("steps", steps) < 1:
         raise UsageError("steps must be >= 1")
     alpha = Angle(-math.pi / 4, Fraction(-1, 4))
     rows = []
@@ -752,7 +752,6 @@ _OPTIONS = {
     "gamma": (parse_angle, "conventional coin angle"),
     "gamma_y": (parse_angle, "ladder long-side coin angle (default -1/2pi)"),
     "steps": (_count, "number of steps"),
-    "half_width": (_count, "lattice half width (default steps + 2)"),
     "initial_theta": (_radians, "initial coin Bloch polar angle (default 0)"),
     "initial_phi": (_radians, "initial coin Bloch azimuthal angle (default 0)"),
     "alpha_grid": (parse_grid, "alpha grid as start:stop:count"),

@@ -75,8 +75,18 @@ class LatticeOverflowError(Exception):
     """
 
 
+def _require_real(name: str, value: float) -> float:
+    """``value`` as a ``float``; a bool (Python's or numpy's) or a string,
+    which ``float()`` would take, is refused with ``TypeError``."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    """:func:`_require_real`, and a non-finite value is refused with
+    ``ValueError``."""
+    value = _require_real(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -87,7 +97,10 @@ def _require_integer(name: str, value: int) -> int:
     ``__index__`` is refused with ``TypeError``."""
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, not bool")
-    return operator.index(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -226,10 +239,9 @@ def _point_mass(coin: CoinSpinor | None, half_width: int, origin: int,
     return amps
 
 
-def _coin(name: str, angle: float) -> np.ndarray:
+def _coin(angle: float) -> np.ndarray:
     """Real rotation ``C(angle/2) = [[c, -s], [s, c]]`` with ``c = cos(angle/2)``,
     ``s = sin(angle/2)``: the identity at 0 and a quarter turn at pi."""
-    angle = _require_finite(name, angle)
     c = math.cos(angle / 2)
     s = math.sin(angle / 2)
     return np.array([[c, -s], [s, c]])
@@ -244,9 +256,9 @@ def _ladder_unitary(spec: Ladder) -> np.ndarray:
     side index, where ``X`` swaps the sides: ``q`` collects the paths
     that swapped once and ``p`` those that swapped twice or never.
     """
-    a = _coin("alpha", spec.alpha)
-    b = _coin("beta", spec.beta)
-    g = _coin("gamma_y", spec.gamma_y)
+    a = _coin(spec.alpha)
+    b = _coin(spec.beta)
+    g = _coin(spec.gamma_y)
     # Row t before g: b[t, 1 - t] * a[1 - t] in p, b[t, t] * a[t] in q.
     p = g @ (b[:, ::-1].diagonal()[:, None] * a[::-1])
     q = g @ (b.diagonal()[:, None] * a)
@@ -280,20 +292,20 @@ def _stages(state, spec: ProtocolSpec) -> tuple[tuple[np.ndarray, bool, bool], .
         raise TypeError(f"unknown protocol spec {spec!r}")
     # Keyed on the angles' bits: specs holding 0.0 and -0.0 are equal and
     # hash alike, but their coins differ in the sign of zero.
-    angles = vars(spec).values()
-    return _stage_table(type(spec), struct.pack(f"{len(angles)}d", *map(float, angles)))
+    angles = [_require_finite(name, angle) for name, angle in vars(spec).items()]
+    return _stage_table(type(spec), struct.pack(f"{len(angles)}d", *angles))
 
 
 @functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
 def _stage_table(protocol: type, angles: bytes) -> tuple:
     """:func:`_stages` of ``protocol(*angles)``, the angles packed as
-    float64s.  A non-finite angle raises, and is not cached."""
+    float64s."""
     spec = protocol(*struct.unpack(f"{len(angles) // 8}d", angles))
     if issubclass(protocol, Conventional):
-        stages = ((_coin("gamma", spec.gamma), True, True),)
+        stages = ((_coin(spec.gamma), True, True),)
     elif issubclass(protocol, SplitStep):
-        stages = ((_coin("alpha", spec.alpha), True, False),
-                  (_coin("beta", spec.beta), False, True))
+        stages = ((_coin(spec.alpha), True, False),
+                  (_coin(spec.beta), False, True))
     else:
         stages = ((_ladder_unitary(spec), True, True),)
     for unitary, _up, _down in stages:
@@ -436,8 +448,9 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
     windows of the walk so far, which only grows.  A block holds about
     ``_BLOCK_BYTES`` of amplitudes, one state at least; it and its array
     are valid until the generator resumes, and the next block reuses the
-    array.  A step that overflows raises after the block of the steps
-    before it.
+    array.  A step that overflows raises, and the partial block of the
+    steps before it is not yielded; the ``walk1d`` and ``ladder`` lattices
+    leave their walks no room to overflow.
     """
     shape = state.amplitudes.shape
     state_bytes = math.prod(shape) * np.dtype(np.complex128).itemsize
@@ -445,27 +458,22 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
     blocks = None
     filled = 0
     lo, hi = shape[-1], 0
-    try:
-        for cols, columns in _steps(state, spec, n_steps):
-            if blocks is None:
-                blocks = np.zeros((min(capacity, n_steps + 1),) + shape, np.complex128)
-                rows = blocks.reshape(len(blocks), len(cols), shape[-1])
-            lo, hi = min(lo, columns.start), max(hi, columns.stop)
-            # A reused row holds an earlier step, inside [lo, hi), whose
-            # sublattice may be the other one: clear the window (a
-            # contiguous fill costs less than a strided one), then write.
-            row = rows[filled]
-            if columns.step == 2:
-                row[:, lo:hi] = 0.0
-            row[:, columns] = cols
-            filled += 1
-            if filled == len(blocks):
-                yield blocks, lo, hi
-                filled = 0
-    except LatticeOverflowError:
-        if filled:
-            yield blocks[:filled], lo, hi
-        raise
+    for cols, columns in _steps(state, spec, n_steps):
+        if blocks is None:
+            blocks = np.zeros((min(capacity, n_steps + 1),) + shape, np.complex128)
+            rows = blocks.reshape(len(blocks), len(cols), shape[-1])
+        lo, hi = min(lo, columns.start), max(hi, columns.stop)
+        # A reused row holds an earlier step, inside [lo, hi), whose
+        # sublattice may be the other one: clear the window (a
+        # contiguous fill costs less than a strided one), then write.
+        row = rows[filled]
+        if columns.step == 2:
+            row[:, lo:hi] = 0.0
+        row[:, columns] = cols
+        filled += 1
+        if filled == len(blocks):
+            yield blocks, lo, hi
+            filled = 0
     if filled:
         yield blocks[:filled], lo, hi
 

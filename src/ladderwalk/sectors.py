@@ -17,7 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_GAMMA_Y, LadderState, WalkerState1D, _probabilities, _require_finite
+from .core import (
+    DEFAULT_GAMMA_Y,
+    LadderState,
+    WalkerState1D,
+    _probabilities,
+    _require_finite,
+    _require_real,
+)
 
 __all__ = [
     "Angle",
@@ -121,8 +128,10 @@ class EffectiveAngles:
                     WalkPattern.GENERIC)
 
 
-def _as_angle(value: Angle | float) -> Angle:
-    return value if isinstance(value, Angle) else Angle(float(value))
+def _as_angle(name: str, value: Angle | float) -> Angle:
+    """``value`` as an :class:`Angle`; a bool or a string is refused with
+    ``TypeError``, a non-finite number is left to the caller."""
+    return value if isinstance(value, Angle) else Angle(_require_real(name, value))
 
 
 def effective_angles(alpha: Angle | float, beta: Angle | float,
@@ -139,8 +148,9 @@ def effective_angles(alpha: Angle | float, beta: Angle | float,
     such as ``gamma1 = 0`` at ``(alpha, beta) = (-pi/4, 3*pi/4)`` hold
     exactly; otherwise in floats.
     """
-    angles = [_as_angle(value) for value in (alpha, beta, gamma_y)]
-    for name, angle in zip(("alpha", "beta", "gamma_y"), angles):
+    names = ("alpha", "beta", "gamma_y")
+    angles = [_as_angle(name, value) for name, value in zip(names, (alpha, beta, gamma_y))]
+    for name, angle in zip(names, angles):
         _require_finite(name, angle.radians)
     (a, b, gy), half_turn, reduce, radians = _angle_arithmetic(angles)
     gamma1 = a + b + gy

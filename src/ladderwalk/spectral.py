@@ -449,9 +449,9 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     ``DensityMatrixError`` as its block is filled: after every pattern
     refusal of the whole block, and at the first such point of the block.
     """
-    alphas = [_as_angle(value) for value in alpha_grid]
-    betas = [_as_angle(value) for value in beta_grid]
-    gamma_y = _as_angle(gamma_y)
+    alphas = [_as_angle("alpha", value) for value in alpha_grid]
+    betas = [_as_angle("beta", value) for value in beta_grid]
+    gamma_y = _as_angle("gamma_y", gamma_y)
     for name, angles in (("alpha", alphas), ("beta", betas)):
         if len({angle.pi_fraction is None for angle in angles}) > 1:
             raise ValueError(f"the {name} grid mixes pi-fractions and plain floats")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk import cli, core
+from ladderwalk import cli, core, sectors, spectral
 from ladderwalk.spectral import _sector_magnetization
 
 
@@ -33,8 +33,8 @@ def _per_site_table(**columns) -> dict:
     return {"columns": names, "rows": rows}
 
 
-def reference_walk1d(gamma, steps, half_width=None, initial_theta=0.0, initial_phi=0.0):
-    r = cli._half_width(steps, half_width)
+def reference_walk1d(gamma, steps, initial_theta=0.0, initial_phi=0.0):
+    r = steps + 2
     coin = lw.CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = lw.localized_walker(coin, half_width=r)
     spec = lw.Conventional(gamma.radians)
@@ -72,9 +72,8 @@ def reference_walk1d(gamma, steps, half_width=None, initial_theta=0.0, initial_p
                   "rows": step_rows}}}
 
 
-def reference_ladder(alpha, beta, steps, gamma_y=None, half_width=None,
-                     initial_theta=0.0, initial_phi=0.0):
-    r = cli._half_width(steps, half_width)
+def reference_ladder(alpha, beta, steps, gamma_y=None, initial_theta=0.0, initial_phi=0.0):
+    r = steps + 2
     gy = gamma_y if gamma_y is not None else cli._DEFAULT_GAMMA_Y
     row = lw.sweep_summary([alpha], [beta], gy)
     summary = dict(zip(row.dtype.names, row[0].tolist()))
@@ -165,7 +164,7 @@ def record_blocks(monkeypatch, rows: int, kwargs: dict, per_block: int | None) -
     ``per_block`` given, ``core._BLOCK_BYTES`` holds that many states of
     ``rows`` amplitude rows on the lattice of the run ``kwargs``."""
     if per_block is not None:
-        width = 2 * cli._half_width(kwargs["steps"], kwargs.get("half_width")) + 1
+        width = 2 * (kwargs["steps"] + 2) + 1
         monkeypatch.setattr(core, "_BLOCK_BYTES", per_block * rows * width * 16)
     lengths = []
 
@@ -179,12 +178,11 @@ def record_blocks(monkeypatch, rows: int, kwargs: dict, per_block: int | None) -
 
 
 def check_blocks(lengths: list, kwargs: dict, per_block: int | None) -> None:
-    """One pass over steps 0..n.  Three states a block, and the default
-    budget on a wide lattice, give at least three full blocks and a
-    partial last one."""
+    """One pass over steps 0..n.  Three states a block give at least three
+    full blocks and a partial last one."""
     steps = kwargs["steps"]
     assert sum(lengths) == steps + 1
-    if steps and (per_block == 3 or per_block is None and "half_width" in kwargs):
+    if steps and per_block == 3:
         assert len(lengths) >= 4 and lengths[-1] < lengths[0]
 
 
@@ -194,17 +192,12 @@ def angle(text):
 
 # steps + 1 is odd and no multiple of three, so that the last block is partial
 WALK1D_CASES = {
-    # the default budget: a 2 x 4001 lattice holds two states per block
-    "wide-lattice": dict(gamma=angle("1/3pi"), steps=48, half_width=2000),
     "zero-steps": dict(gamma=angle("0.9"), steps=0),
     "dispersionless": dict(gamma=angle("0"), steps=24, initial_theta=1.0),
     "bloch-coin": dict(gamma=angle("-2.1"), steps=40, initial_theta=0.4,
                        initial_phi=1.3),
 }
 LADDER_CASES = {
-    # the default budget: a 4 x 2001 lattice holds two states per block
-    "wide-lattice": dict(alpha=angle("-0.7"), beta=angle("1.1"), steps=48,
-                         half_width=1000),
     "zero-steps": dict(alpha=angle("0.3"), beta=angle("0.2"), steps=0),
     "identical": dict(alpha=angle("-1/4pi"), beta=angle("3/4pi"), steps=40),
     "alternating": dict(alpha=angle("-1/4pi"), beta=angle("0"), steps=30),
@@ -236,15 +229,88 @@ class TestOnePassMatchesTheStepLoop:
            st.floats(min_value=0.0, max_value=math.pi),
            st.floats(min_value=-math.pi, max_value=math.pi),
            st.integers(min_value=0, max_value=40),
-           st.integers(min_value=0, max_value=20),
            st.sampled_from([1, 2000, 7000, 1 << 18]))
     @settings(max_examples=40, deadline=None)
-    def test_drawn_runs(self, angles, theta, phi, steps, extra_width, block_bytes):
+    def test_drawn_runs(self, angles, theta, phi, steps, block_bytes):
         alpha, beta, gamma_y = (None if v is None else angle(v) for v in angles)
-        width = steps + 2 + extra_width
         with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
-            ladder = cli.run_ladder(alpha, beta, steps, gamma_y, width, theta, phi)
-            walk = cli.run_walk1d(alpha, steps, width, theta, phi)
-        assert bits(ladder) == bits(reference_ladder(alpha, beta, steps, gamma_y, width,
-                                                     theta, phi))
-        assert bits(walk) == bits(reference_walk1d(alpha, steps, width, theta, phi))
+            ladder = cli.run_ladder(alpha, beta, steps, gamma_y, theta, phi)
+            walk = cli.run_walk1d(alpha, steps, theta, phi)
+        assert bits(ladder) == bits(reference_ladder(alpha, beta, steps, gamma_y, theta, phi))
+        assert bits(walk) == bits(reference_walk1d(alpha, steps, theta, phi))
+
+
+def rho_bits(rho11, rho22, rho12) -> str:
+    return repr((rho11, rho22, rho12))
+
+
+WIDE_STEPS = 48
+
+
+def wide_blocks(monkeypatch, state, spec, per_block):
+    """``_state_blocks`` over ``WIDE_STEPS`` steps, ``per_block`` states a
+    block but the last."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", per_block * state.amplitudes.nbytes)
+    lengths = []
+    for block, lo, hi in core._state_blocks(state, spec, WIDE_STEPS):
+        lengths.append(len(block))
+        yield block, lo, hi
+    assert sum(lengths) == WIDE_STEPS + 1
+    assert set(lengths[:-1]) == {per_block}
+
+
+class TestBlockHelpersOnAWideLattice:
+    """The block helpers over ``_state_blocks`` on a lattice far wider than
+    ``WIDE_STEPS`` steps reach: every window stops short of the edges, the
+    workspaces are reused as in ``cli``, and each state's observables
+    equal the per-state views of ``evolve(state, spec, k)``, bit for bit."""
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    def test_walker(self, monkeypatch, per_block):
+        state = lw.localized_walker(half_width=1000)
+        spec = lw.Conventional(math.pi / 3)
+        width = state.amplitudes.shape[-1]
+        spin_probs = np.zeros((per_block, 2, width))
+        probs = np.zeros((per_block, width))
+        cross = np.zeros((per_block, width), np.complex128)
+        k = 0
+        for block, lo, hi in wide_blocks(monkeypatch, state, spec, per_block):
+            n = len(block)
+            core._probabilities(block, lo, hi, spin_probs[:n], probs[:n])
+            rho11, rho22, rho12 = spectral._coin_rho_sums(block, lo, hi, spin_probs[:n], cross[:n])
+            for i in range(n):
+                evolved = lw.evolve(state, spec, k)
+                assert probs[i].tobytes() == lw.position_distribution(evolved).tobytes()
+                rho = lw.finite_n_rho(evolved)
+                assert rho_bits(rho11[i], rho22[i], rho12[i]) == \
+                    rho_bits(rho.rho11, rho.rho22, rho.rho12)
+                k += 1
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    def test_ladder(self, monkeypatch, per_block):
+        state = lw.localized_ladder(half_width=1000)
+        spec = lw.Ladder(-0.7, 1.1)
+        shape = (per_block, *state.amplitudes.shape)
+        spin_probs, sector_probs = np.zeros((2, *shape))
+        split = np.zeros(shape, np.complex128)
+        joint = np.zeros((per_block, 2, shape[-1]))
+        cross = np.zeros((per_block, 2, shape[-1]), np.complex128)
+        k = 0
+        for block, lo, hi in wide_blocks(monkeypatch, state, spec, per_block):
+            n = len(block)
+            core._probabilities(block, lo, hi, spin_probs[:n], joint[:n])
+            weights = sectors._sector_blocks(block, lo, hi, split[:n], sector_probs[:n])
+            core._probabilities(split[:n], lo, hi, sector_probs[:n])
+            rho11, rho22, rho12 = spectral._coin_rho_sums(split[:n], lo, hi, sector_probs[:n],
+                                                          cross[:n])
+            for i in range(n):
+                evolved = lw.evolve(state, spec, k)
+                assert joint[i].tobytes() == lw.position_distribution(evolved).tobytes()
+                pair = lw.sector_project(evolved)
+                assert repr(weights[i].tolist()) == repr([pair.weight_k0, pair.weight_kpi])
+                for s, sector in enumerate((pair.sector_k0, pair.sector_kpi)):
+                    assert split[i, s].tobytes() == sector.amplitudes.tobytes()
+                    rho = lw.finite_n_rho(sector)
+                    assert rho_bits(rho11[i][s], rho22[i][s], rho12[i][s]) == \
+                        rho_bits(rho.rho11, rho.rho22, rho.rho12)
+                k += 1

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -92,11 +93,34 @@ class TestExperimentConfig:
             with pytest.raises(cli.UsageError):
                 run(steps=-1)
 
-    def test_half_width_must_exceed_steps_plus_one(self):
-        for run in WALKS:
-            with pytest.raises(cli.UsageError):
-                run(steps=5, half_width=6)
-            assert run(steps=5, half_width=7)["params"]["half_width"] == 7
+    @pytest.mark.parametrize("steps,message", [
+        (True, "steps must be an integer, not bool"),
+        (2.0, "steps must be an integer, got 2.0"),
+    ])
+    @pytest.mark.parametrize("run", [*WALKS, cli.run_table1],
+                             ids=["walk1d", "ladder", "table1"])
+    def test_steps_must_be_integers(self, run, steps, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run(steps=steps)
+
+    @pytest.mark.parametrize("command,options", [
+        ("walk1d", {"gamma": "1/2pi", "steps": 5}),
+        ("ladder", {"alpha": "0.3", "beta": "0.3", "steps": 5}),
+    ])
+    def test_half_width_is_not_an_option(self, tmp_path, command, options):
+        # The lattice is always steps + 2, and params echo it; a flag or a
+        # config key setting it is refused.
+        out = tmp_path / "x.json"
+        flags = [f"--{key}={value}" for key, value in options.items()]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**options, "half_width": 17}))
+        for argv in ([*flags, "--half-width", "17"], ["--config", str(config)]):
+            code, stdout, err = run_main([command, *argv, "--out", str(out)])
+            assert code == 1 and stdout == ""
+            assert "Traceback" not in err
+            assert not out.exists()
+        assert run_main([command, *flags, "--format", "json", "--out", str(out)])[0] == 0
+        assert json.loads(out.read_text())["params"]["half_width"] == options["steps"] + 2
 
     def test_unknown_format_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -108,7 +132,6 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("steps", "abc"), ("steps", 3.7), ("steps", True),
-        ("half_width", 12.5), ("half_width", False), ("half_width", "1e3"),
     ])
     def test_config_counts_must_be_integers(self, tmp_path, key, value):
         config = tmp_path / "cfg.json"
@@ -660,23 +683,21 @@ class TestOutputPlumbing:
                              "--out", str(out)]) == 1
             assert f"cannot write {out}" in capsys.readouterr().err
 
-    def test_unallocatable_half_width_is_usage_error(self):
-        # the first runs out of memory, the second is past numpy's largest
-        # array dimension and is refused before allocating
-        for argv in (["ladder", "--alpha", "0.3", "--beta", "0.9", "--steps", "2",
-                      "--half-width", "1000000000000000"],
-                     ["walk1d", "--gamma", "1", "--steps", "3",
-                      "--half-width", "1000000000000000000000000000000"]):
-            proc = subprocess.run([sys.executable, "-m", "ladderwalk", *argv],
+    def test_unallocatable_lattice_is_usage_error(self, tmp_path):
+        # the lattice of steps + 2: the first runs out of memory, the second
+        # is past numpy's largest array dimension and is refused before
+        # allocating
+        out = tmp_path / "x.csv"
+        for argv in (["ladder", "--alpha", "0.3", "--beta", "0.9",
+                      "--steps", "1000000000000000"],
+                     ["walk1d", "--gamma", "1",
+                      "--steps", "1000000000000000000000000000000"]):
+            proc = subprocess.run([sys.executable, "-m", "ladderwalk", *argv, "--out", str(out)],
                                   capture_output=True, text=True)
             assert proc.returncode == 1
             assert "ladderwalk: error:" in proc.stderr
             assert "Traceback" not in proc.stderr
-
-    def test_bad_half_width_rejected(self, tmp_path):
-        assert cli.main(["walk1d", "--gamma", "0", "--steps", "5",
-                         "--half-width", "6",
-                         "--out", str(tmp_path / "x.csv")]) == 1
+            assert not out.exists()
 
 
 def run_main(argv):
@@ -778,7 +799,7 @@ BASES = {
     "sweep": ["--alpha-grid", "-pi:pi:3", "--beta", "0.3"],
     "table1": ["--steps", "2"],
 }
-OPTIONS = ["alpha", "beta", "gamma", "gamma_y", "steps", "half_width",
+OPTIONS = ["alpha", "beta", "gamma", "gamma_y", "steps",
            "initial_theta", "initial_phi", "alpha_grid", "beta_grid",
            "format", "out", "config", "command", "stepz"]
 # Counts are small or malformed only: a huge valid count allocates lazily
@@ -798,7 +819,7 @@ FORMATS = st.one_of(st.sampled_from(["csv", "json", "xml", ""]), st.booleans(), 
 
 
 def option_values(name):
-    if name in ("steps", "half_width"):
+    if name == "steps":
         return COUNTS
     if name in ("alpha_grid", "beta_grid"):
         return GRIDS

@@ -111,13 +111,31 @@ class TestSpinorAndFactories:
     @pytest.mark.parametrize("make,message", [
         (lambda: lw.localized_walker(half_width=True), "half_width must be an integer, not bool"),
         (lambda: lw.localized_ladder(half_width=True), "half_width must be an integer, not bool"),
-        (lambda: lw.localized_walker(half_width=4.0), "cannot be interpreted as an integer"),
+        (lambda: lw.localized_walker(half_width=4.0), "half_width must be an integer, got 4.0"),
         (lambda: lw.localized_walker(origin=True), "origin must be an integer, not bool"),
         (lambda: lw.localized_ladder(origin=True), "origin must be an integer, not bool"),
-        (lambda: lw.localized_walker(origin=1.0), "cannot be interpreted as an integer"),
-        (lambda: lw.localized_ladder(origin=1.0), "cannot be interpreted as an integer"),
+        (lambda: lw.localized_walker(origin=1.0), "origin must be an integer, got 1.0"),
+        (lambda: lw.localized_ladder(origin=1.0), "origin must be an integer, got 1.0"),
         (lambda: lw.localized_ladder(side=True), "side must be an integer, not bool"),
-        (lambda: lw.localized_ladder(side=1.0), "cannot be interpreted as an integer"),
+        (lambda: lw.localized_ladder(side=1.0), "side must be an integer, got 1.0"),
+        (lambda: lw.evolve(lw.localized_walker(), lw.Conventional("0.5"), 1),
+         "gamma must be a number, not str"),
+        (lambda: lw.evolve(lw.localized_walker(), lw.Conventional(True), 1),
+         "gamma must be a number, not bool"),
+        (lambda: lw.evolve(lw.localized_walker(), lw.SplitStep(0.1, np.True_), 1),
+         "beta must be a number, not bool"),
+        (lambda: lw.evolve(lw.localized_ladder(), lw.Ladder(0.1, 0.2, "1"), 1),
+         "gamma_y must be a number, not str"),
+        (lambda: lw.asymptotic_rho("1.0"), "gamma must be a number, not str"),
+        (lambda: lw.asymptotic_rho(True), "gamma must be a number, not bool"),
+        (lambda: lw.CoinSpinor.from_bloch("0.4", "1"), "theta must be a number, not str"),
+        (lambda: lw.effective_angles("0.1", True), "alpha must be a number, not str"),
+        (lambda: lw.effective_angles(0.1, True), "beta must be a number, not bool"),
+        (lambda: lw.sweep_summary(["0.1"], [True]), "alpha must be a number, not str"),
+        (lambda: lw.sweep_summary(["0.1"], [0.2]), "alpha must be a number, not str"),
+        (lambda: lw.sweep_summary([0.1], [np.True_]), "beta must be a number, not bool"),
+        (lambda: lw.sweep_summary([0.1], [0.2], "0"), "gamma_y must be a number, not str"),
+        (lambda: lw.cesaro_rho("0.7", 3), "gamma must be a number, not str"),
     ])
     def test_type_refusals_name_the_fault(self, make, message):
         with pytest.raises(TypeError, match=re.escape(message)):
@@ -342,9 +360,9 @@ class TestStageTable:
     def fresh(spec):
         """The stage unitaries of ``spec`` built anew, outside the cache."""
         if isinstance(spec, lw.Conventional):
-            return [core._coin("gamma", spec.gamma)]
+            return [core._coin(spec.gamma)]
         if isinstance(spec, lw.SplitStep):
-            return [core._coin("alpha", spec.alpha), core._coin("beta", spec.beta)]
+            return [core._coin(spec.alpha), core._coin(spec.beta)]
         return [core._ladder_unitary(spec)]
 
     @pytest.mark.parametrize("localized,protocol,angles,signs_differ", SPECS,
@@ -658,32 +676,33 @@ class TestStateBlocks:
         state, _spec = walk
         self.check_pass(*walk, n, capacity * state.amplitudes.nbytes)
 
+    @staticmethod
+    def overflow(state, spec, k):
+        """``evolve``'s overflow message for ``k`` steps, or None."""
+        try:
+            lw.evolve(state, spec, k)
+        except lw.LatticeOverflowError as error:
+            return str(error)
+        return None
+
     def check_pass(self, state, spec, n, block_bytes):
         before = state.amplitudes.tobytes()
         states, lengths, error = self.collect(state, spec, n, block_bytes)
         capacity = max(1, block_bytes // state.amplitudes.nbytes)
-        # full blocks, then the rest of the pass or of the steps before
-        # the overflow
-        assert all(length == min(capacity, n + 1) for length in lengths[:-1])
-        assert 0 < lengths[-1] <= capacity
         for k, amps in enumerate(states):
             assert amps == lw.evolve(state, spec, k).amplitudes.tobytes()
         if error is None:
+            # full blocks, then the rest of the pass
+            assert all(length == min(capacity, n + 1) for length in lengths[:-1])
+            assert 0 < lengths[-1] <= capacity
             assert len(states) == n + 1
         else:
-            # the same message, at the step that evolve refuses
-            assert len(states) <= n
-            with pytest.raises(lw.LatticeOverflowError, match=re.escape(error)):
-                lw.evolve(state, spec, len(states))
+            # whole blocks only, possibly none, of the steps before the first
+            # one evolve refuses, and evolve's message for it
+            step = next(k for k in range(1, n + 1) if self.overflow(state, spec, k))
+            assert lengths == [capacity] * (step // capacity)
+            assert error == self.overflow(state, spec, step)
         assert state.amplitudes.tobytes() == before
-
-    def test_overflow_after_the_block_before_it(self):
-        # a down spinor at the +edge reaches the -edge after 10 steps
-        start = lw.localized_walker(lw.CoinSpinor(0, 1), half_width=5, origin=5)
-        states, lengths, error = self.collect(start, lw.Conventional(0.0), 30,
-                                              4 * start.amplitudes.nbytes)
-        assert lengths == [4, 4, 3] and "-edge" in error
-        assert states[-1] == lw.evolve(start, lw.Conventional(0.0), 10).amplitudes.tobytes()
 
     def test_default_blocks_hold_about_256_kb(self):
         # ladder-csv's lattice: 4 rows of 1,205 complex sites, 77 kB a state

@@ -26,9 +26,9 @@ CASES = {
                    "--initial-phi", "1.3", "--format", "csv", "--out", "walk.csv"],
     "walk1d-json": ["walk1d", "--gamma", "1/3pi", "--steps", "12",
                     "--format", "json", "--out", "walk.json"],
-    "walk1d-wide-csv": ["walk1d", "--gamma", "1/2pi", "--steps", "9", "--half-width", "17",
+    "walk1d-wide-csv": ["walk1d", "--gamma", "1/2pi", "--steps", "9",
                         "--format", "csv", "--out", "walk.csv"],
-    "walk1d-wide-json": ["walk1d", "--gamma", "-2.1", "--steps", "9", "--half-width", "17",
+    "walk1d-wide-json": ["walk1d", "--gamma", "-2.1", "--steps", "9",
                          "--format", "json", "--out", "walk.json"],
     "ladder-csv": ["ladder", "--alpha", "-0.7", "--beta", "1.1", "--steps", "16",
                    "--format", "csv", "--out", "ladder.csv"],

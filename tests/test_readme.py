@@ -1,4 +1,5 @@
-"""README's ``python`` code blocks run unchanged.
+"""README's ``python`` code blocks run unchanged, and its table of each
+command's options matches the parser.
 
 The blocks run in order in one namespace, as a reader pasting them into
 one session would run them; a block that raises fails the test.
@@ -11,8 +12,12 @@ import io
 import re
 from pathlib import Path
 
+from ladderwalk import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 _BLOCK = re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
+# A row of the options table, ``| command | options |``, naming a flag.
+_OPTION_ROW = re.compile(r"^\| *([a-z0-9]+) *\|(.*--.*)\|$", re.MULTILINE)
 
 
 def python_blocks() -> list[tuple[int, str]]:
@@ -31,3 +36,14 @@ def test_readme_python_blocks_run():
         code = compile("\n" * (line - 1) + source, str(README), "exec")
         with contextlib.redirect_stdout(io.StringIO()):
             exec(code, namespace)
+
+
+def test_readme_option_table_matches_the_parser():
+    # The table lists --out and --format once, in the sentence above it.
+    text = README.read_text(encoding="utf-8")
+    rows = {command: set(re.findall(r"`(--[a-z-]+)`", options))
+            for command, options in _OPTION_ROW.findall(text)}
+    assert sorted(rows) == sorted(cli._COMMANDS)
+    for command, flags in rows.items():
+        expected = {"--" + name.replace("_", "-") for name in cli._option_names(command)}
+        assert flags == expected - {"--out", "--format"}, command
