@@ -26,9 +26,8 @@ floats at 17 significant digits.
 
 Each command's options are the parameters of its ``run_*`` function
 (``--initial-theta`` for ``initial_theta``; a parameter without a default
-is required), plus ``--out``, ``--format`` and ``--config``; ``sweep`` also
-takes ``--alpha``/``--beta`` as one-point grids.  A JSON config file
-holds the same keys, and a flag overrides the key of the same name.  A
+is required), plus ``--out``, ``--format`` and ``--config``.  A JSON config
+file holds the same keys, and a flag overrides the key of the same name.  A
 flag or config key the command does not take is a usage error.  Each
 value goes through one parser per key; range checks live once, in the
 ``run_*`` functions, which are also the library entry points.
@@ -55,7 +54,6 @@ from .core import (
     CoinSpinor,
     Conventional,
     Ladder,
-    LatticeOverflowError,
     _probabilities,
     _require_integer,
     _state_blocks,
@@ -151,14 +149,17 @@ def parse_angle(value) -> Angle:
 
 
 def parse_grid(text: str) -> list[Angle]:
-    """Expand a ``start:stop:count`` grid of angles.
+    """Expand a ``start:stop:count`` grid of angles, or one angle (a text
+    without ``:``) into its one-point grid, ``[parse_angle(text)]``.
 
     Endpoints that are both pi-rationals produce a pi-rational grid, kept
     exact in Fraction arithmetic.
     """
     parts = str(text).split(":")
+    if len(parts) == 1:
+        return [parse_angle(text)]
     if len(parts) != 3:
-        raise UsageError(f"grid must be start:stop:count, got {text!r}")
+        raise UsageError(f"grid must be start:stop:count or one angle, got {text!r}")
     start, stop = parse_angle(parts[0]), parse_angle(parts[1])
     try:
         count = int(parts[2])
@@ -730,14 +731,16 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the CLI contract wants 1.
 
     Also widens the negative-number matcher so angle values such as
-    ``-1/4pi`` can follow an option without ``=``.
+    ``-1/4pi`` can follow an option without ``=``, and takes each flag
+    spelled in full only: an abbreviation would let ``--alpha`` stand for
+    ``--alpha-grid``.
     """
 
     _ANGLE_TOKEN = re.compile(
         r"^-(\d+/\d+|\d+(?:\.\d+)?(?:e-?\d+)?|\.\d+(?:e-?\d+)?)?(pi)?(/\d+)?(:.*)?$")
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = self._ANGLE_TOKEN
 
     def error(self, message):
@@ -754,16 +757,10 @@ _OPTIONS = {
     "steps": (_count, "number of steps"),
     "initial_theta": (_radians, "initial coin Bloch polar angle (default 0)"),
     "initial_phi": (_radians, "initial coin Bloch azimuthal angle (default 0)"),
-    "alpha_grid": (parse_grid, "alpha grid as start:stop:count"),
-    "beta_grid": (parse_grid, "beta grid as start:stop:count"),
+    "alpha_grid": (parse_grid, "alpha grid as start:stop:count, or one angle"),
+    "beta_grid": (parse_grid, "beta grid as start:stop:count, or one angle"),
     "out": (_text, "output file path (default: JSON on stdout)"),
     "format": (_format, f"output format, one of {', '.join(_FORMATS)} (default csv)"),
-}
-
-# sweep's one-point grids: --alpha A stands for --alpha-grid A:A:1.
-_SWEEP_POINTS = {
-    "alpha": ("alpha_grid", "one-point alpha grid, same as --alpha-grid A:A:1"),
-    "beta": ("beta_grid", "one-point beta grid, same as --beta-grid B:B:1"),
 }
 
 # Each command takes the parameters of its run_* function, read here once
@@ -780,10 +777,7 @@ _COMMANDS = {
 
 
 def _option_names(command: str) -> list[str]:
-    names = list(_COMMANDS[command][1])
-    if command == "sweep":
-        names += list(_SWEEP_POINTS)
-    return names + ["out", "format"]
+    return [*_COMMANDS[command][1], "out", "format"]
 
 
 def _build_parser() -> _Parser:
@@ -794,11 +788,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command, help=doc)
         p.add_argument("--config", help="JSON config file; flags override it")
         for name in _option_names(command):
-            if command == "sweep" and name in _SWEEP_POINTS:
-                text = _SWEEP_POINTS[name][1]
-            else:
-                text = _OPTIONS[name][1]
-            p.add_argument("--" + name.replace("_", "-"), help=text)
+            p.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name][1])
     return parser
 
 
@@ -828,12 +818,6 @@ def _settings(args: argparse.Namespace) -> dict:
             settings[key] = _OPTIONS[key][0](value)
         except UsageError as exc:
             raise UsageError(f"{key}: {exc}") from None
-    if args.command == "sweep":
-        for point, (grid, _help) in _SWEEP_POINTS.items():
-            if point in settings:
-                if grid in settings:
-                    raise UsageError(f"give {point} or {grid}, not both")
-                settings[grid] = [settings.pop(point)]
     for name, param in _COMMANDS[args.command][1].items():
         if param.default is param.empty and name not in settings:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
@@ -861,7 +845,7 @@ def main(argv=None) -> int:
         elif out is None:
             _write_json(dataset, sys.stdout)
     # before ValueError, which DensityMatrixError subclasses
-    except (NumericInvariantError, LatticeOverflowError, DensityMatrixError) as exc:
+    except (NumericInvariantError, DensityMatrixError) as exc:
         print(f"ladderwalk: numeric invariant violated: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -76,9 +77,11 @@ class LatticeOverflowError(Exception):
 
 
 def _require_real(name: str, value: float) -> float:
-    """``value`` as a ``float``; a bool (Python's or numpy's) or a string,
-    which ``float()`` would take, is refused with ``TypeError``."""
-    if isinstance(value, (bool, np.bool_, str)):
+    """``value`` as a ``float``.  Anything but a ``numbers.Real`` that is not
+    a ``bool`` is refused with ``TypeError``: also a ``numpy.bool_``, a
+    ``Decimal``, a 0-d array and the texts (``str``, ``bytes``,
+    ``bytearray``) that ``float()`` would take."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, not {type(value).__name__}")
     return float(value)
 

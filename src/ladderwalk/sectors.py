@@ -129,9 +129,14 @@ class EffectiveAngles:
 
 
 def _as_angle(name: str, value: Angle | float) -> Angle:
-    """``value`` as an :class:`Angle`; a bool or a string is refused with
-    ``TypeError``, a non-finite number is left to the caller."""
-    return value if isinstance(value, Angle) else Angle(_require_real(name, value))
+    """``value`` as an :class:`Angle`, an ``Angle`` itself unchanged; a
+    value, or an ``Angle``'s radians, that :func:`_require_real` refuses
+    is refused with its ``TypeError``, a non-finite number is left to the
+    caller."""
+    if isinstance(value, Angle):
+        _require_real(name, value.radians)
+        return value
+    return Angle(_require_real(name, value))
 
 
 def effective_angles(alpha: Angle | float, beta: Angle | float,

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -66,10 +67,24 @@ class TestParseGrid:
         grid = cli.parse_grid("0:1:3")
         assert [a.radians for a in grid] == pytest.approx([0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("bad", ["0:1", "0:1:0", "0:1:x", "a:b:3",
-                                     "-1e308:1e308:3"])
+    def test_one_angle_is_a_one_point_grid(self):
+        # the Angle that parse_angle gives, pi-fraction included
+        grid = cli.parse_grid("-1/4pi")
+        assert grid == [cli.parse_angle("-1/4pi")]
+        assert grid[0].pi_fraction == Fraction(-1, 4)
+        assert grid == cli.parse_grid("-1/4pi:-1/4pi:1")
+        assert cli.parse_grid("0.3") == [lw.Angle(0.3)]
+
+    @pytest.mark.parametrize("bad", ["0:1", "a:b", "0:1:0", "0:1:x", "a:b:3",
+                                     "-1e308:1e308:3", "a", "nan", "1e309"])
     def test_rejects_bad_grids(self, bad):
         with pytest.raises(cli.UsageError):
+            cli.parse_grid(bad)
+
+    @pytest.mark.parametrize("bad", ["0:1", "0:1:2:3"])
+    def test_part_count_message_names_both_forms(self, bad):
+        with pytest.raises(cli.UsageError,
+                           match=re.escape(f"grid must be start:stop:count or one angle, got {bad!r}")):
             cli.parse_grid(bad)
 
 
@@ -339,7 +354,7 @@ class TestLadderCmd:
 class TestSweep:
     def run_sweep(self, tmp_path, fmt="json"):
         out = tmp_path / ("sweep.json" if fmt == "json" else "sweep.csv")
-        rc = cli.main(["sweep", "--alpha", "-1/4pi", "--beta-grid", "-pi:pi:9",
+        rc = cli.main(["sweep", "--alpha-grid", "-1/4pi", "--beta-grid", "-pi:pi:9",
                        "--out", str(out), "--format", fmt])
         assert rc == 0
         return out
@@ -394,9 +409,19 @@ class TestSweep:
         code, out, _err = run_main(["sweep", "--help"])
         assert code == 0
         text = " ".join(out.split())
-        assert "--alpha ALPHA one-point alpha grid, same as --alpha-grid A:A:1" in text
-        assert "--beta BETA one-point beta grid, same as --beta-grid B:B:1" in text
+        assert "--alpha-grid ALPHA_GRID alpha grid as start:stop:count, or one angle" in text
+        assert "--beta-grid BETA_GRID beta grid as start:stop:count, or one angle" in text
+        assert "--alpha ALPHA" not in text and "--beta BETA" not in text
         assert "coin angle" not in text
+
+    def test_one_angle_grid_writes_the_one_point_rows(self, tmp_path):
+        outputs = []
+        for alpha in ("-1/4pi", "-1/4pi:-1/4pi:1"):
+            out = tmp_path / f"{len(outputs)}.json"
+            assert cli.main(["sweep", "--alpha-grid", alpha, "--beta-grid", "-pi:pi:9",
+                             "--out", str(out), "--format", "json"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestTable1:
@@ -648,11 +673,16 @@ class TestOutputPlumbing:
         assert proc.returncode == 1
 
     def test_numeric_violation_exit_code(self, monkeypatch, tmp_path):
-        def boom(**kwargs):
-            raise lw.LatticeOverflowError("simulated")
-        monkeypatch.setattr(cli, "run_walk1d", boom)
-        assert cli.main(["walk1d", "--gamma", "0", "--steps", "1",
-                         "--out", str(tmp_path / "x.csv")]) == 3
+        # a step-sum budget below zero trips the check at the first step
+        monkeypatch.setattr(cli, "_SUM_TOL", -1.0)
+        code, out, err = run_main(["walk1d", "--gamma", "0", "--steps", "1",
+                                   "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert err.startswith("ladderwalk: numeric invariant violated: "
+                              "probabilities at step 0 sum to")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_density_matrix_drift_exits_three(self, monkeypatch, tmp_path):
         """A coin density matrix whose trace drifts past 1e-12 is a numeric
@@ -719,9 +749,9 @@ class TestRejection:
     library refuses, exit 1 with one error line."""
 
     @pytest.mark.parametrize("argv,config", [
-        pytest.param(["sweep", "--alpha", "0", "--beta-grid", "0:1:3", "--gamma-y", "0"],
+        pytest.param(["sweep", "--alpha-grid", "0", "--beta-grid", "0:1:3", "--gamma-y", "0"],
                      None, id="sweep-gamma-y"),
-        pytest.param(["sweep", "--alpha", "0", "--beta", "0", "--steps", "5"],
+        pytest.param(["sweep", "--alpha-grid", "0", "--beta-grid", "0", "--steps", "5"],
                      None, id="sweep-steps"),
         pytest.param(["table1", "--alpha", "1"], None, id="table1-alpha"),
         pytest.param(["table1", "--half-width", "100"], None, id="table1-half-width"),
@@ -737,15 +767,21 @@ class TestRejection:
                      id="config-initial-theta-bool"),
         pytest.param(["walk1d"], {**WALK1D_CONFIG, "out": 5}, id="config-out-int"),
         pytest.param(["walk1d"], {**WALK1D_CONFIG, "out": ["a"]}, id="config-out-list"),
-        pytest.param(["sweep", "--alpha", "0", "--alpha-grid", "0:1:2", "--beta", "0"],
-                     None, id="alpha-point-and-grid"),
-        pytest.param(["sweep", "--beta", "0"], {"beta_grid": "0:1:2", "alpha": 0},
-                     id="config-alpha-point-and-grid"),
+        # sweep's grids are --alpha-grid and --beta-grid, each also one angle;
+        # --alpha and --beta are not a second route to them
+        pytest.param(["sweep", "--alpha", "0", "--beta-grid", "0:1:2"], None, id="sweep-alpha"),
+        pytest.param(["sweep", "--alpha-grid", "0:1:2", "--beta", "0"], None, id="sweep-beta"),
+        pytest.param(["sweep", "--alpha=0", "--beta-grid", "0:1:2"], None, id="sweep-alpha-equals"),
+        pytest.param(["sweep", "--alpha", "0", "--alpha-grid", "0:1:2", "--beta-grid", "0"],
+                     None, id="sweep-alpha-and-grid"),
+        pytest.param(["sweep", "--beta-grid", "0:1:2"], {"alpha": 0}, id="config-sweep-alpha"),
+        pytest.param(["sweep", "--alpha-grid", "0:1:2"], {"beta": "0"}, id="config-sweep-beta"),
+        pytest.param(["walk1d", "--gamma", "1", "--step", "2"], None, id="abbreviated-flag"),
         pytest.param(["ladder", "--alpha", "1e308", "--beta", "1e308", "--steps", "2"],
                      None, id="ladder-angle-sum-overflow"),
-        pytest.param(["sweep", "--alpha", "1e308", "--beta", "1e308"],
+        pytest.param(["sweep", "--alpha-grid", "1e308", "--beta-grid", "1e308"],
                      None, id="sweep-angle-sum-overflow"),
-        pytest.param(["sweep", "--alpha-grid=-1e308:1e308:3", "--beta", "0"],
+        pytest.param(["sweep", "--alpha-grid=-1e308:1e308:3", "--beta-grid", "0"],
                      None, id="grid-span-overflow"),
     ])
     def test_exit_one_with_error_line(self, tmp_path, argv, config):
@@ -760,6 +796,11 @@ class TestRejection:
         assert err.count("ladderwalk: error:") == 1
         assert "Traceback" not in err
         assert list(tmp_path.glob("x*")) == []
+
+    def test_sweep_refuses_an_overflowing_one_point_grid(self):
+        code, _out, err = run_main(["sweep", "--alpha-grid", "1e308", "--beta-grid", "1e308"])
+        assert code == 1
+        assert err == "ladderwalk: error: gamma1 must be finite, got inf\n"
 
     def test_ladder_refuses_overflowing_angles_before_the_walk(self, monkeypatch):
         def no_walk(*args, **kwargs):
@@ -782,6 +823,13 @@ class TestRejection:
         assert code == 1
         assert err == "ladderwalk: error: a walk pattern needs finite angles\n"
 
+    @pytest.mark.parametrize("command", ["walk1d", "ladder", "sweep", "table1"])
+    def test_options_are_the_run_parameters(self, command):
+        # the flags and config keys besides --config: no second route to a parameter
+        run = getattr(cli, f"run_{command}")
+        assert cli._option_names(command) == [
+            *inspect.signature(run).parameters, "out", "format"]
+
     def test_flag_and_config_share_the_parser(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**WALK1D_CONFIG, "steps": "abc"}))
@@ -796,7 +844,7 @@ class TestRejection:
 BASES = {
     "walk1d": ["--gamma", "1/3pi", "--steps", "3"],
     "ladder": ["--alpha", "-0.7", "--beta", "1.1", "--steps", "3"],
-    "sweep": ["--alpha-grid", "-pi:pi:3", "--beta", "0.3"],
+    "sweep": ["--alpha-grid", "-pi:pi:3", "--beta-grid", "0.3"],
     "table1": ["--steps", "2"],
 }
 OPTIONS = ["alpha", "beta", "gamma", "gamma_y", "steps",
@@ -814,7 +862,7 @@ ANGLE_VALUES = st.one_of(ANGLE_TEXT, st.floats(), st.booleans(), NO_DIGITS,
                          st.integers(-10**400, 10**400))
 GRIDS = st.one_of(
     st.builds(lambda a, b, n: f"{a}:{b}:{n}", ANGLE_TEXT, ANGLE_TEXT, st.integers(-1, 8)),
-    NO_DIGITS, st.integers(-3, 3))
+    ANGLE_TEXT, NO_DIGITS, st.integers(-3, 3))
 FORMATS = st.one_of(st.sampled_from(["csv", "json", "xml", ""]), st.booleans(), st.integers())
 
 

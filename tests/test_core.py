@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -136,6 +137,20 @@ class TestSpinorAndFactories:
         (lambda: lw.sweep_summary([0.1], [np.True_]), "beta must be a number, not bool"),
         (lambda: lw.sweep_summary([0.1], [0.2], "0"), "gamma_y must be a number, not str"),
         (lambda: lw.cesaro_rho("0.7", 3), "gamma must be a number, not str"),
+        # only a numbers.Real that is not a bool: no text float() parses, no
+        # Decimal, no 0-d array
+        (lambda: lw.asymptotic_rho(b"1.0"), "gamma must be a number, not bytes"),
+        (lambda: lw.evolve(lw.localized_walker(), lw.Conventional(b"0.5"), 1),
+         "gamma must be a number, not bytes"),
+        (lambda: lw.evolve(lw.localized_walker(), lw.Conventional(bytearray(b"0.5")), 1),
+         "gamma must be a number, not bytearray"),
+        (lambda: lw.CoinSpinor.from_bloch(0.4, bytearray(b"1")),
+         "phi must be a number, not bytearray"),
+        (lambda: lw.asymptotic_rho(Decimal("1.0")), "gamma must be a number, not Decimal"),
+        (lambda: lw.asymptotic_rho(np.array(1.0)), "gamma must be a number, not ndarray"),
+        (lambda: lw.evolve(lw.localized_ladder(), lw.Ladder(0.1, np.array(0.2), 0.3), 1),
+         "beta must be a number, not ndarray"),
+        (lambda: lw.sweep_summary([0.1], [b"0.2"]), "beta must be a number, not bytes"),
     ])
     def test_type_refusals_name_the_fault(self, make, message):
         with pytest.raises(TypeError, match=re.escape(message)):

@@ -49,7 +49,7 @@ CASES = {
                                "--format", "json", "--out", "ladder.json"],
     "sweep-csv": ["sweep", "--alpha-grid", "-pi:pi:5", "--beta-grid", "-1/2pi:1/2pi:3",
                   "--format", "csv", "--out", "sweep.csv"],
-    "sweep-json": ["sweep", "--alpha", "0.3", "--beta-grid", "-1:1:4",
+    "sweep-json": ["sweep", "--alpha-grid", "0.3", "--beta-grid", "-1:1:4",
                    "--format", "json", "--out", "sweep.json"],
     "sweep-wide-csv": ["sweep", "--alpha-grid=-pi:pi:33", "--beta-grid=-pi:pi:33",
                        "--format", "csv", "--out", "sweep.csv"],

@@ -65,6 +65,27 @@ class TestEffectiveAngles:
         with pytest.raises(ValueError, match="gamma_y"):
             lw.effective_angles(0.0, 0.0, lw.Angle(math.inf))
 
+    @pytest.mark.parametrize("radians,kind", [("0.1", "str"), (b"0.1", "bytes"),
+                                              (np.array(0.1), "ndarray"), (True, "bool")])
+    def test_angle_radians_refused_as_a_bare_value(self, radians, kind):
+        # effective_angles and sweep_summary put an Angle's radians through
+        # the check a bare angle gets, in either argument
+        message = f"alpha must be a number, not {kind}"
+        for call in (lambda a: lw.effective_angles(a, 0.2),
+                     lambda a: lw.sweep_summary([a], [0.2])):
+            with pytest.raises(TypeError, match=message):
+                call(lw.Angle(radians))
+            with pytest.raises(TypeError, match=message):
+                call(radians)
+        with pytest.raises(TypeError, match="beta must be a number, not " + kind):
+            lw.sweep_summary([0.1], [lw.Angle(radians)])
+
+    def test_checked_angle_keeps_its_identity(self):
+        # the exact route reads the pi-fraction off the same Angle
+        for angle in (lw.Angle(-math.pi / 4, Fraction(-1, 4)), lw.Angle(0.3),
+                      lw.Angle(np.float64(0.3)), lw.Angle(2), lw.Angle(math.inf)):
+            assert sectors._as_angle("alpha", angle) is angle
+
     def test_rejects_sums_past_float_range(self):
         with pytest.raises(ValueError, match="gamma1"):
             lw.effective_angles(1e308, 1e308)
