@@ -728,7 +728,8 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the CLI contract wants 1.
+    """argparse exits with code 2 on usage errors and prints the usage
+    first; the CLI contract wants 1 and the one error line.
 
     Also widens the negative-number matcher so angle values such as
     ``-1/4pi`` can follow an option without ``=``, and takes each flag
@@ -744,7 +745,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._ANGLE_TOKEN
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

@@ -30,11 +30,9 @@ is the one implementation of ``|psi|^2``, on such a block and its window;
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +62,6 @@ _NORM_TOL = 1e-12
 # that per-block numpy calls cost little per step, few enough that a
 # block and the observables' workspaces stay in cache.
 _BLOCK_BYTES = 256 * 1024
-# Stage tables kept: one per spec in use, and a sweep of specs stays bounded.
-_STAGE_CACHE_SIZE = 64
 
 
 class LatticeOverflowError(Exception):
@@ -77,13 +73,17 @@ class LatticeOverflowError(Exception):
 
 
 def _require_real(name: str, value: float) -> float:
-    """``value`` as a ``float``.  Anything but a ``numbers.Real`` that is not
-    a ``bool`` is refused with ``TypeError``: also a ``numpy.bool_``, a
+    """``value`` as a ``float``, an int or ``Fraction`` past the float range
+    as an infinity of its sign.  Anything but a ``numbers.Real`` that is
+    not a ``bool`` is refused with ``TypeError``: also a ``numpy.bool_``, a
     ``Decimal``, a 0-d array and the texts (``str``, ``bytes``,
     ``bytearray``) that ``float()`` would take."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, not {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -199,7 +199,8 @@ ProtocolSpec = Conventional | SplitStep | Ladder
 
 
 def _check_initial_coin(coin: CoinSpinor) -> None:
-    if abs(coin.norm_sq() - 1.0) > _NORM_TOL:
+    # the comparison fails on nan, so a non-finite amplitude is refused
+    if not abs(coin.norm_sq() - 1.0) <= _NORM_TOL:
         raise ValueError(
             f"initial coin state must be normalized, |up|^2+|down|^2 = {coin.norm_sq()!r}"
         )
@@ -279,41 +280,25 @@ def _stages(state, spec: ProtocolSpec) -> tuple[tuple[np.ndarray, bool, bool], .
     site right and/or the down rows one site left.  ``_steps`` derives
     its sublattice or full-lattice plan from it.  There are one or two
     stages per step; ``_steps`` relies on that when it reuses its
-    buffers.  The table is built once per spec and shared between calls,
-    so its unitaries are read-only.
+    buffers.  The state type is checked first, then each angle's
+    finiteness, and the unitaries are built from the checked floats.
     """
-    if isinstance(spec, Conventional):
-        if not isinstance(state, WalkerState1D):
-            raise TypeError("conventional protocol needs a WalkerState1D")
-    elif isinstance(spec, SplitStep):
-        if not isinstance(state, WalkerState1D):
-            raise TypeError("split-step protocol needs a WalkerState1D")
-    elif isinstance(spec, Ladder):
-        if not isinstance(state, LadderState):
-            raise TypeError("ladder protocol needs a LadderState")
-    else:
-        raise TypeError(f"unknown protocol spec {spec!r}")
-    # Keyed on the angles' bits: specs holding 0.0 and -0.0 are equal and
-    # hash alike, but their coins differ in the sign of zero.
-    angles = [_require_finite(name, angle) for name, angle in vars(spec).items()]
-    return _stage_table(type(spec), struct.pack(f"{len(angles)}d", *angles))
-
-
-@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
-def _stage_table(protocol: type, angles: bytes) -> tuple:
-    """:func:`_stages` of ``protocol(*angles)``, the angles packed as
-    float64s."""
-    spec = protocol(*struct.unpack(f"{len(angles) // 8}d", angles))
-    if issubclass(protocol, Conventional):
-        stages = ((_coin(spec.gamma), True, True),)
-    elif issubclass(protocol, SplitStep):
-        stages = ((_coin(spec.alpha), True, False),
-                  (_coin(spec.beta), False, True))
-    else:
-        stages = ((_ladder_unitary(spec), True, True),)
-    for unitary, _up, _down in stages:
-        unitary.setflags(write=False)
-    return stages
+    match spec:
+        case Conventional():
+            needs, name = WalkerState1D, "conventional"
+            build = lambda gamma: ((_coin(gamma), True, True),)
+        case SplitStep():
+            needs, name = WalkerState1D, "split-step"
+            build = lambda alpha, beta: ((_coin(alpha), True, False),
+                                         (_coin(beta), False, True))
+        case Ladder():
+            needs, name = LadderState, "ladder"
+            build = lambda *angles: ((_ladder_unitary(Ladder(*angles)), True, True),)
+        case _:
+            raise TypeError(f"unknown protocol spec {spec!r}")
+    if not isinstance(state, needs):
+        raise TypeError(f"{name} protocol needs a {needs.__name__}")
+    return build(*[_require_finite(field, angle) for field, angle in vars(spec).items()])
 
 
 def evolve(state, spec: ProtocolSpec, n_steps: int):

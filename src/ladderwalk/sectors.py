@@ -201,8 +201,9 @@ def _angle_arithmetic(angles: list[Angle]):
 
 
 def reduce_angle(gamma: float) -> float:
-    """Reduce an angle modulo ``2*pi`` into ``(-pi, pi]``."""
-    r = math.remainder(gamma, 2.0 * math.pi)
+    """Reduce an angle modulo ``2*pi`` into ``(-pi, pi]``; a non-finite
+    angle is refused with ``ValueError``."""
+    r = math.remainder(_require_finite("gamma", gamma), 2.0 * math.pi)
     if r <= -math.pi:
         r += 2.0 * math.pi
     return r

@@ -239,7 +239,7 @@ def asymptotic_rho(gamma: float) -> DensityMatrix2:
     mapped through conjugation by ``diag(1, -1)``, which flips the sign of
     ``rho12``.  At ``|gamma| = pi`` the off-diagonal limit is zero.
     """
-    reduced = reduce_angle(_require_finite("gamma", gamma))
+    reduced = reduce_angle(gamma)
     a = abs(reduced)
     s = math.sin(a / 2.0)
     rho11 = 1.0 - 0.5 * s

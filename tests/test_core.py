@@ -3,6 +3,7 @@ import functools
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -90,6 +91,20 @@ class TestSpinorAndFactories:
         with pytest.raises(ValueError):
             lw.localized_walker(lw.CoinSpinor(1.0, 1.0), half_width=4)
 
+    @pytest.mark.parametrize("coin", [
+        lw.CoinSpinor(math.nan, 0), lw.CoinSpinor(complex(0, math.nan), 0),
+        lw.CoinSpinor(1, math.nan), lw.CoinSpinor(1, complex(0, math.nan)),
+    ], ids=["up-real", "up-imag", "down-real", "down-imag"])
+    @pytest.mark.parametrize("make", [
+        lw.localized_walker,
+        lw.localized_ladder,
+        lambda coin: lw.evolve_spectral(coin, 0.5, 2, 8),
+        lambda coin: lw.cesaro_rho(0.5, 3, coin),
+    ], ids=["localized_walker", "localized_ladder", "evolve_spectral", "cesaro_rho"])
+    def test_nan_coin_rejected(self, make, coin):
+        with pytest.raises(ValueError, match="initial coin state must be normalized"):
+            make(coin)
+
     @pytest.mark.parametrize("make,message", [
         (lambda: lw.localized_walker(lw.CoinSpinor(1.0, 1.0), half_width=4),
          "initial coin state must be normalized"),
@@ -155,6 +170,30 @@ class TestSpinorAndFactories:
     def test_type_refusals_name_the_fault(self, make, message):
         with pytest.raises(TypeError, match=re.escape(message)):
             make()
+
+    @pytest.mark.parametrize("value,shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        # past the float range: refused as the infinity of its sign
+        (10**400, "inf"), (-10**400, "-inf"), (Fraction(10**400, 3), "inf"),
+        (Fraction(-10**400, 3), "-inf"),
+    ], ids=["inf", "-inf", "nan", "int", "-int", "fraction", "-fraction"])
+    @pytest.mark.parametrize("make,name", [
+        (lw.asymptotic_rho, "gamma"),
+        (lambda x: lw.evolve(lw.localized_walker(), lw.Conventional(x), 1), "gamma"),
+        (lambda x: lw.evolve(lw.localized_ladder(), lw.Ladder(0.1, 0.2, x), 1), "gamma_y"),
+        (lambda x: lw.effective_angles(x, 0.0), "alpha"),
+        (lambda x: lw.sweep_summary([x], [0.1]), "alpha"),
+        (lambda x: lw.sweep_summary([0.1], [x]), "beta"),
+        (lambda x: lw.CoinSpinor.from_bloch(x, 0), "theta"),
+        (lambda x: lw.mode_eigensystem(x, 0.0), "gamma"),
+        (lw.reduce_angle, "gamma"),
+    ], ids=["asymptotic_rho", "evolve", "evolve-ladder", "effective_angles",
+            "sweep_summary-alpha", "sweep_summary-beta", "from_bloch", "mode_eigensystem",
+            "reduce_angle"])
+    def test_non_finite_refusals_name_the_fault(self, make, name, value, shown):
+        with pytest.raises(ValueError) as refusal:
+            make(value)
+        assert str(refusal.value) == f"{name} must be finite, got {shown}"
 
 
 class TestShifts:
@@ -329,6 +368,26 @@ class TestEvolve:
         assert np.array_equal(out.amplitudes,
                               lw.evolve(state, lw.Conventional(0.3), 2).amplitudes)
 
+    @pytest.mark.parametrize("localized,protocol", [
+        (lw.localized_walker, lw.Conventional),
+        (lw.localized_walker, lw.SplitStep),
+        (lw.localized_ladder, lw.Ladder),
+    ], ids=["conventional", "splitstep", "ladder"])
+    @given(st.tuples(ANGLES, ANGLES, ANGLES), st.floats(min_value=0.0, max_value=math.pi),
+           ANGLES, st.integers(min_value=1, max_value=25))
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_calls_give_the_bytes_of_one_call(self, localized, protocol, angles,
+                                                       theta, phi, n):
+        # README's one-step loop builds the stage table anew at every call
+        spec = protocol(*angles[:len(dataclasses.fields(protocol))])
+        start = localized(lw.CoinSpinor.from_bloch(theta, phi), half_width=n + 1)
+        state = start
+        for _ in range(n):
+            state = lw.evolve(state, spec, 1)
+        direct = lw.evolve(start, spec, n)
+        assert state.amplitudes.tobytes() == direct.amplitudes.tobytes()
+        assert state.steps_taken == direct.steps_taken == n
+
     def test_fig2b_panel_parity_and_support(self):
         state = lw.evolve(lw.localized_walker(half_width=33),
                           lw.Conventional(math.pi / 2), 31)
@@ -361,7 +420,8 @@ class TestEdgesAndAngles:
 
 
 class TestStageTable:
-    """``evolve`` builds each spec's stage table once and shares it."""
+    """``_stages`` checks the state and the angles, then builds the step's
+    stage table, on every call."""
 
     # The ladder's fused unitary sums its products, which drops the sign of
     # a zero angle; the coins of the other two keep it.
@@ -373,7 +433,7 @@ class TestStageTable:
 
     @staticmethod
     def fresh(spec):
-        """The stage unitaries of ``spec`` built anew, outside the cache."""
+        """The stage unitaries of ``spec`` built straight from its angles."""
         if isinstance(spec, lw.Conventional):
             return [core._coin(spec.gamma)]
         if isinstance(spec, lw.SplitStep):
@@ -397,23 +457,6 @@ class TestStageTable:
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
         assert signs_differ != np.array_equal(np.signbit(self.fresh(plus)[0]),
                                               np.signbit(self.fresh(minus)[0]))
-
-    def test_one_build_per_spec_in_a_step_loop(self):
-        spec = lw.Ladder(0.123456789, -0.987654321)
-        before = core._stage_table.cache_info()
-        state = lw.localized_ladder(half_width=12)
-        for _ in range(10):
-            state = lw.evolve(state, spec, 1)
-        after = core._stage_table.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
-        assert np.array_equal(state.amplitudes,
-                              lw.evolve(lw.localized_ladder(half_width=12), spec, 10).amplitudes)
-
-    def test_shared_unitaries_are_read_only(self):
-        for unitary, _up, _down in _stages(lw.localized_walker(half_width=2),
-                                           lw.SplitStep(0.4, 0.5)):
-            with pytest.raises(ValueError):
-                unitary[0, 0] = 2.0
 
     def test_checks_run_on_every_call(self):
         walker = lw.localized_walker(half_width=3)
