@@ -47,6 +47,11 @@ CASES = {
                               "--format", "csv", "--out", "ladder.csv"],
     "ladder-zero-steps-json": ["ladder", "--alpha", "0.3", "--beta", "0.2", "--steps", "0",
                                "--format", "json", "--out", "ladder.json"],
+    # beta = pi keeps the walker on side 0: tv_sides is null after step 0
+    "ladder-one-sided-csv": ["ladder", "--alpha", "-1/4pi", "--beta", "pi", "--steps", "8",
+                             "--format", "csv", "--out", "ladder.csv"],
+    "ladder-one-sided-json": ["ladder", "--alpha", "-1/4pi", "--beta", "pi", "--steps", "8",
+                              "--format", "json", "--out", "ladder.json"],
     "sweep-csv": ["sweep", "--alpha-grid", "-pi:pi:5", "--beta-grid", "-1/2pi:1/2pi:3",
                   "--format", "csv", "--out", "sweep.csv"],
     "sweep-json": ["sweep", "--alpha-grid", "0.3", "--beta-grid", "-1:1:4",
@@ -92,8 +97,10 @@ def test_outputs_match_golden_bytes(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["walk1d-csv", "walk1d-json", "ladder-csv", "ladder-json",
+                                  "ladder-one-sided-csv", "ladder-one-sided-json",
                                   "sweep-csv", "sweep-json", "sweep-wide-csv",
-                                  "sweep-wide-json", "sweep-float-json", "walk1d-stdout"])
+                                  "sweep-wide-json", "sweep-float-json", "table1-csv",
+                                  "table1-json", "walk1d-stdout"])
 def test_chunk_boundaries_leave_bytes_unchanged(tmp_path, monkeypatch, case):
     """Most goldens hold fewer rows than one formatting pass; small passes
     put chunk boundaries inside each structured table (``sweep-json`` has
