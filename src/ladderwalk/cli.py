@@ -22,15 +22,17 @@ multiples of pi (``pi``, ``-1/4pi``, ``3pi/4``, ``0.5pi``).  Rational
 multiples are tracked exactly so that analytic identities (``M2 = 0`` at
 beta = pi/4, for instance) hold bit-exactly in the outputs.  Datasets are
 written as a single JSON document or as CSV files, one per table, CSV
-floats at 17 significant digits.
+floats at 17 significant digits.  Every table's rows are a numpy
+structured array, one field per column, written in chunks of rows.
 
 Each command's options are the parameters of its ``run_*`` function
 (``--initial-theta`` for ``initial_theta``; a parameter without a default
 is required), plus ``--out``, ``--format`` and ``--config``.  A JSON config
 file holds the same keys, and a flag overrides the key of the same name.  A
-flag or config key the command does not take is a usage error.  Each
-value goes through one parser per key; range checks live once, in the
-``run_*`` functions, which are also the library entry points.
+flag or config key the command does not take is a usage error, as is an
+option before the command.  Each value goes through one parser per key;
+range checks live once, in the ``run_*`` functions, which are also the
+library entry points.
 
 Exit codes: 0 success, 1 usage error (also a value the library refuses),
 2 failed table1 check, 3 numeric invariant violation.
@@ -228,16 +230,21 @@ def _check_step_sum(step: int, total: float) -> None:
             f"probabilities at step {step} sum to {total!r}")
 
 
-def _per_site_table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
-    """A per-site table from the nonzero entries of each step: ``step``,
-    then ``columns``.  ``blocks`` holds one entry per block of consecutive
-    steps from step 0 on: its per-step row counts, then one array per
-    column.  The rows are a numpy structured array, int64 except for the
-    float64 ``probability``.  Each entry leaves ``blocks`` as it is copied
-    in, so the parts and the table are not held in full at once."""
+# A table column's dtype by the numpy kind of its parts.
+_COLUMN_DTYPES = {"i": np.int64, "f": np.float64, "O": object}
+
+
+def _table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
+    """A table of ``step``, then ``columns``, from blocks of consecutive
+    steps from step 0 on.  Each entry of ``blocks`` holds its per-step row
+    counts (1 for a steps table, the nonzero entries of each step for a
+    per-site table), then one array per column.  The rows are a numpy
+    structured array: an int64 ``step``, and each column int64, float64 or
+    object by the kind of its parts.  Each entry leaves ``blocks`` as it
+    is copied in, so the parts and the table are not held in full at once."""
     names = ["step", *columns]
-    rows = np.empty(sum(len(parts[-1]) for parts in blocks), dtype=[
-        (name, np.float64 if name == "probability" else np.int64) for name in names])
+    rows = np.empty(sum(len(parts[-1]) for parts in blocks), dtype=[("step", np.int64), *(
+        (name, _COLUMN_DTYPES[part.dtype.kind]) for name, part in zip(columns, blocks[0][1:]))])
     start = step = 0
     blocks.reverse()
     while blocks:
@@ -262,7 +269,8 @@ def run_walk1d(gamma: Angle, steps: int,
 
     The walker starts at site 0 of the sites ``-(steps + 2) .. steps + 2``,
     which it cannot leave in ``steps`` steps.  The walk is one stepping
-    pass, observed a block of steps at a time."""
+    pass, observed a block of steps at a time.  Both tables' rows are
+    structured arrays, an int64 ``step`` and ``site`` and float64 elsewhere."""
     r = _half_width(steps)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
@@ -271,8 +279,7 @@ def run_walk1d(gamma: Angle, steps: int,
     # second_moment's (m - origin) ** 2, about the origin 0.0
     squared_sites = np.square(sites.astype(float))
 
-    site_blocks = []
-    step_rows = []
+    site_blocks, step_blocks = [], []
     step = 0
     spin_probs = None
     for block, lo, hi in _state_blocks(state, spec, steps):
@@ -289,13 +296,14 @@ def run_walk1d(gamma: Angle, steps: int,
         index, column = np.nonzero(positive)
         site_blocks.append((np.bincount(index, minlength=n), sites[lo:hi][column],
                             p[:, lo:hi][positive]))
-        for total, moment, r11, r22, r12 in zip(
-                np.sum(p, axis=-1).tolist(), np.sum(moments[:n], axis=-1).tolist(),
-                rho11, rho22, rho12):
+        totals = np.sum(p, axis=-1)
+        entropies = []
+        for total, r11, r22, r12 in zip(totals.tolist(), rho11, rho22, rho12):
             _check_step_sum(step, total)
-            rho = DensityMatrix2(rho11=r11, rho22=r22, rho12=r12)
-            step_rows.append([step, moment, entropy(rho), total])
+            entropies.append(entropy(DensityMatrix2(rho11=r11, rho22=r22, rho12=r12)))
             step += 1
+        step_blocks.append((np.ones(n, np.int64), np.sum(moments[:n], axis=-1),
+                            np.array(entropies), totals))
 
     rho_inf = asymptotic_rho(gamma.radians)
     params = {
@@ -314,11 +322,8 @@ def run_walk1d(gamma: Angle, steps: int,
         "command": "walk1d",
         "params": params,
         "tables": {
-            "distribution": _per_site_table(("site", "probability"), site_blocks),
-            "steps": {
-                "columns": ["step", "second_moment", "entropy", "total_probability"],
-                "rows": step_rows,
-            },
+            "distribution": _table(("site", "probability"), site_blocks),
+            "steps": _table(("second_moment", "entropy", "total_probability"), step_blocks),
         },
     }
 
@@ -332,7 +337,10 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     steps + 2``, which it cannot leave in ``steps`` steps.  The walk is one
     stepping pass, observed a block of steps at a time: the joint and side
     masses, the sector projection and weights, the coin matrices of the
-    normalized sectors and the side-profile distance."""
+    normalized sectors and the side-profile distance.  Both tables' rows
+    are structured arrays: int64 ``step``, ``side`` and ``rung``, float64
+    masses, weights and ``probability``, and an object ``tv_sides`` that
+    holds a float, or None while a side carries no mass."""
     r = _half_width(steps)
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
     # before the walk: it refuses angles whose sector sums or pattern overflow
@@ -343,8 +351,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
     rungs = state.rungs()
 
-    site_blocks = []
-    step_rows = []
+    site_blocks, step_blocks = [], []
     # per-sector sums of (rho11, rho22, rho12) over steps 1..n, added one
     # by one: builtin sum() of floats is compensated from Python 3.12 on
     rho_sums = [[0.0, 0.0, 0j], [0.0, 0.0, 0j]]
@@ -371,7 +378,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         np.divide(j[..., lo:hi], np.where(shown[:, None], masses, 1.0)[..., None], out=prof)
         np.subtract(prof[:, 0], prof[:, 1], out=prof[:, 0])
         np.abs(prof[:, 0], out=prof[:, 0])
-        distances = np.sum(profiles[:n, 0], axis=-1).tolist()
+        tv = np.empty(n, dtype=object)
+        tv[shown] = (0.5 * np.sum(profiles[:n, 0], axis=-1))[shown].tolist()
 
         positive = j[..., lo:hi] > 0.0
         index, side, rung = np.nonzero(positive)
@@ -380,10 +388,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         site_blocks.append((np.bincount(index, minlength=n), side.astype(np.int8),
                             rungs[lo:hi][rung], j[..., lo:hi][positive]))
 
-        for i, ((mass0, mass1), (w0, wpi)) in enumerate(zip(masses.tolist(),
-                                                             weights.tolist())):
-            _check_step_sum(step, totals[i])
-            tv = 0.5 * distances[i] if shown[i] else None
+        for i, total in enumerate(totals):
+            _check_step_sum(step, total)
             if step > 0:
                 for k, sums in enumerate(rho_sums):
                     rho = DensityMatrix2(rho11=rho11[i][k], rho22=rho22[i][k],
@@ -391,8 +397,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
                     sums[0] += rho.rho11
                     sums[1] += rho.rho22
                     sums[2] += rho.rho12
-            step_rows.append([step, mass0, mass1, w0, wpi, tv])
             step += 1
+        step_blocks.append((np.ones(n, np.int64), *masses.T, *weights.T, tv))
 
     if steps >= 1:
         i_finite = mutual_information(*(
@@ -427,12 +433,9 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "command": "ladder",
         "params": params,
         "tables": {
-            "joint": _per_site_table(("side", "rung", "probability"), site_blocks),
-            "steps": {
-                "columns": ["step", "side0_mass", "side1_mass",
-                            "weight_k0", "weight_kpi", "tv_sides"],
-                "rows": step_rows,
-            },
+            "joint": _table(("side", "rung", "probability"), site_blocks),
+            "steps": _table(("side0_mass", "side1_mass", "weight_k0", "weight_kpi",
+                             "tv_sides"), step_blocks),
         },
     }
 
@@ -474,18 +477,20 @@ def run_table1(steps: int = 64) -> dict:
     """Verify the four qualitative regimes at alpha = -pi/4.
 
     Analytic checks use exact pi-fraction arithmetic; simulation checks run
-    the full ladder protocol for ``steps`` steps.
+    the full ladder protocol for ``steps`` steps.  The ``checks`` rows are
+    a structured array of object fields, each cell a Python str, float or
+    bool.
     """
     if _require_integer("steps", steps) < 1:
         raise UsageError("steps must be >= 1")
     alpha = Angle(-math.pi / 4, Fraction(-1, 4))
-    rows = []
+    checks = []
 
     def check(row: str, quantity: str, expected, measured, passed: bool) -> None:
-        rows.append([row, quantity, expected, measured, bool(passed)])
+        checks.append((row, quantity, expected, measured, bool(passed)))
 
-    def ladder_steps(beta: Angle) -> list:
-        """``run_ladder``'s per-step rows for steps 1 .. ``steps``."""
+    def ladder_steps(beta: Angle) -> np.ndarray:
+        """``run_ladder``'s steps table for steps 1 .. ``steps``."""
         return run_ladder(alpha, beta, steps)["tables"]["steps"]["rows"][1:]
 
     def check_pattern(row: str, summary: dict, expected: WalkPattern) -> None:
@@ -503,8 +508,8 @@ def run_table1(steps: int = 64) -> dict:
     check_pattern("alternating", summary, WalkPattern.ALTERNATING)
     diff = abs(summary["m1"] - summary["m2"])
     check("alternating", "m1_minus_m2", 0.0, diff, diff == 0.0)
-    off = max((mass0, mass1)[(step + 1) % 2]
-              for step, mass0, mass1, *_ in ladder_steps(beta))
+    table = ladder_steps(beta)
+    off = max(np.where(table["step"] % 2, table["side0_mass"], table["side1_mass"]).tolist())
     check("alternating", "max_resident_side_miss", 0.0, off, off <= 1e-12)
 
     # beta = pi: the walker never leaves the starting side.
@@ -512,7 +517,7 @@ def run_table1(steps: int = 64) -> dict:
     check_pattern("one-sided", summary, WalkPattern.ONE_SIDED)
     diff = abs(summary["m1"] - summary["m2"])
     check("one-sided", "m1_minus_m2", 0.0, diff, diff == 0.0)
-    off = max(mass1 for _, _, mass1, *_ in ladder_steps(beta))
+    off = max(ladder_steps(beta)["side1_mass"].tolist())
     check("one-sided", "max_off_side_mass", 0.0, off, off < 1e-10)
 
     # beta = pi/4: the second sector coin is extremal, M2 vanishes and the
@@ -521,31 +526,28 @@ def run_table1(steps: int = 64) -> dict:
     beta, summary = betas[2], summaries[2]
     check_pattern("identical-m2-zero", summary, WalkPattern.IDENTICAL_DOMINATED)
     check("identical-m2-zero", "m2", 0.0, summary["m2"], summary["m2"] == 0.0)
-    tv = ladder_steps(beta)[-1][-1]
+    tv = ladder_steps(beta)["tv_sides"][-1]
     check("identical-m2-zero", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
     # beta = 3pi/4: M1 is maximized and again the side profiles agree.
     beta, summary = betas[3], summaries[3]
     check_pattern("identical-m1-max", summary, WalkPattern.IDENTICAL_DOMINATED)
     check("identical-m1-max", "m1", 1.0, summary["m1"], summary["m1"] == 1.0)
-    tv = ladder_steps(beta)[-1][-1]
+    tv = ladder_steps(beta)["tv_sides"][-1]
     check("identical-m1-max", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
+    columns = ["row", "quantity", "expected", "measured", "passed"]
+    rows = np.array(checks, dtype=[(name, object) for name in columns])
     params = {
         "command": "table1",
         "alpha": alpha.radians,
         "steps": steps,
-        "all_passed": all(row[4] for row in rows),
+        "all_passed": all(rows["passed"]),
     }
     return {
         "command": "table1",
         "params": params,
-        "tables": {
-            "checks": {
-                "columns": ["row", "quantity", "expected", "measured", "passed"],
-                "rows": rows,
-            },
-        },
+        "tables": {"checks": {"columns": columns, "rows": rows}},
     }
 
 
@@ -563,12 +565,13 @@ def _format_cell(value) -> str:
 # (``float.__repr__``) as ``json`` writes them; integer cells arrive as
 # text or as ints, and ``%s`` writes either as ``%d`` would.  The text
 # fields hold ``WalkPattern`` values, which need no CSV quoting or JSON
-# escapes.
-_CSV_CELLS = {"f": "%.17g", "i": "%s", "U": "%s"}
-_JSON_CELLS = {"f": "%r", "i": "%s", "U": '"%s"'}
+# escapes.  An object cell (``tv_sides``, a ``table1`` check) goes through
+# the format's scalar encoder.
+_CSV_CELLS = {"f": "%.17g", "i": "%s", "U": "%s", "O": _format_cell}
+_JSON_CELLS = {"f": "%r", "i": "%s", "U": '"%s"', "O": json.dumps}
 
 
-def _cell_formats(rows: np.ndarray, formats: dict) -> list[str]:
+def _cell_formats(rows: np.ndarray, formats: dict) -> list:
     return [formats[rows.dtype[name].kind] for name in rows.dtype.names]
 
 
@@ -586,7 +589,9 @@ def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""
     ``2 * steps + 3`` values), and a float column whose first chunk and
     whole column each hold at most half as many distinct values as rows,
     its format applied once per distinct bit pattern (``0.0`` and ``-0.0``
-    print apart).  Every other column passes its Python values through.
+    print apart).  An object column's cells go through its encoder, the
+    ``"O"`` entry of ``formats``, one by one.  Every other column passes
+    its Python values through.
     """
     names = rows.dtype.names
     texts = {}  # name -> a function from a chunk's column to its cell texts
@@ -603,6 +608,8 @@ def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""
                 keys, table = found
                 texts[name] = lambda c, keys=keys, table=table: table[
                     np.searchsorted(keys, c.view(np.uint64))]
+        elif column.dtype.kind == "O":
+            texts[name] = lambda c, encode=formats["O"]: [encode(v) for v in c]
     row_format = row_format([
         "%s" if name in texts else cell for name, cell in zip(names, _cell_formats(rows, formats))])
     for start in range(0, len(rows), _CHUNK_ROWS):
@@ -629,28 +636,24 @@ def _float_table(column: np.ndarray, cell: str) -> tuple[np.ndarray, np.ndarray]
     return keys, np.array([cell % v for v in keys.view(np.float64).tolist()], dtype=object)
 
 
-# Stands in for a structured table's rows in the text ``json`` writes; the
-# NUL keeps it apart from every string a dataset holds.
+# Stands in for a table's rows in the text ``json`` writes; the NUL keeps
+# it apart from every string a dataset holds.
 _ROWS_MARK = "\0rows"
 
 
 def _write_json(dataset: dict, fh) -> None:
     """Write ``dataset`` and a newline in ``json.dump(indent=2)``'s layout.
 
-    A structured table's rows are formatted in chunks (``_JSON_CELLS``);
-    ``json`` writes the rest, with a mark in place of those rows.
+    Each table's rows are formatted in chunks (``_JSON_CELLS``); ``json``
+    writes the rest, with a mark in place of those rows.
     """
-    arrays = []
-    tables = {}
-    for name, table in dataset["tables"].items():
-        if isinstance(table["rows"], np.ndarray):
-            arrays.append(table["rows"])
-            table = {**table, "rows": _ROWS_MARK}
-        tables[name] = table
-    text = json.dumps({**dataset, "tables": tables}, indent=2)
+    tables = dataset["tables"]
+    text = json.dumps({**dataset, "tables": {
+        name: {**table, "rows": _ROWS_MARK} for name, table in tables.items()}}, indent=2)
     pieces = text.split(json.dumps(_ROWS_MARK))
     fh.write(pieces[0])
-    for rows, before, after in zip(arrays, pieces, pieces[1:]):
+    for table, before, after in zip(tables.values(), pieces, pieces[1:]):
+        rows = table["rows"]
         line = before[before.rfind("\n") + 1:]   # '<indent>"rows": '
         indent = line[:line.index('"')]
         if len(rows):
@@ -707,15 +710,9 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     for name, table in tables.items():
         path = _csv_path(base, name, main_table)
         with _open_for_writing(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(table["columns"])
-            rows = table["rows"]
-            if isinstance(rows, np.ndarray):
-                fh.writelines(_formatted_chunks(
-                    rows, _CSV_CELLS, lambda cells: ",".join(cells) + "\r\n"))
-            else:
-                for row in rows:
-                    writer.writerow([_format_cell(v) for v in row])
+            csv.writer(fh).writerow(table["columns"])
+            fh.writelines(_formatted_chunks(
+                table["rows"], _CSV_CELLS, lambda cells: ",".join(cells) + "\r\n"))
         written.append(path)
     params = dataset["params"]
     path = _csv_path(base, "params", main_table)
@@ -825,7 +822,12 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # the top-level parser would take the option's value for the command
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error("the command must come before its options")
+    args = parser.parse_args(argv)
     try:
         settings = _settings(args)
         out = settings.pop("out", None)

@@ -33,6 +33,14 @@ def _per_site_table(**columns) -> dict:
     return {"columns": names, "rows": rows}
 
 
+def _steps_table(step_rows: list, **dtypes) -> dict:
+    """A steps table of ``step`` and the columns ``dtypes`` names, from its
+    rows."""
+    rows = np.array([tuple(row) for row in step_rows],
+                    dtype=[("step", np.int64), *dtypes.items()])
+    return {"columns": list(rows.dtype.names), "rows": rows}
+
+
 def reference_walk1d(gamma, steps, initial_theta=0.0, initial_phi=0.0):
     r = steps + 2
     coin = lw.CoinSpinor.from_bloch(initial_theta, initial_phi)
@@ -68,8 +76,8 @@ def reference_walk1d(gamma, steps, initial_theta=0.0, initial_phi=0.0):
     }
     return {"command": "walk1d", "params": params, "tables": {
         "distribution": _per_site_table(site=site_parts, probability=prob_parts),
-        "steps": {"columns": ["step", "second_moment", "entropy", "total_probability"],
-                  "rows": step_rows}}}
+        "steps": _steps_table(step_rows, second_moment=np.float64, entropy=np.float64,
+                              total_probability=np.float64)}}
 
 
 def reference_ladder(alpha, beta, steps, gamma_y=None, initial_theta=0.0, initial_phi=0.0):
@@ -140,22 +148,20 @@ def reference_ladder(alpha, beta, steps, gamma_y=None, initial_theta=0.0, initia
     }
     return {"command": "ladder", "params": params, "tables": {
         "joint": _per_site_table(side=side_parts, rung=rung_parts, probability=prob_parts),
-        "steps": {"columns": ["step", "side0_mass", "side1_mass",
-                              "weight_k0", "weight_kpi", "tv_sides"],
-                  "rows": step_rows}}}
+        "steps": _steps_table(step_rows, side0_mass=np.float64, side1_mass=np.float64,
+                              weight_k0=np.float64, weight_kpi=np.float64, tv_sides=object)}}
 
 
 def bits(dataset: dict):
     """The dataset with every float as its repr (which tells -0.0 from 0.0)
-    and each structured table as its dtype and raw bytes."""
+    and each table as its dtype and the raw bytes of each column, or the
+    repr of an object column's values, whose bytes are pointers."""
     tables = {}
     for name, table in dataset["tables"].items():
         rows = table["rows"]
-        if isinstance(rows, np.ndarray):
-            rows = (rows.dtype.descr, rows.tobytes())
-        else:
-            rows = repr(rows)
-        tables[name] = (table["columns"], rows)
+        tables[name] = (table["columns"], rows.dtype.descr, [
+            repr(rows[field].tolist()) if rows.dtype[field].kind == "O"
+            else rows[field].tobytes() for field in rows.dtype.names])
     return dataset["command"], repr(dataset["params"]), tables
 
 

@@ -298,7 +298,8 @@ class TestLadderCmd:
             mass0, mass1 = np.sum(side0), np.sum(side1)
             pair = lw.sector_project(state)
             expected = [step, mass0, mass1, pair.weight_k0, pair.weight_kpi]
-            assert [float(v).hex() for v in row[:5]] == [float(v).hex() for v in expected]
+            assert [float(v).hex() for v in row.tolist()[:5]] == \
+                [float(v).hex() for v in expected]
             if row[5] is not None:
                 assert row[5] == 0.5 * np.sum(np.abs(side0 / mass0 - side1 / mass1))
         assert len(rows) == steps + 1
@@ -476,11 +477,8 @@ class TestOutputPlumbing:
                     assert data[key] == dataset[key]
             assert list(data["tables"]) == list(dataset["tables"])
             for name, table in dataset["tables"].items():
-                rows = table["rows"]
-                if isinstance(rows, np.ndarray):  # a per-site structured table
-                    rows = rows.tolist()
-                assert data["tables"][name] == {"columns": table["columns"],
-                                                "rows": [list(r) for r in rows]}
+                assert data["tables"][name] == {
+                    "columns": table["columns"], "rows": [list(r) for r in table["rows"].tolist()]}
 
     @pytest.mark.parametrize("chunk_rows", [cli._CHUNK_ROWS, 3])
     @pytest.mark.parametrize("fields,columns", [
@@ -495,19 +493,27 @@ class TestOutputPlumbing:
          [[-10**12, 0, 10**12, 0], [-2**63, 2**63 - 1, -2**63, 0], [-1, -1, 0, 2]]),
         ([("a", "f8"), ("pattern", "U12")],
          [[0.1, -2.5, 3.0], ["generic", "one-sided", "alternating"]]),
-    ], ids=["negative", "one-row", "zero-rows", "wide-spans", "text"])
+        # Python scalars of every kind a dataset's object column holds
+        ([("step", "i8"), ("cell", "O")],
+         [list(range(8)), [None, True, False, "one-sided", 7, -0.0, 1e-300, 1 / 3]]),
+    ], ids=["negative", "one-row", "zero-rows", "wide-spans", "text", "objects"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_integer_cells_as_percent_d(self, monkeypatch, fmt, fields, columns,
                                         chunk_rows):
         """Integer cells rendered once per value give the bytes ``%d`` gives
-        row by row."""
+        row by row, and object cells those of ``_format_cell`` (CSV) and
+        ``json.dumps`` (JSON)."""
         rows = np.empty(len(columns[0]), dtype=fields)
         for (name, _dtype), column in zip(fields, columns):
             rows[name] = column
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
         cells, row_format, sep = self.layout(fmt)
-        percent_d = row_format(cli._cell_formats(rows, {**cells, "i": "%d"}))
-        expected = sep.join(percent_d % row for row in rows.tolist())
+        encode = cli._format_cell if fmt == "csv" else json.dumps
+        formats = cli._cell_formats(rows, {**cells, "i": "%d", "O": None})
+        one_row = row_format(["%s"] * len(formats))
+        expected = sep.join(one_row % tuple(encode(v) if f is None else f % v
+                                            for f, v in zip(formats, row))
+                            for row in rows.tolist())
         assert "".join(cli._formatted_chunks(rows, cells, row_format, sep)) == expected
 
     @staticmethod
@@ -798,6 +804,16 @@ class TestRejection:
         # one line; a subcommand's own argparse errors name it: "ladderwalk walk1d: error:"
         assert re.fullmatch(r"ladderwalk( \w+)?: error: [^\n]+\n", err)
         assert list(tmp_path.glob("x*")) == []
+
+    @pytest.mark.parametrize("argv", [["--out", "x.json"], ["--steps", "2", "ladder"]])
+    def test_command_comes_first(self, tmp_path, monkeypatch, argv):
+        """An option before the command is refused as such; the top-level
+        parser would take its value for the command's name."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_main(argv)
+        assert code == 1 and out == ""
+        assert err == "ladderwalk: error: the command must come before its options\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_refuses_an_overflowing_one_point_grid(self):
         code, _out, err = run_main(["sweep", "--alpha-grid", "1e308", "--beta-grid", "1e308"])
