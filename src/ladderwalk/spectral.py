@@ -9,9 +9,13 @@ Every 2x2 density matrix is diagonalized in closed form,
 ``lambda = (tr rho +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)) / 2``.
 
 :func:`mode_eigensystem` is the single eigensystem of ``U(k)``, evaluated
-on a whole momentum grid at once; :func:`evolve_spectral` applies it on a
-discrete ring as an oracle that is independent of the position-space
-stepping in :mod:`ladderwalk.core`.  :func:`sweep_summary` is the one
+on a whole momentum grid at once.  A walk from a point mass on a discrete
+ring splits into its two bands, ``e^{-i omega t} a + e^{i omega t} b`` at
+each momentum after ``t`` steps, and the two oracles read that one
+decomposition: :func:`evolve_spectral` transforms it back to sites, and
+:func:`cesaro_rho` takes the time-averaged coin density matrix from it in
+closed form.  Neither runs a walk, so neither shares the position-space
+stepping of :mod:`ladderwalk.core`.  :func:`sweep_summary` is the one
 path from ``(alpha, beta, gamma_y)`` to the sector analytics, over a
 whole ``(alpha, beta)`` grid or a one-point grid.  It evaluates the
 sector closed forms (density matrix, eigenvalue gap, entropy,
@@ -41,14 +45,12 @@ import numpy as np
 
 from .core import (
     CoinSpinor,
-    Conventional,
+    LadderState,
     WalkerState1D,
     _check_initial_coin,
     _probabilities,
     _require_finite,
     _require_integer,
-    evolve,
-    localized_walker,
 )
 from .sectors import (
     _DEFAULT_GAMMA_Y,
@@ -142,42 +144,85 @@ class MomentumMode:
     e_minus: np.ndarray
 
 
-def dispersion(gamma: float, k: float):
-    """Dispersion angle ``omega = arccos(cos(gamma/2) cos k)`` in ``[0, pi]``."""
-    cosw = np.cos(gamma / 2.0) * np.cos(k)
-    return np.arccos(np.clip(cosw, -1.0, 1.0))
+def _dispersion(gamma: float, k) -> tuple[float | np.ndarray, ...]:
+    """``gamma`` and ``k`` through the entry gates, then ``s =
+    sin(gamma/2)``, the float momenta ``k``, ``c sin k`` with ``c =
+    cos(gamma/2)``, ``sin(omega)`` and ``omega`` on them.
+
+    ``gamma`` is a finite number and ``k`` one finite number or an array of
+    them; a bool or a text is refused with ``TypeError``.  As ``cos(omega)
+    = c cos k`` and ``c^2 + s^2 = 1``, ``sin(omega) = hypot(s, c sin k)``
+    with no cancellation, and ``omega = atan2(sin(omega), c cos k)`` keeps
+    its relative precision next to 0 and pi, where ``arccos`` loses it.
+    """
+    gamma = _require_finite("gamma", gamma)
+    if np.ndim(k) == 0 and not isinstance(k, np.ndarray):
+        k = _require_finite("k", k)
+    k = np.asarray(k)
+    if k.dtype.kind not in "iuf":
+        raise TypeError(f"k must hold numbers, not {k.dtype.type.__name__}")
+    k = k.astype(float)
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"k must be finite, got {float(k[~np.isfinite(k)][0])!r}")
+    c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    c_sin_k = c * np.sin(k)
+    sin_omega = np.hypot(s, c_sin_k)
+    return s, k, c_sin_k, sin_omega, np.arctan2(sin_omega, c * np.cos(k))
+
+
+def dispersion(gamma: float, k):
+    """Dispersion angle ``omega`` in ``[0, pi]`` with ``cos(omega) =
+    cos(gamma/2) cos k``, on one momentum ``k`` or an array of them."""
+    return _dispersion(gamma, k)[-1]
 
 
 def mode_eigensystem(gamma: float, k) -> MomentumMode:
     """Closed-form eigenvectors and eigenvalues of ``U(k) = T(k) C(gamma/2)``.
 
-    ``k`` is one momentum or an array of them.  The unnormalized
-    eigenvector for eigenvalue ``lambda`` is
-    ``(e^{ik}, (cos(gamma/2) e^{ik} - lambda) / sin(gamma/2))``; each is
-    scaled to unit norm.
+    ``k`` is one momentum or an array of them.  With ``c, s = cos(gamma/2),
+    sin(gamma/2)``, ``c e^{ik} - e^{-+i omega} = i (c sin k +- sin(omega))``;
+    the product of the two is ``-s^2``, and the larger one, ``q = c sin k
+    + sign(c sin k) sin(omega)``, adds two terms of one sign.  Each
+    eigenvector is the null vector of the row of ``U - lambda`` that holds
+    ``q``, ``(s e^{ik}, i q)`` or ``(-i q, -s e^{-ik})``, scaled to unit
+    norm, so no entry comes from a cancellation, also next to a diagonal
+    coin.
     """
-    gamma = _require_finite("gamma", gamma)
-    k = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(k)):
-        raise ValueError("k must be finite")
-    s = math.sin(gamma / 2.0)
-    c = math.cos(gamma / 2.0)
+    s, k, c_sin_k, sin_omega, omega = _dispersion(gamma, k)
     if abs(s) < _DEGENERATE_TOL:
         raise DegenerateCoinError(
             "coin angle congruent to 0 mod 2*pi: U(k) is diagonal")
-    omega = dispersion(gamma, k)
+    # the sign bit, so that c sin k = -0.0 picks one row for both vectors
+    negative = np.signbit(c_sin_k)
+    q = c_sin_k + np.copysign(sin_omega, c_sin_k)
     u = np.exp(1j * k)
+    norm = np.hypot(s, q)
+    first_row = np.stack([s * u, 1j * q]) / norm
+    second_row = np.stack([-1j * q, -s * np.conj(u)]) / norm
+    return MomentumMode(k=k, omega=omega, e_plus=np.where(negative, second_row, first_row),
+                        e_minus=np.where(negative, first_row, second_row))
 
-    def vector(lam: np.ndarray) -> np.ndarray:
-        raw = np.stack([u, (c * u - lam) / s])
-        return raw / np.linalg.norm(raw, axis=0)
 
-    return MomentumMode(
-        k=k,
-        omega=omega,
-        e_plus=vector(np.exp(-1j * omega)),
-        e_minus=vector(np.exp(1j * omega)),
-    )
+def _bands(initial: CoinSpinor, gamma: float, ring_size: int) -> tuple[np.ndarray, ...]:
+    """``omega, a, b`` of a walk from a point mass in the coin state
+    ``initial`` on a ring of ``ring_size`` sites, on the momenta ``k_j = 2
+    pi j / ring_size``: after ``t`` steps its momentum amplitudes are
+    ``e^{-i omega t} a + e^{i omega t} b``, ``a`` and ``b`` of shape ``(2,
+    ring_size)`` being the coin state's parts in the two bands.
+
+    A diagonal coin, ``|sin(gamma/2)| < 1e-12`` and so ``c =
+    cos(gamma/2) = +-1``, turns each spin by its own phase: the up part by
+    ``c e^{ik} = e^{-i omega}`` and the down part by its conjugate.
+    """
+    k = 2.0 * math.pi * np.arange(ring_size) / ring_size
+    chi = initial.as_array()
+    if abs(math.sin(gamma / 2.0)) < _DEGENERATE_TOL:
+        a, b = np.diag(chi)[:, :, None] * np.ones(ring_size)
+        return -k - (math.pi if math.cos(gamma / 2.0) < 0.0 else 0.0), a, b
+    mode = mode_eigensystem(gamma, k)
+    a, b = (np.sum(np.conj(e) * chi[:, None], axis=0) * e
+            for e in (mode.e_plus, mode.e_minus))
+    return mode.omega, a, b
 
 
 def evolve_spectral(initial: CoinSpinor, gamma: float, n: int,
@@ -202,22 +247,8 @@ def evolve_spectral(initial: CoinSpinor, gamma: float, n: int,
             f"ring_size {ring_size} aliases after {n} steps; need ring_size > 2n")
     _check_initial_coin(initial)
 
-    c = math.cos(gamma / 2.0)
-    s = math.sin(gamma / 2.0)
-    k = 2.0 * math.pi * np.arange(ring_size) / ring_size
-    chi = initial.as_array()
-
-    if abs(s) < _DEGENERATE_TOL:
-        # Diagonal unitary: each spin component only accumulates phase.
-        up_hat = chi[0] * (c * np.exp(1j * k)) ** n
-        down_hat = chi[1] * (c * np.exp(-1j * k)) ** n
-        psi_hat = np.stack([up_hat, down_hat])
-    else:
-        mode = mode_eigensystem(gamma, k)
-        coef_plus = np.sum(np.conj(mode.e_plus) * chi[:, None], axis=0)
-        coef_minus = np.sum(np.conj(mode.e_minus) * chi[:, None], axis=0)
-        psi_hat = (np.exp(-1j * mode.omega * n) * coef_plus * mode.e_plus
-                   + np.exp(1j * mode.omega * n) * coef_minus * mode.e_minus)
+    omega, a, b = _bands(initial, gamma, ring_size)
+    psi_hat = np.exp(-1j * omega * n) * a + np.exp(1j * omega * n) * b
 
     # psi(m) = (1/L) sum_j psi_hat(k_j) e^{-i k_j m}; ring index 0 is the
     # starting site, so roll it to the array center afterwards.
@@ -333,6 +364,8 @@ def finite_n_rho(state: WalkerState1D) -> DensityMatrix2:
     """Coin density matrix of a finite-time state, traced over position and
     the side of a ladder state: the one-state view of ``_coin_rho_sums``,
     the block observable of the ``walk1d`` and ``ladder`` commands."""
+    if not isinstance(state, (WalkerState1D, LadderState)):
+        raise TypeError(f"unsupported state {type(state).__name__}")
     amps = state.amplitudes.reshape(1, 2, -1)
     spin_probs, cross = np.empty(amps.shape), np.empty((1, amps.shape[-1]), np.complex128)
     _probabilities(amps, 0, amps.shape[-1], spin_probs)
@@ -348,29 +381,35 @@ def cesaro_rho(gamma: float, n_steps: int,
     converges to :func:`asymptotic_rho` and is the right finite-time
     object to compare against it.
 
-    This stays the independent one-step reference: it runs its own 1D
-    walk with coin angle ``gamma``, one ``evolve(state, spec, 1)`` step and
-    one :func:`finite_n_rho` at a time.  The ``ladder`` command takes the
-    same mean of each sector from the ladder's own states in the blocked
-    pass, and the tests hold the two routes together; they share only the
-    coin-matrix sums, of which ``finite_n_rho`` is the one-state view.
+    It is taken in closed form on the momenta of a ring of ``2 n + 2``
+    sites, where the walk from a point mass cannot wrap: at step ``t`` the
+    coin matrix is the mean over ``k`` of ``psi_t psi_t^dagger`` with
+    ``psi_t = e^{-i omega t} a + e^{i omega t} b``, so the Cesaro mean is
+    the mean over ``k`` of ``a a^dagger + b b^dagger + f a b^dagger + conj(f)
+    b a^dagger``, where ``f`` is the mean of ``e^{-2 i omega t}`` over ``t
+    = 1 .. n``.  No walk is run: the ``ladder`` command takes the same
+    mean of each sector from the ladder's own states, and the tests hold
+    the two routes together.  ``initial`` defaults to the up state;
     ``n_steps`` must be an integer (a bool is refused).
     """
     n_steps = _require_integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    state = localized_walker(initial, half_width=n_steps + 2)
-    acc11 = acc22 = 0.0
-    acc12 = 0j
-    spec = Conventional(gamma)
-    for _ in range(n_steps):
-        state = evolve(state, spec, 1)
-        rho = finite_n_rho(state)
-        acc11 += rho.rho11
-        acc22 += rho.rho22
-        acc12 += rho.rho12
-    return DensityMatrix2(rho11=acc11 / n_steps, rho22=acc22 / n_steps,
-                          rho12=acc12 / n_steps)
+    initial = initial if initial is not None else CoinSpinor()
+    _check_initial_coin(initial)
+    ring_size = 2 * n_steps + 2
+    omega, a, b = _bands(initial, _require_finite("gamma", gamma), ring_size)
+    # e^{-2 i omega t} = e^{-2 i theta t} for theta = omega mod pi in
+    # [-pi/2, pi/2], whose Dirichlet ratio keeps its precision near
+    # omega = pi; the ratio is 1 where sin(theta) = 0
+    theta = omega - math.pi * np.round(omega / math.pi)
+    sin_theta = np.sin(theta)
+    ratio = np.divide(np.sin(n_steps * theta), n_steps * sin_theta,
+                      out=np.ones_like(theta), where=sin_theta != 0.0)
+    f = np.exp(-1j * (n_steps + 1) * theta) * ratio
+    terms = a[:, None] * np.conj(a + np.conj(f) * b) + b[:, None] * np.conj(b + f * a)
+    (rho11, rho12), (_, rho22) = np.sum(terms, axis=-1) / ring_size
+    return DensityMatrix2(float(rho11.real), float(rho22.real), complex(rho12))
 
 
 def _sector_closed_forms(gamma_reduced: float) -> tuple[DensityMatrix2, float, float]:

@@ -343,7 +343,7 @@ class TestLadderCmd:
 
         for module in (lw, lw.spectral):
             monkeypatch.setattr(module, "cesaro_rho", refuse)
-        for module in (lw, lw.core, lw.spectral):
+        for module in (lw, lw.core):
             monkeypatch.setattr(module, "evolve", refuse)
         monkeypatch.setattr(cli, "_state_blocks", counting)
         params = cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"),

@@ -152,6 +152,12 @@ class TestSpinorAndFactories:
         (lambda: lw.sweep_summary([0.1], [np.True_]), "beta must be a number, not bool"),
         (lambda: lw.sweep_summary([0.1], [0.2], "0"), "gamma_y must be a number, not str"),
         (lambda: lw.cesaro_rho("0.7", 3), "gamma must be a number, not str"),
+        (lambda: lw.dispersion("0.5", 0.3), "gamma must be a number, not str"),
+        (lambda: lw.dispersion(True, 0.3), "gamma must be a number, not bool"),
+        (lambda: lw.dispersion(0.5, "0.5"), "k must be a number, not str"),
+        (lambda: lw.dispersion(0.5, True), "k must be a number, not bool"),
+        (lambda: lw.dispersion(0.5, ["0.5"]), "k must hold numbers, not str"),
+        (lambda: lw.mode_eigensystem(0.5, [True, False]), "k must hold numbers, not bool"),
         # only a numbers.Real that is not a bool: no text float() parses, no
         # Decimal, no 0-d array
         (lambda: lw.asymptotic_rho(b"1.0"), "gamma must be a number, not bytes"),
@@ -186,10 +192,12 @@ class TestSpinorAndFactories:
         (lambda x: lw.sweep_summary([0.1], [x]), "beta"),
         (lambda x: lw.CoinSpinor.from_bloch(x, 0), "theta"),
         (lambda x: lw.mode_eigensystem(x, 0.0), "gamma"),
+        (lambda x: lw.dispersion(x, 0.0), "gamma"),
+        (lambda x: lw.dispersion(0.5, x), "k"),
         (lw.reduce_angle, "gamma"),
     ], ids=["asymptotic_rho", "evolve", "evolve-ladder", "effective_angles",
             "sweep_summary-alpha", "sweep_summary-beta", "from_bloch", "mode_eigensystem",
-            "reduce_angle"])
+            "dispersion-gamma", "dispersion-k", "reduce_angle"])
     def test_non_finite_refusals_name_the_fault(self, make, name, value, shown):
         with pytest.raises(ValueError) as refusal:
             make(value)

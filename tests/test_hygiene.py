@@ -1,8 +1,9 @@
 """Package hygiene that a linter would otherwise check.
 
 The package re-exports exactly the public names of its modules, every
-public name has a reader outside its own tests, and no module imports a
-name it never uses (a deletion easily leaves one behind).
+public name has a reader outside its own tests, no module imports a name
+it never uses (a deletion easily leaves one behind), and the momentum
+oracles in ``spectral`` share no stepping code with ``core``.
 """
 
 from __future__ import annotations
@@ -109,3 +110,41 @@ def test_unread_name_scan_finds_one(tmp_path):
                                    "def f(): pass\ndef g(): return f()\n"
                                    "def h(): pass\ndef k(): pass\n")
     assert _unread_public_names(tmp_path, [], "Call `h(x)`.", ["m.k()"]) == ["g"]
+
+
+# core's stepping: the walk itself, its stages and coins, the point-mass
+# constructors and the protocol specs
+_STEPPING = {"evolve", "_steps", "_state_blocks", "_stages", "_coin", "_ladder_unitary",
+             "Conventional", "SplitStep", "Ladder", "ProtocolSpec"}
+
+
+def _stepping_imports(tree: ast.Module) -> list[str]:
+    """Names of ``core``'s stepping that a package module imports, from
+    ``core`` or from the package, and ``core`` itself, whose every name
+    would then be in reach."""
+    found = []
+    for node in ast.walk(tree):
+        # node.module is None only in a relative "from . import"
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ladderwalk")):
+            if (node.module or "").removeprefix("ladderwalk").lstrip(".") in ("", "core"):
+                found += [alias.name for alias in node.names
+                          if alias.name in _STEPPING | {"core"}
+                          or alias.name.startswith("localized_")]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "ladderwalk.core"]
+    return sorted(found)
+
+
+def test_spectral_imports_no_stepping_code():
+    """``evolve_spectral`` and ``cesaro_rho`` are oracles for the walk: they
+    run no walk of their own."""
+    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    assert _stepping_imports(tree) == []
+
+
+def test_stepping_import_scan_finds_one():
+    tree = ast.parse("from .core import CoinSpinor, evolve\nfrom . import core\n"
+                     "from ladderwalk.core import localized_walker\nfrom .sectors import Angle\n"
+                     "from . import Ladder\nimport ladderwalk.core\n")
+    assert _stepping_imports(tree) == ["Ladder", "core", "evolve", "ladderwalk.core",
+                                       "localized_walker"]

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk.cli import parse_angle, parse_grid, run_sweep
-from ladderwalk.spectral import _spectra
+from ladderwalk.cli import parse_angle, parse_grid, run_sweep, run_walk1d
+from ladderwalk.spectral import _bands, _spectra
 from test_cli import run_main
 
 SQRT2 = math.sqrt(2.0)
@@ -89,6 +89,42 @@ BOUNDARY_TRIPLES = st.one_of(
               st.sampled_from([1.0, -1.0])))
 DENSITY_TRIPLES = st.builds(_density_matrix, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
                             st.floats(-4.0, 4.0))
+BLOCH_COINS = st.builds(lw.CoinSpinor.from_bloch, st.floats(0.0, math.pi),
+                        st.floats(-math.pi, math.pi))
+# 2 pi j +- 10^-e: next to a diagonal coin, where sin(gamma/2) is 5e-3 ..
+# 5e-12, just above the degenerate branch's 1e-12
+NEAR_DEGENERATE_GAMMAS = st.builds(lambda j, sign, e: 2 * math.pi * j + sign * 10.0 ** -e,
+                                   st.integers(-2, 2), st.sampled_from([1.0, -1.0]),
+                                   st.integers(2, 11))
+
+
+def reference_cesaro_rho(gamma: float, n_steps: int,
+                         initial: lw.CoinSpinor | None = None) -> tuple:
+    """``(rho11, rho22, rho12)`` of the Cesaro mean over steps ``1 .. n`` by
+    the one-step route: a 1D walk, one ``evolve(state, spec, 1)`` step and
+    one ``finite_n_rho`` at a time."""
+    state = lw.localized_walker(initial, half_width=n_steps + 2)
+    spec = lw.Conventional(gamma)
+    acc11 = acc22 = 0.0
+    acc12 = 0j
+    for _ in range(n_steps):
+        state = lw.evolve(state, spec, 1)
+        rho = lw.finite_n_rho(state)
+        acc11 += rho.rho11
+        acc22 += rho.rho22
+        acc12 += rho.rho12
+    return acc11 / n_steps, acc22 / n_steps, acc12 / n_steps
+
+
+def momentum_coin_matrices(gamma: float, n: int, initial: lw.CoinSpinor) -> np.ndarray:
+    """The coin matrices of steps ``0 .. n`` of a walk from a point mass,
+    shape ``(n + 1, 2, 2)``, each the mean over the momenta of a ring that
+    the walk cannot wrap of ``psi_t psi_t^dagger``, ``psi_t = e^{-i omega
+    t} a + e^{i omega t} b``: the per-step form of ``cesaro_rho``."""
+    omega, a, b = _bands(initial, gamma, 2 * n + 2)
+    t = np.arange(n + 1)[:, None, None]
+    psi = np.exp(-1j * omega * t) * a + np.exp(1j * omega * t) * b
+    return np.sum(psi[:, :, None] * np.conj(psi[:, None]), axis=-1) / (2 * n + 2)
 
 
 class TestDispersion:
@@ -122,7 +158,9 @@ class TestModeEigensystem:
             assert min(abs(values - lam)) < 1e-10
 
     def test_orthonormal_over_grid(self):
-        gammas = np.linspace(0.2, math.pi, 10)
+        # and next to a diagonal coin, where sin(gamma/2) is as small as 5e-12
+        gammas = [*np.linspace(0.2, math.pi, 10), 1e-2, -1e-6, 1e-9, 1e-11,
+                  2 * math.pi - 1e-8, 2 * math.pi + 1e-11, 4 * math.pi - 1e-10]
         ks = np.linspace(-math.pi, math.pi, 10)
         for gamma in gammas:
             for k in ks:
@@ -215,6 +253,17 @@ class TestEvolveSpectral:
         direct = lw.evolve(lw.localized_walker(coin, half_width=16),
                            lw.Conventional(2.2), 7)
         assert np.max(np.abs(spectral.amplitudes - direct.amplitudes)) < 1e-12
+
+    @given(NEAR_DEGENERATE_GAMMAS, BLOCH_COINS, st.integers(1, 200))
+    @example(1e-8, lw.CoinSpinor(), 200)
+    @example(2 * math.pi - 1e-11, lw.CoinSpinor.from_bloch(1.1, 0.4), 150)
+    @example(-4 * math.pi + 1e-6, lw.CoinSpinor.from_bloch(2.0, -1.0), 200)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_evolution_next_to_a_diagonal_coin(self, gamma, coin, n):
+        spectral = lw.evolve_spectral(coin, gamma, n, 2 * n + 2)
+        direct = lw.evolve(lw.localized_walker(coin, half_width=n + 1),
+                           lw.Conventional(gamma), n)
+        assert np.max(np.abs(spectral.amplitudes - direct.amplitudes)) <= 1e-12
 
 
 class TestAsymptoticRho:
@@ -433,6 +482,41 @@ class TestFiniteNRho:
         asy = lw.asymptotic_rho(math.pi / 2)
         assert ces.rho11 == pytest.approx(asy.rho11, abs=1e-2)
         assert ces.rho12.real == pytest.approx(asy.rho12.real, abs=1e-2)
+
+    @given(st.one_of(st.floats(-2 * math.pi, 2 * math.pi),
+                     st.sampled_from([0.0, 2 * math.pi, -2 * math.pi, 4 * math.pi, math.pi]),
+                     NEAR_DEGENERATE_GAMMAS),
+           st.integers(1, 3000), BLOCH_COINS)
+    @example(0.0, 3000, lw.CoinSpinor.from_bloch(1.1, 0.4))
+    @example(2 * math.pi - 1e-11, 3000, lw.CoinSpinor.from_bloch(2.0, -1.0))
+    @example(-1e-7, 2000, lw.CoinSpinor())
+    @settings(max_examples=25, deadline=None)
+    def test_cesaro_matches_the_one_step_reference(self, gamma, n, coin):
+        rho = lw.cesaro_rho(gamma, n, coin)
+        expected = reference_cesaro_rho(gamma, n, coin)
+        assert max(abs(x - y) for x, y in zip((rho.rho11, rho.rho22, rho.rho12),
+                                              expected)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [math.pi / 4, math.pi / 2, 3 * math.pi / 4, 0.3, 2.9])
+    def test_cesaro_error_falls_as_one_over_n(self, gamma):
+        """``n |Cesaro(n) - asymptotic|`` reads 0.097 .. 0.27 on these angles
+        for n = 200 .. 256,000 and tends to a constant, by steps that
+        shrink as about ``n^{-1/2}``: no ``log n`` factor."""
+        asy = lw.asymptotic_rho(gamma)
+        for n in (200, 500, 1000, 2000, 4000, 8000):
+            ces = lw.cesaro_rho(gamma, n)
+            assert n * max(abs(ces.rho11 - asy.rho11), abs(ces.rho12 - asy.rho12)) <= 0.3
+
+    @pytest.mark.parametrize("gamma,theta,phi", [
+        ("1/2pi", 0.0, 0.0), ("0.3", 1.1, 0.4), ("-2.9", 2.0, -1.0)])
+    def test_per_step_form_is_the_walk1d_entropy_oracle(self, gamma, theta, phi):
+        n = 300
+        angle = parse_angle(gamma)
+        entropies = run_walk1d(angle, n, theta, phi)["tables"]["steps"]["rows"]["entropy"]
+        rhos = momentum_coin_matrices(angle.radians, n, lw.CoinSpinor.from_bloch(theta, phi))
+        expected = [lw.entropy(lw.DensityMatrix2(rho[0, 0].real, rho[1, 1].real, rho[0, 1]))
+                    for rho in rhos]
+        assert np.max(np.abs(entropies - expected)) <= 1e-12
 
 
 class TestSectorAnalytics:

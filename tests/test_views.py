@@ -172,6 +172,12 @@ class TestFiniteNRhoOnALadder:
                 assert abs(getattr(rho, name) - mixed) <= 1e-14
 
 
-def test_sector_project_refuses_a_line_state():
-    with pytest.raises(TypeError, match="LadderState"):
-        lw.sector_project(lw.localized_walker(half_width=3))
+@pytest.mark.parametrize("view,state,message", [
+    (lw.sector_project, lw.localized_walker(half_width=3), "LadderState"),
+    (lw.position_distribution, "state", "unsupported state str"),
+    (lw.finite_n_rho, "state", "unsupported state str"),
+    (lw.finite_n_rho, lw.localized_walker().amplitudes, "unsupported state ndarray"),
+], ids=["sector_project", "position_distribution", "finite_n_rho", "finite_n_rho-array"])
+def test_views_refuse_what_they_cannot_view(view, state, message):
+    with pytest.raises(TypeError, match=message):
+        view(state)
