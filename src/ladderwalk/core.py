@@ -16,15 +16,18 @@ ladder walk whose occupied sites share one parity (every walk from a
 point mass) only the sites of that parity, so its cost follows the
 support of the walk rather than the size of the array.
 
-The stage loop behind it is the private generator ``_steps``, which
-carries the window and its buffers from step to step and writes each
-stage's product straight into its shifted place.  ``_state_blocks``
-runs the same loop and yields every state of the walk, steps ``0 .. n``,
-in blocks of about ``_BLOCK_BYTES`` of amplitudes with the block's
-window: the ``walk1d`` and ``ladder`` commands observe each block at once
-instead of calling ``evolve(state, spec, 1)`` per step.  ``_probabilities``
-is the one implementation of ``|psi|^2``, on such a block and its window;
-:func:`position_distribution` is its view of one state.
+The stage loop behind it is the private generator ``_steps``.  It
+allocates two buffers per walk, which the stages write by turns, builds
+each stage's product view into a buffer once per walk, on first use,
+and carries the window from step to step, so that a stage costs one
+product straight into its shifted place and about 1 us besides.
+``_state_blocks`` runs the same loop and yields every state of the walk,
+steps ``0 .. n``, in blocks of about ``_BLOCK_BYTES`` of amplitudes with
+the block's window: the ``walk1d`` and ``ladder`` commands observe each
+block at once instead of calling ``evolve(state, spec, 1)`` per step.
+``_probabilities`` is the one implementation of ``|psi|^2``, on such a
+block and its window; :func:`position_distribution` is its view of one
+state.
 """
 
 from __future__ import annotations
@@ -113,6 +116,12 @@ class CoinSpinor:
     up: complex = 1.0 + 0j
     down: complex = 0j
 
+    def __post_init__(self) -> None:
+        # a nan passes here and is refused by the norm check of its use
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+                raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "CoinSpinor":
         """Spinor ``(cos(theta/2), e^{i phi} sin(theta/2))`` on the Bloch sphere."""
@@ -199,6 +208,9 @@ ProtocolSpec = Conventional | SplitStep | Ladder
 
 
 def _check_initial_coin(coin: CoinSpinor) -> None:
+    if not isinstance(coin, CoinSpinor):
+        raise TypeError(
+            f"initial coin state must be a CoinSpinor, not {type(coin).__name__}")
     # the comparison fails on nan, so a non-finite amplitude is refused
     if not abs(coin.norm_sq() - 1.0) <= _NORM_TOL:
         raise ValueError(
@@ -318,18 +330,19 @@ def evolve(state, spec: ProtocolSpec, n_steps: int):
     window does, so the check is exact.
     """
     n_steps = _require_integer("n_steps", n_steps)
-    for cols, columns in _steps(state, spec, n_steps):
+    for amps, lo, hi, stride, parity in _steps(state, spec, n_steps):
         pass
-    amps = np.zeros(state.amplitudes.shape, np.complex128)
-    amps.reshape(len(cols), -1)[:, columns] = cols
-    return type(state)(amps, state.origin, state.steps_taken + n_steps)
+    out = np.zeros(state.amplitudes.shape, np.complex128)
+    out.reshape(len(amps), -1)[:, _columns(lo, hi, stride, parity)] = amps[:, lo:hi]
+    return type(state)(out, state.origin, state.steps_taken + n_steps)
 
 
 def _steps(state, spec: ProtocolSpec, n_steps: int):
-    """The stage loop of :func:`evolve`: yields ``(cols, columns)`` at steps
-    ``0 .. n_steps``.  The full-lattice columns ``columns``, a slice of
-    step 1 or 2, hold the ``(rows, len)`` amplitudes ``cols``, and every
-    other column is zero.
+    """The stage loop of :func:`evolve`: yields ``(amps, lo, hi, stride,
+    parity)`` at steps ``0 .. n_steps``.  The buffer columns ``[lo, hi)``
+    of the ``(rows, width)`` buffer ``amps`` hold the full-lattice columns
+    ``_columns(lo, hi, stride, parity)``, a slice of step ``stride``, and
+    every other column of the lattice is zero.
 
     The loop keeps the occupied window in padded buffers, a zero column
     past each edge of the lattice.  A conventional or ladder step moves
@@ -342,20 +355,24 @@ def _steps(state, spec: ProtocolSpec, n_steps: int):
     split-step state (its half-shifts mix the parities), keep all sites,
     column ``c`` holding site ``c - 1``.
 
-    Each stage writes its product straight into the shifted columns of
-    the next buffer, with no product buffer and no shift copies: a
-    two-row state through an output view whose row stride takes the
-    shift (one product: split into one-row products the BLAS takes its
-    matrix-vector path, whose bits differ), the ladder's four rows as a
-    stack of two products, one per spin half, in one call.  The stage
-    unitaries are real, so they act on the float64 view of the
+    A walk has two zeroed buffers, which the stages write by turns.  Each
+    stage writes its product straight into the shifted columns of the
+    other buffer, with no product buffer and no shift copies: a two-row
+    state through an output view whose row stride takes the shift (one
+    product: split into one-row products the BLAS takes its matrix-vector
+    path, whose bits differ), the ladder's four rows as a stack of two
+    products, one per spin half, in one call.  That view spans every
+    column of its buffer and is built once per walk, on first use, for
+    each (buffer, parity, stage); a stage slices it and its input to the
+    window, so its fixed cost is about 1 us on top of the product.  The
+    stage unitaries are real, so they act on the float64 view of the
     amplitudes.
 
-    ``cols`` is a view of a buffer of the loop, valid until the
-    generator resumes.  The window grows by one site per shift until it
-    meets an edge of the lattice; there a sublattice window starts at
-    site 0 and site 1 by turns.  An overflow raises when the generator
-    is resumed for that step.
+    ``amps`` is a buffer of the loop, valid until the generator resumes.
+    The window grows by one site per shift until it meets an edge of the
+    lattice; there a sublattice window starts at site 0 and site 1 by
+    turns.  An overflow raises when the generator is resumed for that
+    step.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -375,51 +392,62 @@ def _steps(state, spec: ProtocolSpec, n_steps: int):
     # of one parity.
     if len(stages) == 1 and stages[0][1] and stages[0][2] \
             and not np.count_nonzero(occupied[lo + 1:hi:2]):
-        # plans[parity]: (unitary, up shift, down shift, next parity) per
-        # stage, the shifts in columns
+        # plans[parity]: (unitary, up shift, down shift, next parity, views)
+        # per stage, the shifts in columns and views[buffer] the stage's
+        # product view into that buffer once built
         stride, parity = 2, lo % 2
         widths = ((sites + 1) // 2, sites // 2)
         unitary = stages[0][0].reshape(lead + (rows,))
-        plans = (((unitary, 0, -1, 1),), ((unitary, 1, 0, 0),))
+        plans = (((unitary, 0, -1, 1, [None, None]),), ((unitary, 1, 0, 0, [None, None]),))
     else:
         stride, parity = 1, 0
         widths = (sites,)
-        plans = (tuple((u.reshape(lead + (rows,)), int(up), -int(down), 0)
+        plans = (tuple((u.reshape(lead + (rows,)), int(up), -int(down), 0, [None, None])
                        for u, up, down in stages),)
     width = widths[0] + 2
     # The window in buffer columns: the sites of a parity are columns
     # 1 .. widths[parity], and columns 0 and widths[parity] + 1 lie past
     # the lattice's edges.
     lo, hi = (lo - parity) // stride + 1, (hi - 1 - parity) // stride + 2
-    columns = _columns(lo, hi, stride, parity)
-    amps = gathered = np.empty((rows, width), np.complex128)
-    amps[:, lo:hi] = src[:, columns]
-    yield amps[:, lo:hi], columns
-    out = None
+    # the two buffers in one allocation, with one float64 view for the
+    # products' inputs
+    both = np.zeros((2, rows, width), np.complex128)
+    floats = both.view(np.float64)
+    buffers = both[0], both[1]
+    buffers[0][:, lo:hi] = src[:, _columns(lo, hi, stride, parity)]
+    yield buffers[0], lo, hi, stride, parity
+    # the gathered window, cleared before its buffer is first written
+    start = lo, hi
+    current = 0
     for _ in range(n_steps):
-        for unitary, up, down, after in plans[parity]:
+        for unitary, up, down, after, views in plans[parity]:
             edge = widths[after] + 1
-            # A reused out holds the stage before last, which had this
-            # stage's shifts and a window inside this one, so this write
-            # covers everything that one wrote.
-            if out is None:
-                out = np.zeros((rows, width), np.complex128)
-            x = amps.view(np.float64)[:, 2 * lo:2 * hi]
-            # the up half starts at column lo + up, the down half h rows
-            # and down - up columns after it
-            np.matmul(unitary, x, out=np.ndarray(
-                lead + x.shape[-1:], np.float64, out, 16 * (lo + up),
-                (16 * (h * width + down - up), 16 * width)[:len(lead)] + (8,)))
-            if hi + up > edge and any(out[:h, edge].tolist()):
+            target = 1 - current
+            # A buffer is written over the stage before last, which had
+            # this stage's shifts and a window inside this one, so this
+            # write covers everything that one wrote.  The gathered start
+            # had no shifts: its window is cleared before the first write
+            # over it, which a one-stage, one-step walk never makes.
+            if start and not target:
+                buffers[0][:, start[0]:start[1]] = 0.0
+                start = None
+            product = views[target]
+            if product is None:
+                # view column c puts the up half in buffer column c + up
+                # and the down half h rows and down - up columns after it
+                product = views[target] = np.ndarray(
+                    lead + (2 * width - 2,), np.float64, buffers[target], 16 * up,
+                    (16 * (h * width + down - up), 16 * width)[:len(lead)] + (8,))
+            np.matmul(unitary, floats[current, :, 2 * lo:2 * hi],
+                      out=product[..., 2 * lo:2 * hi])
+            if hi + up > edge and any(buffers[target][:h, edge].tolist()):
                 raise LatticeOverflowError(
                     "up amplitude reached the +edge; enlarge half_width")
-            if lo + down < 1 and any(out[h:, 0].tolist()):
+            if lo + down < 1 and any(buffers[target][h:, 0].tolist()):
                 raise LatticeOverflowError(
                     "down amplitude reached the -edge; enlarge half_width")
-            lo, hi, parity = max(lo + down, 1), min(hi + up, edge), after
-            # the gathered input is not recycled: no stage wrote it
-            amps, out = out, (amps if amps is not gathered else None)
-        yield amps[:, lo:hi], _columns(lo, hi, stride, parity)
+            lo, hi, parity, current = max(lo + down, 1), min(hi + up, edge), after, target
+        yield buffers[current], lo, hi, stride, parity
 
 
 def _columns(lo: int, hi: int, stride: int, parity: int) -> slice:
@@ -446,10 +474,11 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
     blocks = None
     filled = 0
     lo, hi = shape[-1], 0
-    for cols, columns in _steps(state, spec, n_steps):
+    for amps, first, last, stride, parity in _steps(state, spec, n_steps):
         if blocks is None:
             blocks = np.zeros((min(capacity, n_steps + 1),) + shape, np.complex128)
-            rows = blocks.reshape(len(blocks), len(cols), shape[-1])
+            rows = blocks.reshape(len(blocks), len(amps), shape[-1])
+        columns = _columns(first, last, stride, parity)
         lo, hi = min(lo, columns.start), max(hi, columns.stop)
         # A reused row holds an earlier step, inside [lo, hi), whose
         # sublattice may be the other one: clear the window (a
@@ -457,7 +486,7 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
         row = rows[filled]
         if columns.step == 2:
             row[:, lo:hi] = 0.0
-        row[:, columns] = cols
+        row[:, columns] = amps[:, first:last]
         filled += 1
         if filled == len(blocks):
             yield blocks, lo, hi

@@ -149,15 +149,20 @@ def _dispersion(gamma: float, k) -> tuple[float | np.ndarray, ...]:
     sin(gamma/2)``, the float momenta ``k``, ``c sin k`` with ``c =
     cos(gamma/2)``, ``sin(omega)`` and ``omega`` on them.
 
-    ``gamma`` is a finite number and ``k`` one finite number or an array of
-    them; a bool or a text is refused with ``TypeError``.  As ``cos(omega)
-    = c cos k`` and ``c^2 + s^2 = 1``, ``sin(omega) = hypot(s, c sin k)``
-    with no cancellation, and ``omega = atan2(sin(omega), c cos k)`` keeps
-    its relative precision next to 0 and pi, where ``arccos`` loses it.
+    ``gamma`` is a finite number and ``k`` one finite number or an array or
+    sequence of them; a bool, also one among numbers, or a text is refused
+    with ``TypeError``.  As ``cos(omega) = c cos k`` and ``c^2 + s^2 = 1``,
+    ``sin(omega) = hypot(s, c sin k)`` with no cancellation, and ``omega =
+    atan2(sin(omega), c cos k)`` keeps its relative precision next to 0
+    and pi, where ``arccos`` loses it.
     """
     gamma = _require_finite("gamma", gamma)
     if np.ndim(k) == 0 and not isinstance(k, np.ndarray):
         k = _require_finite("k", k)
+    elif not isinstance(k, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(k, dtype=object).flat):
+        # numpy would take a bool among numbers as 0 or 1
+        raise TypeError("k must hold numbers, not bool")
     k = np.asarray(k)
     if k.dtype.kind not in "iuf":
         raise TypeError(f"k must hold numbers, not {k.dtype.type.__name__}")

@@ -158,6 +158,19 @@ class TestSpinorAndFactories:
         (lambda: lw.dispersion(0.5, True), "k must be a number, not bool"),
         (lambda: lw.dispersion(0.5, ["0.5"]), "k must hold numbers, not str"),
         (lambda: lw.mode_eigensystem(0.5, [True, False]), "k must hold numbers, not bool"),
+        # a bool among numbers, which numpy would take as 0 or 1
+        (lambda: lw.dispersion(0.5, [0.1, True]), "k must hold numbers, not bool"),
+        (lambda: lw.mode_eigensystem(0.5, [0.1, True]), "k must hold numbers, not bool"),
+        # a coin state that is not a CoinSpinor, and a CoinSpinor field that
+        # is not a number (a nan is a number, refused by the norm check)
+        (lambda: lw.evolve_spectral(None, 0.5, 2, 8),
+         "initial coin state must be a CoinSpinor, not NoneType"),
+        (lambda: lw.cesaro_rho(0.5, 3, "x"), "initial coin state must be a CoinSpinor, not str"),
+        (lambda: lw.localized_walker("x"), "initial coin state must be a CoinSpinor, not str"),
+        (lambda: lw.localized_ladder(3), "initial coin state must be a CoinSpinor, not int"),
+        (lambda: lw.CoinSpinor("a", 0), "up must be a number, not str"),
+        (lambda: lw.CoinSpinor(True), "up must be a number, not bool"),
+        (lambda: lw.CoinSpinor(1, np.False_), "down must be a number, not bool"),
         # only a numbers.Real that is not a bool: no text float() parses, no
         # Decimal, no 0-d array
         (lambda: lw.asymptotic_rho(b"1.0"), "gamma must be a number, not bytes"),
@@ -589,6 +602,17 @@ def narrow_walk(protocol: str, r: int):
     return lw.localized_walker(coin, half_width=r), lw.Conventional(0.9)
 
 
+def edge_walk(protocol: str, r: int):
+    """A down spinor on the +edge of a half-width ``r`` lattice under
+    identity coins: its start window holds the last site, and it walks to
+    the -edge, where step ``2 r + 1`` overflows."""
+    coin = lw.CoinSpinor(0, 1)
+    if protocol == "ladder":
+        return lw.localized_ladder(coin, half_width=r, origin=r), lw.Ladder(0.0, 0.0, 0.0)
+    spec = lw.Conventional(0.0) if protocol == "conventional" else lw.SplitStep(0.0, 0.0)
+    return lw.localized_walker(coin, half_width=r, origin=r), spec
+
+
 class TestSupportWindow:
     @given(walks(), st.integers(min_value=0, max_value=14))
     @example(narrow_walk("conventional", 1), 1)
@@ -623,6 +647,29 @@ class TestSupportWindow:
         else:
             assert np.array_equal(stepped.amplitudes, expected)
         assert state.amplitudes.tobytes() == before
+
+    @given(walks(), st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=14))
+    @example(edge_walk("conventional", 1), 2, 1)
+    @example(edge_walk("conventional", 3), 7, 3)  # overflows at the -edge
+    @example(edge_walk("splitstep", 1), 2, 1)
+    @example(edge_walk("splitstep", 3), 7, 3)
+    @example(edge_walk("ladder", 1), 2, 1)
+    @example(edge_walk("ladder", 3), 7, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_a_walk_in_two_calls_gives_the_bytes_of_one_call(self, walk, n, k):
+        # A walk writes its two buffers by turns, the first of them over
+        # the gathered start: a column left over in a buffer would show as
+        # a difference between one call and the same walk split in two.
+        state, spec = walk
+        k %= n + 1
+        try:
+            whole = lw.evolve(state, spec, n)
+        except lw.LatticeOverflowError as error:
+            with pytest.raises(lw.LatticeOverflowError, match=re.escape(str(error))):
+                lw.evolve(lw.evolve(state, spec, k), spec, n - k)
+            return
+        halves = lw.evolve(lw.evolve(state, spec, k), spec, n - k)
+        assert halves.amplitudes.tobytes() == whole.amplitudes.tobytes()
 
     def test_edge_is_exact_and_input_untouched(self):
         # A down spinor on the +edge: the up component there is zero after
@@ -661,8 +708,8 @@ class TestSublattice:
 
     @staticmethod
     def step_of_columns(state, spec):
-        _cols, columns = next(core._steps(state, spec, 0))
-        return columns.step
+        _amps, _lo, _hi, stride, _parity = next(core._steps(state, spec, 0))
+        return stride
 
     @given(st.sampled_from(["conventional", "ladder"]), st.integers(min_value=1, max_value=12),
            st.data(), st.integers(min_value=0, max_value=14))
