@@ -230,31 +230,14 @@ def _check_step_sum(step: int, total: float) -> None:
             f"probabilities at step {step} sum to {total!r}")
 
 
-# A table column's dtype by the numpy kind of its parts.
-_COLUMN_DTYPES = {"i": np.int64, "f": np.float64, "O": object}
-
-
-def _table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
-    """A table of ``step``, then ``columns``, from blocks of consecutive
-    steps from step 0 on.  Each entry of ``blocks`` holds its per-step row
-    counts (1 for a steps table, the nonzero entries of each step for a
-    per-site table), then one array per column.  The rows are a numpy
-    structured array: an int64 ``step``, and each column int64, float64 or
-    object by the kind of its parts.  Each entry leaves ``blocks`` as it
-    is copied in, so the parts and the table are not held in full at once."""
-    names = ["step", *columns]
-    rows = np.empty(sum(len(parts[-1]) for parts in blocks), dtype=[("step", np.int64), *(
-        (name, _COLUMN_DTYPES[part.dtype.kind]) for name, part in zip(columns, blocks[0][1:]))])
-    start = step = 0
-    blocks.reverse()
-    while blocks:
-        counts, *parts = blocks.pop()
-        stop = start + len(parts[-1])
-        rows["step"][start:stop] = np.repeat(np.arange(step, step + len(counts)), counts)
-        for name, part in zip(columns, parts):
-            rows[name][start:stop] = part
-        start, step = stop, step + len(counts)
-    return {"columns": names, "rows": rows}
+def _fill(rows: np.ndarray, start: int, **columns) -> int:
+    """Write ``columns``, each as long as ``step``, into the fields of the
+    same names of ``rows`` from row ``start`` on; returns the row after the
+    last one written."""
+    stop = start + len(columns["step"])
+    for name, column in columns.items():
+        rows[name][start:stop] = column
+    return stop
 
 
 # A block of states (``core._state_blocks``) is observed by the library's
@@ -262,6 +245,14 @@ def _table(columns: tuple[str, ...], blocks: list[tuple]) -> dict:
 # on the block's window into full-width rows, zero outside it, each summed
 # over whole rows, so every value keeps its bits.  The workspaces are sized
 # for the first, longest block and reused, as the windows only grow.
+#
+# Both tables are allocated once, after the lattice and before the walk,
+# and each block writes its rows straight into them: its steps' rows, and
+# a row for each of its sites with p > 0 after the rows filled so far.  A
+# walk from a point mass is nonzero on at most t + 1 sites per side at
+# step t, so the per-site table has room for sides * (n + 1) (n + 2) / 2
+# rows; the command returns the view of its filled rows, and the pages
+# past them are never touched.
 
 def run_walk1d(gamma: Angle, steps: int,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
@@ -278,9 +269,12 @@ def run_walk1d(gamma: Angle, steps: int,
     sites = state.sites()
     # second_moment's (m - origin) ** 2, about the origin 0.0
     squared_sites = np.square(sites.astype(float))
+    distribution = np.empty((steps + 1) * (steps + 2) // 2, dtype=[
+        ("step", np.int64), ("site", np.int64), ("probability", np.float64)])
+    step_rows = np.empty(steps + 1, dtype=[("step", np.int64), *(
+        (name, np.float64) for name in ("second_moment", "entropy", "total_probability"))])
 
-    site_blocks, step_blocks = [], []
-    step = 0
+    filled = step = 0
     spin_probs = None
     for block, lo, hi in _state_blocks(state, spec, steps):
         n, width = len(block), block.shape[-1]
@@ -294,16 +288,16 @@ def run_walk1d(gamma: Angle, steps: int,
         rho11, rho22, rho12 = _coin_rho_sums(block, lo, hi, spin_probs[:n], cross[:n])
         positive = p[:, lo:hi] > 0.0
         index, column = np.nonzero(positive)
-        site_blocks.append((np.bincount(index, minlength=n), sites[lo:hi][column],
-                            p[:, lo:hi][positive]))
+        filled = _fill(distribution, filled, step=index + step, site=sites[lo:hi][column],
+                       probability=p[:, lo:hi][positive])
         totals = np.sum(p, axis=-1)
         entropies = []
-        for total, r11, r22, r12 in zip(totals.tolist(), rho11, rho22, rho12):
-            _check_step_sum(step, total)
+        for i, (total, r11, r22, r12) in enumerate(zip(totals.tolist(), rho11, rho22, rho12)):
+            _check_step_sum(step + i, total)
             entropies.append(entropy(DensityMatrix2(rho11=r11, rho22=r22, rho12=r12)))
-            step += 1
-        step_blocks.append((np.ones(n, np.int64), np.sum(moments[:n], axis=-1),
-                            np.array(entropies), totals))
+        step = _fill(step_rows, step, step=np.arange(step, step + n),
+                     second_moment=np.sum(moments[:n], axis=-1), entropy=entropies,
+                     total_probability=totals)
 
     rho_inf = asymptotic_rho(gamma.radians)
     params = {
@@ -322,8 +316,9 @@ def run_walk1d(gamma: Angle, steps: int,
         "command": "walk1d",
         "params": params,
         "tables": {
-            "distribution": _table(("site", "probability"), site_blocks),
-            "steps": _table(("second_moment", "entropy", "total_probability"), step_blocks),
+            "distribution": {"columns": list(distribution.dtype.names),
+                             "rows": distribution[:filled]},
+            "steps": {"columns": list(step_rows.dtype.names), "rows": step_rows},
         },
     }
 
@@ -350,12 +345,15 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     state = localized_ladder(coin, half_width=r, side=0)
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
     rungs = state.rungs()
+    joint_rows = np.empty((steps + 1) * (steps + 2), dtype=[
+        ("step", np.int64), ("side", np.int64), ("rung", np.int64), ("probability", np.float64)])
+    step_rows = np.empty(steps + 1, dtype=[("step", np.int64), *((name, np.float64) for name in (
+        "side0_mass", "side1_mass", "weight_k0", "weight_kpi")), ("tv_sides", object)])
 
-    site_blocks, step_blocks = [], []
     # per-sector sums of (rho11, rho22, rho12) over steps 1..n, added one
     # by one: builtin sum() of floats is compensated from Python 3.12 on
     rho_sums = [[0.0, 0.0, 0j], [0.0, 0.0, 0j]]
-    step = 0
+    filled = step = 0
     spin_probs = None
     for block, lo, hi in _state_blocks(state, spec, steps):
         # block axes: step, spin, side, rung; sectors: step, sector, spin, rung
@@ -380,13 +378,14 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         np.abs(prof[:, 0], out=prof[:, 0])
         tv = np.empty(n, dtype=object)
         tv[shown] = (0.5 * np.sum(profiles[:n, 0], axis=-1))[shown].tolist()
+        _fill(step_rows, step, step=np.arange(step, step + n), side0_mass=masses[:, 0],
+              side1_mass=masses[:, 1], weight_k0=weights[:, 0], weight_kpi=weights[:, 1],
+              tv_sides=tv)
 
         positive = j[..., lo:hi] > 0.0
         index, side, rung = np.nonzero(positive)
-        # fresh compact columns: the nonzero() columns are views that would
-        # keep its whole (count, 3) coordinate array alive
-        site_blocks.append((np.bincount(index, minlength=n), side.astype(np.int8),
-                            rungs[lo:hi][rung], j[..., lo:hi][positive]))
+        filled = _fill(joint_rows, filled, step=index + step, side=side,
+                       rung=rungs[lo:hi][rung], probability=j[..., lo:hi][positive])
 
         for i, total in enumerate(totals):
             _check_step_sum(step, total)
@@ -398,7 +397,6 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
                     sums[1] += rho.rho22
                     sums[2] += rho.rho12
             step += 1
-        step_blocks.append((np.ones(n, np.int64), *masses.T, *weights.T, tv))
 
     if steps >= 1:
         i_finite = mutual_information(*(
@@ -433,9 +431,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "command": "ladder",
         "params": params,
         "tables": {
-            "joint": _table(("side", "rung", "probability"), site_blocks),
-            "steps": _table(("side0_mass", "side1_mass", "weight_k0", "weight_kpi",
-                             "tv_sides"), step_blocks),
+            "joint": {"columns": list(joint_rows.dtype.names), "rows": joint_rows[:filled]},
+            "steps": {"columns": list(step_rows.dtype.names), "rows": step_rows},
         },
     }
 

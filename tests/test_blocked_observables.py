@@ -245,6 +245,21 @@ class TestOnePassMatchesTheStepLoop:
         assert bits(ladder) == bits(reference_ladder(alpha, beta, steps, gamma_y, theta, phi))
         assert bits(walk) == bits(reference_walk1d(alpha, steps, theta, phi))
 
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_alternating_ladder_fills_half_its_bound(self, monkeypatch, per_block):
+        # The joint table has room for t + 1 rungs on each side at step t;
+        # at beta = 0 the walker is on one side per step, so only half of
+        # those rows are filled and the table ends well before its bound.
+        kwargs = LADDER_CASES["alternating"]
+        steps = kwargs["steps"]
+        lengths = record_blocks(monkeypatch, 4, kwargs, per_block)
+        dataset = cli.run_ladder(**kwargs)
+        rows = dataset["tables"]["joint"]["rows"]
+        assert len(rows) == (steps + 1) * (steps + 2) // 2
+        assert np.array_equal(rows["side"], rows["step"] % 2)
+        assert bits(dataset) == bits(reference_ladder(**kwargs))
+        check_blocks(lengths, kwargs, per_block)
+
 
 def rho_bits(rho11, rho22, rho12) -> str:
     return repr((rho11, rho22, rho12))

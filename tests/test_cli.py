@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,6 +621,25 @@ class TestOutputPlumbing:
             tracemalloc.stop()
         assert peak <= dataset["tables"]["sweep"]["rows"].nbytes
 
+    @pytest.mark.parametrize("run,table,slack_mb", [
+        (lambda: cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"), 600),
+         "joint", 3),
+        (lambda: cli.run_walk1d(cli.parse_angle("1/3pi"), 600), "distribution", 2),
+    ], ids=["ladder", "walk1d"])
+    def test_walk_memory_stays_near_its_table(self, run, table, slack_mb):
+        """Each block writes its rows straight into the per-site table,
+        allocated once for the walk: besides that table the traced peak
+        (numpy reports its buffers to tracemalloc) holds only the lattice,
+        the workspaces and the steps table, with no per-block parts and no
+        second copy of the rows."""
+        tracemalloc.start()
+        try:
+            dataset = run()
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dataset["tables"][table]["rows"].nbytes + slack_mb * 2**20
+
     @pytest.mark.parametrize("out,siblings", [
         ("run.csv", ["run.csv", "run.params.csv", "run.steps.csv"]),
         ("run.txt", ["run.params.txt", "run.steps.txt", "run.txt"]),
@@ -734,6 +754,24 @@ class TestOutputPlumbing:
             assert "ladderwalk: error:" in proc.stderr
             assert "Traceback" not in proc.stderr
             assert not out.exists()
+        # A lattice of about 192 MB of lazily zeroed pages, whose per-site
+        # table bound, (n + 1) (n + 2) / 2 rows of 24 B, is about 98 TiB:
+        # the table is allocated before the walk, so the command exits at
+        # once instead of stepping for hours first.  Where malloc never
+        # refuses (Linux with vm.overcommit_memory = 1) the walk would run.
+        try:
+            overcommit = Path("/proc/sys/vm/overcommit_memory").read_text().strip()
+        except OSError:
+            overcommit = None
+        if overcommit in (None, "1"):
+            pytest.skip("malloc may not refuse the table here")
+        proc = subprocess.run([sys.executable, "-m", "ladderwalk", "walk1d", "--gamma", "1",
+                               "--steps", "3000000", "--out", str(out)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ladderwalk: error: out of memory:")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 def run_main(argv):
