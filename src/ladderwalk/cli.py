@@ -34,17 +34,21 @@ option before the command.  Each value goes through one parser per key;
 range checks live once, in the ``run_*`` functions, which are also the
 library entry points.
 
-Exit codes: 0 success, 1 usage error (also a value the library refuses),
-2 failed table1 check, 3 numeric invariant violation.
+Exit codes: 0 success, 1 usage error (also a value the library refuses,
+and a file or standard output that cannot be written), 2 failed table1
+check, 3 numeric invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import inspect
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -216,12 +220,21 @@ def _format(value) -> str:
     return value
 
 
-def _half_width(steps: int) -> int:
-    """The lattice half width of a ``steps``-step walk from the origin,
-    ``steps + 2``: its last step leaves two empty sites before each edge."""
-    if _require_integer("steps", steps) < 0:
-        raise UsageError("steps must be >= 0")
-    return steps + 2
+def _steps(steps: int, least: int = 0) -> int:
+    """``steps`` as the ``int`` that ``core._require_integer`` gives;
+    fewer than ``least`` is a usage error."""
+    steps = _require_integer("steps", steps)
+    if steps < least:
+        raise UsageError(f"steps must be >= {least}")
+    return steps
+
+
+def _dataset(command: str, params: dict, **tables: np.ndarray) -> dict:
+    """A command's dataset: its name, ``params`` after the name, and each
+    structured table of ``tables`` with its column names."""
+    return {"command": command, "params": {"command": command, **params},
+            "tables": {name: {"columns": list(rows.dtype.names), "rows": rows}
+                       for name, rows in tables.items()}}
 
 
 def _check_step_sum(step: int, total: float) -> None:
@@ -262,7 +275,8 @@ def run_walk1d(gamma: Angle, steps: int,
     which it cannot leave in ``steps`` steps.  The walk is one stepping
     pass, observed a block of steps at a time.  Both tables' rows are
     structured arrays, an int64 ``step`` and ``site`` and float64 elsewhere."""
-    r = _half_width(steps)
+    steps = _steps(steps)
+    r = steps + 2  # the last step leaves two empty sites before each edge
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
     spec = Conventional(gamma.radians)
@@ -300,8 +314,7 @@ def run_walk1d(gamma: Angle, steps: int,
                      total_probability=totals)
 
     rho_inf = asymptotic_rho(gamma.radians)
-    params = {
-        "command": "walk1d",
+    return _dataset("walk1d", {
         "gamma": gamma.radians,
         "steps": steps,
         "half_width": r,
@@ -311,16 +324,7 @@ def run_walk1d(gamma: Angle, steps: int,
         "asymptotic_rho11": rho_inf.rho11,
         "asymptotic_rho22": rho_inf.rho22,
         "asymptotic_entropy": entropy(rho_inf),
-    }
-    return {
-        "command": "walk1d",
-        "params": params,
-        "tables": {
-            "distribution": {"columns": list(distribution.dtype.names),
-                             "rows": distribution[:filled]},
-            "steps": {"columns": list(step_rows.dtype.names), "rows": step_rows},
-        },
-    }
+    }, distribution=distribution[:filled], steps=step_rows)
 
 
 def run_ladder(alpha: Angle, beta: Angle, steps: int,
@@ -336,7 +340,8 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     are structured arrays: int64 ``step``, ``side`` and ``rung``, float64
     masses, weights and ``probability``, and an object ``tv_sides`` that
     holds a float, or None while a side carries no mass."""
-    r = _half_width(steps)
+    steps = _steps(steps)
+    r = steps + 2  # the last step leaves two empty sites before each edge
     gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
     # before the walk: it refuses angles whose sector sums or pattern overflow
     summary, = _summaries(alpha, [beta], gy)
@@ -404,8 +409,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
             for s11, s22, s12 in rho_sums))
     else:
         i_finite = None
-    params = {
-        "command": "ladder",
+    return _dataset("ladder", {
         "alpha": alpha.radians,
         "beta": beta.radians,
         "gamma_y": gy.radians,
@@ -426,15 +430,7 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "mutual_information": summary["mutual_information"],
         "mutual_information_finite_n": i_finite,
         "pattern": summary["pattern"],
-    }
-    return {
-        "command": "ladder",
-        "params": params,
-        "tables": {
-            "joint": {"columns": list(joint_rows.dtype.names), "rows": joint_rows[:filled]},
-            "steps": {"columns": list(step_rows.dtype.names), "rows": step_rows},
-        },
-    }
+    }, joint=joint_rows[:filled], steps=step_rows)
 
 
 def _summaries(alpha: Angle, betas: list[Angle],
@@ -455,19 +451,8 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
     sum."""
     if not alpha_grid or not beta_grid:
         raise UsageError("sweep needs nonempty alpha and beta grids")
-    rows = sweep_summary(alpha_grid, beta_grid)
-    params = {
-        "command": "sweep",
-        "alpha_count": len(alpha_grid),
-        "beta_count": len(beta_grid),
-    }
-    return {
-        "command": "sweep",
-        "params": params,
-        "tables": {
-            "sweep": {"columns": list(rows.dtype.names), "rows": rows},
-        },
-    }
+    return _dataset("sweep", {"alpha_count": len(alpha_grid), "beta_count": len(beta_grid)},
+                    sweep=sweep_summary(alpha_grid, beta_grid))
 
 
 def run_table1(steps: int = 64) -> dict:
@@ -478,8 +463,7 @@ def run_table1(steps: int = 64) -> dict:
     a structured array of object fields, each cell a Python str, float or
     bool.
     """
-    if _require_integer("steps", steps) < 1:
-        raise UsageError("steps must be >= 1")
+    steps = _steps(steps, least=1)
     alpha = Angle(-math.pi / 4, Fraction(-1, 4))
     checks = []
 
@@ -533,19 +517,10 @@ def run_table1(steps: int = 64) -> dict:
     tv = ladder_steps(beta)["tv_sides"][-1]
     check("identical-m1-max", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
-    columns = ["row", "quantity", "expected", "measured", "passed"]
-    rows = np.array(checks, dtype=[(name, object) for name in columns])
-    params = {
-        "command": "table1",
-        "alpha": alpha.radians,
-        "steps": steps,
-        "all_passed": all(rows["passed"]),
-    }
-    return {
-        "command": "table1",
-        "params": params,
-        "tables": {"checks": {"columns": columns, "rows": rows}},
-    }
+    rows = np.array(checks, dtype=[
+        (name, object) for name in ("row", "quantity", "expected", "measured", "passed")])
+    return _dataset("table1", {"alpha": alpha.radians, "steps": steps,
+                               "all_passed": all(rows["passed"])}, checks=rows)
 
 
 def _format_cell(value) -> str:
@@ -676,14 +651,31 @@ def _csv_path(base: Path, table: str, main_table: str) -> Path:
     return stem.parent / f"{stem.name}.{table}{base.suffix or '.csv'}"
 
 
+@contextlib.contextmanager
 def _open_for_writing(path: Path, newline: str | None = None):
-    """Open ``path`` for writing, creating its directory; a path that
-    cannot be written is a usage error."""
+    """``path`` open for writing, its directory created; a failure to open,
+    write or close it is a usage error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", encoding="utf-8", newline=newline)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_stdout(write) -> None:
+    """``write(sys.stdout)``, then a flush; a closed or failing standard
+    output is a usage error.  After a broken pipe, standard output is
+    pointed at ``os.devnull``, so the interpreter's last flush is silent."""
+    try:
+        if sys.stdout is None:  # started with its descriptor closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write standard output: {exc}") from exc
 
 
 def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
@@ -725,18 +717,19 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors and prints the usage
     first; the CLI contract wants 1 and the one error line.
 
-    Also widens the negative-number matcher so angle values such as
-    ``-1/4pi`` can follow an option without ``=``, and takes each flag
-    spelled in full only: an abbreviation would let ``--alpha`` stand for
-    ``--alpha-grid``.
+    Every option is ``--name`` or ``-h``, so any other token that starts
+    with one dash is a value, whether it follows its flag after ``=`` or
+    after a space (``--gamma -1e+5``), and ``parse_angle`` or
+    ``parse_grid`` decides it.  argparse also consults this
+    negative-number matcher as options are added, and would stop trusting
+    it if it matched one, so it matches no option string.  Each flag is
+    taken spelled in full only: an abbreviation would let ``--alpha``
+    stand for ``--alpha-grid``.
     """
-
-    _ANGLE_TOKEN = re.compile(
-        r"^-(\d+/\d+|\d+(?:\.\d+)?(?:e-?\d+)?|\.\d+(?:e-?\d+)?)?(pi)?(/\d+)?(:.*)?$")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = self._ANGLE_TOKEN
+        self._negative_number_matcher = re.compile(r"-(?!-|h\Z)")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -833,16 +826,16 @@ def main(argv=None) -> int:
         if out is not None:
             write_dataset(dataset, out, fmt)
         if args.command == "table1":
-            for row, quantity, expected, measured, passed in \
-                    dataset["tables"]["checks"]["rows"]:
-                label = "PASS" if passed else "FAIL"
-                print(f"table1 {row} {quantity}: {label} "
-                      f"(expected {expected!r}, measured {measured!r})")
+            _write_stdout(lambda fh: fh.writelines(
+                f"table1 {row} {quantity}: {'PASS' if passed else 'FAIL'} "
+                f"(expected {expected!r}, measured {measured!r})\n"
+                for row, quantity, expected, measured, passed in
+                dataset["tables"]["checks"]["rows"]))
             if not dataset["params"]["all_passed"]:
                 print("ladderwalk: table1 checks failed", file=sys.stderr)
                 return 2
         elif out is None:
-            _write_json(dataset, sys.stdout)
+            _write_stdout(lambda fh: _write_json(dataset, fh))
     # before ValueError, which DensityMatrixError subclasses
     except (NumericInvariantError, DensityMatrixError) as exc:
         print(f"ladderwalk: numeric invariant violated: {exc}", file=sys.stderr)

@@ -119,6 +119,22 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=re.escape(message)):
             run(steps=steps)
 
+    @pytest.mark.parametrize("run", [*WALKS, cli.run_table1],
+                             ids=["walk1d", "ladder", "table1"])
+    def test_numpy_steps_write_the_bytes_of_int_steps(self, tmp_path, run):
+        # params echo the int that the steps check returns, not the caller's
+        # numpy scalar, which json cannot write
+        written = {}
+        for steps in (3, np.int64(3)):
+            dataset = run(steps=steps)
+            assert type(dataset["params"]["steps"]) is int
+            for fmt in ("json", "csv"):
+                out = tmp_path / type(steps).__name__ / f"x.{fmt}"
+                paths = cli.write_dataset(dataset, str(out), fmt)
+                written.setdefault(fmt, []).append([(p.name, p.read_bytes()) for p in paths])
+        for fmt, (plain, numpy) in written.items():
+            assert plain == numpy, fmt
+
     @pytest.mark.parametrize("command,options", [
         ("walk1d", {"gamma": "1/2pi", "steps": 5}),
         ("ladder", {"alpha": "0.3", "beta": "0.3", "steps": 5}),
@@ -739,6 +755,57 @@ class TestOutputPlumbing:
                              "--out", str(out)]) == 1
             assert f"cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_device_is_one_error_line(self, fmt):
+        # open succeeds; a write or the close fails
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        proc = subprocess.run([sys.executable, "-m", "ladderwalk", "walk1d", "--gamma", "1/2pi",
+                               "--steps", "5", "--format", fmt, "--out", "/dev/full"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == \
+            "ladderwalk: error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+    def test_broken_pipe_is_one_error_line(self):
+        # about 2 MB of JSON, far more than a pipe holds, so a write after the
+        # reader has gone fails
+        proc = subprocess.Popen([sys.executable, "-m", "ladderwalk", "walk1d", "--gamma", "1/3pi",
+                                 "--steps", "300"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.read(10) == '{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == "ladderwalk: error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [["walk1d", "--gamma", "1/2pi", "--steps", "3"],
+                                      ["table1", "--steps", "2"]])
+    def test_closed_stdout_is_one_error_line(self, argv):
+        # started with descriptor 1 closed, so sys.stdout is None
+        proc = subprocess.run([sys.executable, "-m", "ladderwalk", *argv],
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr == \
+            "ladderwalk: error: cannot write standard output: [Errno 9] Bad file descriptor\n"
+
+    @pytest.mark.parametrize("command,dataset", [
+        ("walk1d", lambda: cli.run_walk1d(cli.parse_angle("1/3pi"), 3)),
+        ("ladder", lambda: cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"), 3)),
+        ("sweep", lambda: cli.run_sweep(cli.parse_grid("-pi:pi:3"), cli.parse_grid("0.3"))),
+        ("table1", lambda: cli.run_table1(2)),
+    ])
+    def test_dataset_contract(self, command, dataset):
+        # what the writers, main and the benchmark's tracer read
+        dataset = dataset()
+        assert list(dataset) == ["command", "params", "tables"]
+        assert dataset["command"] == dataset["params"]["command"] == command
+        assert next(iter(dataset["params"])) == "command"
+        for table in dataset["tables"].values():
+            assert list(table) == ["columns", "rows"]
+            assert table["columns"] == list(table["rows"].dtype.names)
+
     def test_unallocatable_lattice_is_usage_error(self, tmp_path):
         # the lattice of steps + 2: the first runs out of memory, the second
         # is past numpy's largest array dimension and is refused before
@@ -894,6 +961,92 @@ class TestRejection:
         assert from_config[0] == from_flag[0] == 1
         assert from_config[2] == from_flag[2] == \
             "ladderwalk: error: steps: must be an integer, got 'abc'\n"
+
+
+# Negative angle texts that parse_angle takes: exponents in either case and
+# with either sign, underscores between digits, and pi forms.
+DIGIT_RUNS = st.lists(st.integers(0, 999).map(str), min_size=1, max_size=2).map("_".join)
+MANTISSAS = st.one_of(
+    DIGIT_RUNS, st.builds("{}.{}".format, DIGIT_RUNS, st.integers(0, 99)),
+    st.integers(0, 99).map(".{}".format))
+EXPONENTS = st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                      st.integers(0, 12))
+NEGATIVE_ANGLES = st.one_of(
+    st.builds(lambda m, e: f"-{m}{e}", MANTISSAS, st.one_of(st.just(""), EXPONENTS)),
+    st.just("-pi"),
+    st.builds("-{}/{}pi".format, st.integers(0, 9), st.integers(1, 9)),
+    st.builds("-{}pi/{}".format, st.integers(0, 9), st.integers(1, 9)),
+    st.builds("-{}.{}pi".format, st.integers(0, 9), st.integers(0, 99)))
+NEGATIVE_GRIDS = st.builds("{}:{}:{}".format, NEGATIVE_ANGLES,
+                           st.one_of(NEGATIVE_ANGLES, st.just("1")), st.integers(1, 4))
+# (argv before the value, its flag, argv after it)
+VALUE_SLOTS = [
+    (["walk1d"], "--gamma", ["--steps", "2"]),
+    (["walk1d", "--gamma", "0.3", "--steps", "2"], "--initial-theta", []),
+    (["ladder", "--beta", "1.1", "--steps", "2"], "--alpha", []),
+    (["ladder", "--alpha", "-0.7", "--steps", "2"], "--beta", []),
+    (["ladder", "--alpha", "-0.7", "--beta", "1.1", "--steps", "2"], "--gamma-y", []),
+]
+GRID_SLOTS = [
+    (["sweep", "--beta-grid", "0.3"], "--alpha-grid", []),
+    (["sweep", "--alpha-grid", "0.3"], "--beta-grid", []),
+]
+
+
+class TestOneAngleGrammar:
+    """A value that starts with a dash is a value after its flag, with ``=``
+    or after a space; parse_angle and parse_grid alone decide it."""
+
+    @given(st.one_of(
+        st.tuples(st.sampled_from(VALUE_SLOTS), NEGATIVE_ANGLES),
+        st.tuples(st.sampled_from(GRID_SLOTS), st.one_of(NEGATIVE_ANGLES, NEGATIVE_GRIDS))))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-1e+5"))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-1E5"))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-.5e-3"))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-1_000"))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-1/4pi"))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-3pi/4"))
+    @example(((["walk1d"], "--gamma", ["--steps", "2"]), "-0.5pi"))
+    @example(((["sweep", "--beta-grid", "0.3"], "--alpha-grid", []), "-1E-3:1:3"))
+    @example(((["sweep", "--beta-grid", "0.3"], "--alpha-grid", []), "-pi:pi:5"))
+    @settings(max_examples=100, deadline=None)
+    def test_a_spaced_value_gives_the_dataset_of_an_equals_value(self, slot_value):
+        (before, flag, after), value = slot_value
+        (cli.parse_grid if flag.endswith("-grid") else cli.parse_angle)(value)
+        spaced = run_main([*before, flag, value, *after])
+        assert spaced == run_main([*before, f"{flag}={value}", *after])
+        code, out, err = spaced
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == before[0]
+
+    @pytest.mark.parametrize("value,message", [
+        ("-inf", "angle must be finite, got '-inf'"),
+        ("-nan", "angle must be finite, got '-nan'"),
+        ("-x", "cannot parse angle '-x'"),
+        ("-1/0pi", "cannot parse angle '-1/0pi'"),
+    ])
+    def test_refusals_are_one_line_in_both_spellings(self, value, message):
+        for argv in (["walk1d", "--gamma", value, "--steps", "2"],
+                     ["walk1d", f"--gamma={value}", "--steps", "2"]):
+            assert run_main(argv) == (1, "", f"ladderwalk: error: gamma: {message}\n")
+
+    def test_no_option_looks_like_a_value(self):
+        # argparse stops taking dashed tokens as values in a parser where an
+        # option string matches its negative-number matcher
+        top = cli._build_parser()
+        commands = top._subparsers._group_actions[0].choices
+        assert sorted(commands) == sorted(cli._COMMANDS)
+        for parser in (top, *commands.values()):
+            assert parser._has_negative_number_optionals == []
+            assert not [option for option in parser._option_string_actions
+                        if parser._negative_number_matcher.match(option)]
+
+    def test_dash_h_stays_the_help_option(self):
+        code, out, err = run_main(["walk1d", "-h", "--gamma", "1"])
+        assert code == 0 and out.startswith("usage: ladderwalk walk1d") and err == ""
+        # never taken for --gamma's value
+        assert run_main(["walk1d", "--gamma", "-h", "--steps", "2"]) == (
+            1, "", "ladderwalk walk1d: error: argument --gamma: expected one argument\n")
 
 
 # A valid invocation of each command, which drawn options then spoil.
