@@ -30,9 +30,13 @@ Each command's options are the parameters of its ``run_*`` function
 is required), plus ``--out``, ``--format`` and ``--config``.  A JSON config
 file holds the same keys, and a flag overrides the key of the same name.  A
 flag or config key the command does not take is a usage error, as is an
-option before the command.  Each value goes through one parser per key;
-range checks live once, in the ``run_*`` functions, which are also the
-library entry points.
+option before the command.  Without ``--out``, ``walk1d``, ``ladder`` and
+``sweep`` write their JSON to standard output and ``table1`` only its
+check lines, so a ``--format`` that standard output does not take (any
+for ``table1``, ``csv`` for the others) is a usage error there.  Each
+value goes through one parser per key; range checks live once, in the
+``run_*`` functions, which are also the library entry points and take
+each angle as an ``Angle`` or a float in radians.
 
 Exit codes: 0 success, 1 usage error (also a value the library refuses,
 and a file or standard output that cannot be written), 2 failed table1
@@ -70,6 +74,7 @@ from .sectors import (
     _DEFAULT_GAMMA_Y,
     Angle,
     WalkPattern,
+    _as_angle,
     _sector_blocks,
     effective_angles,
 )
@@ -220,7 +225,7 @@ def _format(value) -> str:
     return value
 
 
-def _steps(steps: int, least: int = 0) -> int:
+def _step_count(steps: int, least: int = 0) -> int:
     """``steps`` as the ``int`` that ``core._require_integer`` gives;
     fewer than ``least`` is a usage error."""
     steps = _require_integer("steps", steps)
@@ -267,7 +272,7 @@ def _fill(rows: np.ndarray, start: int, **columns) -> int:
 # rows; the command returns the view of its filled rows, and the pages
 # past them are never touched.
 
-def run_walk1d(gamma: Angle, steps: int,
+def run_walk1d(gamma: Angle | float, steps: int,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate a 1D conventional walk and collect its per-step datasets.
 
@@ -275,7 +280,8 @@ def run_walk1d(gamma: Angle, steps: int,
     which it cannot leave in ``steps`` steps.  The walk is one stepping
     pass, observed a block of steps at a time.  Both tables' rows are
     structured arrays, an int64 ``step`` and ``site`` and float64 elsewhere."""
-    steps = _steps(steps)
+    steps = _step_count(steps)
+    gamma = _as_angle("gamma", gamma)
     r = steps + 2  # the last step leaves two empty sites before each edge
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
@@ -327,8 +333,8 @@ def run_walk1d(gamma: Angle, steps: int,
     }, distribution=distribution[:filled], steps=step_rows)
 
 
-def run_ladder(alpha: Angle, beta: Angle, steps: int,
-               gamma_y: Angle | None = None,
+def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
+               gamma_y: Angle | float | None = None,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
     """Simulate the mixed ladder protocol and collect per-step datasets.
 
@@ -340,11 +346,13 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
     are structured arrays: int64 ``step``, ``side`` and ``rung``, float64
     masses, weights and ``probability``, and an object ``tv_sides`` that
     holds a float, or None while a side carries no mass."""
-    steps = _steps(steps)
+    steps = _step_count(steps)
     r = steps + 2  # the last step leaves two empty sites before each edge
-    gy = gamma_y if gamma_y is not None else _DEFAULT_GAMMA_Y
+    alpha, beta = _as_angle("alpha", alpha), _as_angle("beta", beta)
+    gy = _as_angle("gamma_y", gamma_y) if gamma_y is not None else _DEFAULT_GAMMA_Y
     # before the walk: it refuses angles whose sector sums or pattern overflow
-    summary, = _summaries(alpha, [beta], gy)
+    rows = sweep_summary([alpha], [beta], gy)
+    summary = dict(zip(rows.dtype.names, rows.tolist()[0]))
     eff = effective_angles(alpha, beta, gy)
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
@@ -420,25 +428,11 @@ def run_ladder(alpha: Angle, beta: Angle, steps: int,
         "gamma1": eff.gamma1,
         "gamma2": eff.gamma2,
         "phi": eff.phi,
-        "m1": summary["m1"],
-        "m2": summary["m2"],
-        "m": summary["m"],
-        "d1": summary["d1"],
-        "d2": summary["d2"],
-        "s1": summary["s1"],
-        "s2": summary["s2"],
-        "mutual_information": summary["mutual_information"],
+        **{name: summary[name] for name in (
+            "m1", "m2", "m", "d1", "d2", "s1", "s2", "mutual_information")},
         "mutual_information_finite_n": i_finite,
         "pattern": summary["pattern"],
     }, joint=joint_rows[:filled], steps=step_rows)
-
-
-def _summaries(alpha: Angle, betas: list[Angle],
-               gamma_y: Angle = _DEFAULT_GAMMA_Y) -> list[dict]:
-    """:func:`~ladderwalk.spectral.sweep_summary`'s row at ``alpha`` and
-    each of ``betas``, as a dict of Python floats and the ``pattern`` text."""
-    rows = sweep_summary([alpha], betas, gamma_y)
-    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
 
 
 def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
@@ -458,63 +452,57 @@ def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:
 def run_table1(steps: int = 64) -> dict:
     """Verify the four qualitative regimes at alpha = -pi/4.
 
-    Analytic checks use exact pi-fraction arithmetic; simulation checks run
-    the full ladder protocol for ``steps`` steps.  The ``checks`` rows are
-    a structured array of object fields, each cell a Python str, float or
-    bool.
+    Each regime is one :func:`run_ladder` run for ``steps`` steps: its
+    pattern, ``m1`` and ``m2`` checks read that run's ``params``, from
+    exact pi-fraction arithmetic, and its walk checks read its steps
+    table.  The ``checks`` rows are a structured array of object fields,
+    each cell a Python str, float or bool.
     """
-    steps = _steps(steps, least=1)
+    steps = _step_count(steps, least=1)
     alpha = Angle(-math.pi / 4, Fraction(-1, 4))
     checks = []
 
     def check(row: str, quantity: str, expected, measured, passed: bool) -> None:
         checks.append((row, quantity, expected, measured, bool(passed)))
 
-    def ladder_steps(beta: Angle) -> np.ndarray:
-        """``run_ladder``'s steps table for steps 1 .. ``steps``."""
-        return run_ladder(alpha, beta, steps)["tables"]["steps"]["rows"][1:]
-
-    def check_pattern(row: str, summary: dict, expected: WalkPattern) -> None:
-        pattern = summary["pattern"]
-        check(row, "pattern", expected.value, pattern, pattern == expected.value)
-
-    # beta = 0, pi, pi/4 and 3pi/4, in the order of the checks below
-    betas = [Angle(0.0, Fraction(0)), Angle(math.pi, Fraction(1)),
-             Angle(math.pi / 4, Fraction(1, 4)), Angle(3 * math.pi / 4, Fraction(3, 4))]
-    summaries = _summaries(alpha, betas)
+    def ladder(beta: Angle, row: str, expected: WalkPattern) -> tuple[dict, np.ndarray]:
+        """``run_ladder``'s params at ``beta``, its pattern checked against
+        ``expected``, and its steps table for steps 1 .. ``steps``."""
+        dataset = run_ladder(alpha, beta, steps)
+        params = dataset["params"]
+        check(row, "pattern", expected.value, params["pattern"],
+              params["pattern"] == expected.value)
+        return params, dataset["tables"]["steps"]["rows"][1:]
 
     # beta = 0: the walker hops sides deterministically; even steps on the
     # starting side, odd steps on the other.
-    beta, summary = betas[0], summaries[0]
-    check_pattern("alternating", summary, WalkPattern.ALTERNATING)
-    diff = abs(summary["m1"] - summary["m2"])
+    params, table = ladder(Angle(0.0, Fraction(0)), "alternating", WalkPattern.ALTERNATING)
+    diff = abs(params["m1"] - params["m2"])
     check("alternating", "m1_minus_m2", 0.0, diff, diff == 0.0)
-    table = ladder_steps(beta)
     off = max(np.where(table["step"] % 2, table["side0_mass"], table["side1_mass"]).tolist())
     check("alternating", "max_resident_side_miss", 0.0, off, off <= 1e-12)
 
     # beta = pi: the walker never leaves the starting side.
-    beta, summary = betas[1], summaries[1]
-    check_pattern("one-sided", summary, WalkPattern.ONE_SIDED)
-    diff = abs(summary["m1"] - summary["m2"])
+    params, table = ladder(Angle(math.pi, Fraction(1)), "one-sided", WalkPattern.ONE_SIDED)
+    diff = abs(params["m1"] - params["m2"])
     check("one-sided", "m1_minus_m2", 0.0, diff, diff == 0.0)
-    off = max(ladder_steps(beta)["side1_mass"].tolist())
+    off = max(table["side1_mass"].tolist())
     check("one-sided", "max_off_side_mass", 0.0, off, off < 1e-10)
 
     # beta = pi/4: the second sector coin is extremal, M2 vanishes and the
     # two side profiles agree up to a 1/sqrt(n) interference tail.
     tv_ceiling = _IDENTICAL_TV_COEFF / math.sqrt(steps)
-    beta, summary = betas[2], summaries[2]
-    check_pattern("identical-m2-zero", summary, WalkPattern.IDENTICAL_DOMINATED)
-    check("identical-m2-zero", "m2", 0.0, summary["m2"], summary["m2"] == 0.0)
-    tv = ladder_steps(beta)["tv_sides"][-1]
+    params, table = ladder(Angle(math.pi / 4, Fraction(1, 4)), "identical-m2-zero",
+                           WalkPattern.IDENTICAL_DOMINATED)
+    check("identical-m2-zero", "m2", 0.0, params["m2"], params["m2"] == 0.0)
+    tv = table["tv_sides"][-1]
     check("identical-m2-zero", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
     # beta = 3pi/4: M1 is maximized and again the side profiles agree.
-    beta, summary = betas[3], summaries[3]
-    check_pattern("identical-m1-max", summary, WalkPattern.IDENTICAL_DOMINATED)
-    check("identical-m1-max", "m1", 1.0, summary["m1"], summary["m1"] == 1.0)
-    tv = ladder_steps(beta)["tv_sides"][-1]
+    params, table = ladder(Angle(3 * math.pi / 4, Fraction(3, 4)), "identical-m1-max",
+                           WalkPattern.IDENTICAL_DOMINATED)
+    check("identical-m1-max", "m1", 1.0, params["m1"], params["m1"] == 1.0)
+    tv = table["tv_sides"][-1]
     check("identical-m1-max", "tv_sides", tv_ceiling, tv, tv <= tv_ceiling)
 
     rows = np.array(checks, dtype=[
@@ -821,10 +809,13 @@ def main(argv=None) -> int:
     try:
         settings = _settings(args)
         out = settings.pop("out", None)
-        fmt = settings.pop("format", "csv")
+        fmt = settings.pop("format", None)
+        # standard output takes the data commands' JSON and table1's lines
+        if out is None and fmt is not None and (fmt != "json" or args.command == "table1"):
+            raise UsageError(f"--format {fmt} needs --out")
         dataset = globals()[f"run_{args.command}"](**settings)
         if out is not None:
-            write_dataset(dataset, out, fmt)
+            write_dataset(dataset, out, fmt or "csv")
         if args.command == "table1":
             _write_stdout(lambda fh: fh.writelines(
                 f"table1 {row} {quantity}: {'PASS' if passed else 'FAIL'} "

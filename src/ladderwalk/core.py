@@ -14,13 +14,18 @@ a new state and never mutates its input.  It steps only the window of
 occupied sites, grown by one site per shift, and a conventional or
 ladder walk whose occupied sites share one parity (every walk from a
 point mass) only the sites of that parity, so its cost follows the
-support of the walk rather than the size of the array.
+support of the walk rather than the size of the array.  Both states
+subclass one private base, ``_State``, which holds the amplitudes, the
+origin and the step count and reads the half-width and the positions
+``-R .. R`` off the last axis.
 
-The stage loop behind it is the private generator ``_steps``.  It
-allocates two buffers per walk, which the stages write by turns, builds
-each stage's product view into a buffer once per walk, on first use,
-and carries the window from step to step, so that a stage costs one
-product straight into its shifted place and about 1 us besides.
+The stage loop behind it is the private generator ``_steps``.  It picks
+a stride, 2 for a walk on one sublattice and 1 otherwise, and plans
+both strides by one rule.  It allocates two buffers per walk, which the
+stages write by turns, builds each stage's product view into a buffer
+once per walk, on first use, and carries the window from step to step,
+so that a stage costs one product straight into its shifted place and
+about 1 us besides.
 ``_state_blocks`` runs the same loop and yields every state of the walk,
 steps ``0 .. n``, in blocks of about ``_BLOCK_BYTES`` of amplitudes with
 the block's window: the ``walk1d`` and ``ladder`` commands observe each
@@ -138,45 +143,43 @@ class CoinSpinor:
 
 
 @dataclass(frozen=True, eq=False)
-class WalkerState1D:
+class _State:
+    """Amplitudes whose last axis runs over the positions ``-R .. R``,
+    ``R = half_width``, of a walk that started at ``origin``."""
+
+    amplitudes: np.ndarray
+    origin: int = 0
+    steps_taken: int = 0
+
+    @property
+    def half_width(self) -> int:
+        return (self.amplitudes.shape[-1] - 1) // 2
+
+    def _positions(self) -> np.ndarray:
+        r = self.half_width
+        return np.arange(-r, r + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class WalkerState1D(_State):
     """Walker on the line: complex amplitudes indexed by (spin, site).
 
     ``amplitudes[s, i]`` is the amplitude of spin ``s`` (0 = up, 1 = down)
     at site ``m = i - half_width``; sites run over ``-half_width .. half_width``.
     """
 
-    amplitudes: np.ndarray
-    origin: int = 0
-    steps_taken: int = 0
-
-    @property
-    def half_width(self) -> int:
-        return (self.amplitudes.shape[1] - 1) // 2
-
-    def sites(self) -> np.ndarray:
-        r = self.half_width
-        return np.arange(-r, r + 1)
+    sites = _State._positions
 
 
 @dataclass(frozen=True, eq=False)
-class LadderState:
+class LadderState(_State):
     """Walker on the two-rail ladder: amplitudes indexed by (spin, side, rung).
 
     ``amplitudes[s, x, i]`` is the amplitude of spin ``s`` on side
     ``x in {0, 1}`` at rung ``y = i - half_width``.
     """
 
-    amplitudes: np.ndarray
-    origin: int = 0
-    steps_taken: int = 0
-
-    @property
-    def half_width(self) -> int:
-        return (self.amplitudes.shape[2] - 1) // 2
-
-    def rungs(self) -> np.ndarray:
-        r = self.half_width
-        return np.arange(-r, r + 1)
+    rungs = _State._positions
 
 
 @dataclass(frozen=True)
@@ -345,15 +348,21 @@ def _steps(state, spec: ProtocolSpec, n_steps: int):
     every other column of the lattice is zero.
 
     The loop keeps the occupied window in padded buffers, a zero column
-    past each edge of the lattice.  A conventional or ladder step moves
+    past each edge of the lattice, with buffer column ``c`` holding site
+    ``stride (c - 1) + parity``.  A conventional or ladder step moves
     every component by one site, so a state whose occupied sites share
     one parity keeps that property, with the parity flipping each step:
     such a state (every walk from a point mass) is kept on its sublattice
-    alone, buffer column ``c`` holding site ``2 (c - 1) + parity``.  The
-    +-1 shift then moves the up rows one column right from parity 1 and
-    the down rows one column left from parity 0.  Other states, and every
-    split-step state (its half-shifts mix the parities), keep all sites,
-    column ``c`` holding site ``c - 1``.
+    alone, stride 2.  Other states, and every split-step state (its
+    half-shifts mix the parities), keep all sites, stride 1 and parity 0.
+    One rule plans both strides.  The ``widths[p] = (sites - p + stride -
+    1) // stride`` sites of parity ``p`` are buffer columns ``1 ..
+    widths[p]``, and a stage that moves the up half ``up`` and the down
+    half ``down`` sites (each 0 or 1) from parity ``p`` shifts the up half
+    ``(p + up) // stride`` columns and the down half ``(p - down) //
+    stride`` columns, and leaves parity ``(p + up) % stride``: at stride 2
+    the up rows move one column right from parity 1 and the down rows one
+    column left from parity 0.
 
     A walk has two zeroed buffers, which the stages write by turns.  Each
     stage writes its product straight into the shifted columns of the
@@ -388,26 +397,24 @@ def _steps(state, spec: ProtocolSpec, n_steps: int):
     # shifts offset: two rows with a row stride that takes the shift, or
     # the two spin halves as a stack of two products.
     lead = (2,) if h == 1 else (2, h)
-    # One sublattice: one stage moving both halves, and every occupied site
-    # of one parity.
-    if len(stages) == 1 and stages[0][1] and stages[0][2] \
-            and not np.count_nonzero(occupied[lo + 1:hi:2]):
-        # plans[parity]: (unitary, up shift, down shift, next parity, views)
-        # per stage, the shifts in columns and views[buffer] the stage's
-        # product view into that buffer once built
-        stride, parity = 2, lo % 2
-        widths = ((sites + 1) // 2, sites // 2)
-        unitary = stages[0][0].reshape(lead + (rows,))
-        plans = (((unitary, 0, -1, 1, [None, None]),), ((unitary, 1, 0, 0, [None, None]),))
-    else:
-        stride, parity = 1, 0
-        widths = (sites,)
-        plans = (tuple((u.reshape(lead + (rows,)), int(up), -int(down), 0, [None, None])
-                       for u, up, down in stages),)
+    # One sublattice, stride 2: one stage moving both halves, and every
+    # occupied site of one parity; else the full lattice, stride 1.
+    stride = 2 if len(stages) == 1 and stages[0][1] and stages[0][2] \
+        and not np.count_nonzero(occupied[lo + 1:hi:2]) else 1
+    parity = lo % stride
+    # widths[parity]: the sites of that parity.  plans[parity]: (unitary, up
+    # shift, down shift, next parity, views) per stage, the shifts in
+    # columns and views[buffer] the stage's product view into that buffer
+    # once built.  Each stage starts from parity p: a stride-2 step has one
+    # stage, and stride 1 has one parity.
+    widths, plans = [], []
+    for p in range(stride):
+        widths.append((sites - p + stride - 1) // stride)
+        plans.append([(u.reshape(lead + (rows,)), (p + up) // stride, (p - down) // stride,
+                       (p + up) % stride, [None, None]) for u, up, down in stages])
     width = widths[0] + 2
-    # The window in buffer columns: the sites of a parity are columns
-    # 1 .. widths[parity], and columns 0 and widths[parity] + 1 lie past
-    # the lattice's edges.
+    # The window in buffer columns; columns 0 and widths[parity] + 1 lie
+    # past the lattice's edges.
     lo, hi = (lo - parity) // stride + 1, (hi - 1 - parity) // stride + 2
     # the two buffers in one allocation, with one float64 view for the
     # products' inputs
@@ -480,12 +487,13 @@ def _state_blocks(state, spec: ProtocolSpec, n_steps: int):
             rows = blocks.reshape(len(blocks), len(amps), shape[-1])
         columns = _columns(first, last, stride, parity)
         lo, hi = min(lo, columns.start), max(hi, columns.stop)
-        # A reused row holds an earlier step, inside [lo, hi), whose
-        # sublattice may be the other one: clear the window (a
-        # contiguous fill costs less than a strided one), then write.
+        # A reused row holds an earlier step inside [lo, hi), at stride 2 on
+        # the other sublattice: clear the window (a contiguous fill costs
+        # less than a strided one), then write.  A stride-1 window only
+        # grows, so there the clear is redundant; only a split-step walk
+        # pays for it.
         row = rows[filled]
-        if columns.step == 2:
-            row[:, lo:hi] = 0.0
+        row[:, lo:hi] = 0.0
         row[:, columns] = amps[:, first:last]
         filled += 1
         if filled == len(blocks):
@@ -515,7 +523,7 @@ def position_distribution(state) -> np.ndarray:
     ladder walker it is a ``(2, 2R+1)`` array over (side, rung).  Entries
     are nonnegative and sum to one (up to roundoff).
     """
-    if not isinstance(state, (WalkerState1D, LadderState)):
+    if not isinstance(state, _State):
         raise TypeError(f"unsupported state {type(state).__name__}")
     amps = state.amplitudes
     probs = np.empty(amps.shape[1:])

@@ -135,6 +135,23 @@ class TestExperimentConfig:
         for fmt, (plain, numpy) in written.items():
             assert plain == numpy, fmt
 
+    @pytest.mark.parametrize("run,angles", [
+        (cli.run_walk1d, {"gamma": 0.5}),
+        (cli.run_ladder, {"alpha": 0.1, "beta": 0.2}),
+        (cli.run_ladder, {"alpha": -0.7, "beta": 1.1, "gamma_y": 0.4}),
+    ], ids=["walk1d", "ladder", "ladder-gamma-y"])
+    def test_float_angles_write_the_bytes_of_angles(self, tmp_path, run, angles):
+        # the run_* functions take a float angle as sweep_summary does
+        written = {}
+        for kind, wrap in (("float", float), ("angle", lw.Angle)):
+            dataset = run(**{name: wrap(value) for name, value in angles.items()}, steps=3)
+            for fmt in ("json", "csv"):
+                out = tmp_path / kind / f"x.{fmt}"
+                paths = cli.write_dataset(dataset, str(out), fmt)
+                written.setdefault(fmt, []).append([(p.name, p.read_bytes()) for p in paths])
+        for fmt, (from_floats, from_angles) in written.items():
+            assert from_floats == from_angles, fmt
+
     @pytest.mark.parametrize("command,options", [
         ("walk1d", {"gamma": "1/2pi", "steps": 5}),
         ("ladder", {"alpha": "0.3", "beta": "0.3", "steps": 5}),
@@ -463,6 +480,39 @@ class TestTable1:
             want = str if quantity == "pattern" else float
             assert type(expected) is want and type(measured) is want, (row, quantity)
             assert type(passed) is bool
+
+    @pytest.mark.parametrize("steps", [4, 64])
+    def test_rows_check_what_ladder_writes(self, monkeypatch, steps):
+        # each regime is one ladder run: its analytics come from that run's
+        # params, not from a sweep of its own
+        calls = []
+        summary = cli.sweep_summary
+        monkeypatch.setattr(cli, "sweep_summary", lambda *args: calls.append(args) or summary(*args))
+        rows = cli.run_table1(steps)["tables"]["checks"]["rows"]
+        assert len(calls) == 4
+        monkeypatch.undo()
+        alpha, params, tables = cli.parse_angle("-1/4pi"), [], []
+        for beta in ("0pi", "pi", "1/4pi", "3/4pi"):
+            data = cli.run_ladder(alpha, cli.parse_angle(beta), steps)
+            params.append(data["params"])
+            tables.append(data["tables"]["steps"]["rows"][1:])
+        (zero, pi, quarter, three_quarters), (alternating, one_sided, *identical) = params, tables
+        assert [(row, quantity, measured) for row, quantity, _, measured, _ in rows] == [
+            ("alternating", "pattern", zero["pattern"]),
+            ("alternating", "m1_minus_m2", abs(zero["m1"] - zero["m2"])),
+            ("alternating", "max_resident_side_miss", max(np.where(
+                alternating["step"] % 2, alternating["side0_mass"],
+                alternating["side1_mass"]).tolist())),
+            ("one-sided", "pattern", pi["pattern"]),
+            ("one-sided", "m1_minus_m2", abs(pi["m1"] - pi["m2"])),
+            ("one-sided", "max_off_side_mass", max(one_sided["side1_mass"].tolist())),
+            ("identical-m2-zero", "pattern", quarter["pattern"]),
+            ("identical-m2-zero", "m2", quarter["m2"]),
+            ("identical-m2-zero", "tv_sides", identical[0]["tv_sides"][-1]),
+            ("identical-m1-max", "pattern", three_quarters["pattern"]),
+            ("identical-m1-max", "m1", three_quarters["m1"]),
+            ("identical-m1-max", "tv_sides", identical[1]["tv_sides"][-1]),
+        ]
 
     def test_dataset_written(self, tmp_path):
         out = tmp_path / "table1.json"
@@ -991,6 +1041,42 @@ GRID_SLOTS = [
     (["sweep", "--beta-grid", "0.3"], "--alpha-grid", []),
     (["sweep", "--alpha-grid", "0.3"], "--beta-grid", []),
 ]
+
+
+# A one-line valid invocation of each command, without --out or --format.
+FORMAT_BASES = {
+    "walk1d": ["--gamma", "1", "--steps", "2"],
+    "ladder": ["--alpha", "0.1", "--beta", "0.2", "--steps", "2"],
+    "sweep": ["--alpha-grid", "0.3", "--beta-grid", "-1:1:3"],
+    "table1": ["--steps", "2"],
+}
+
+
+class TestFormatNeedsOut:
+    """``--format`` names the format of ``--out``.  Standard output takes
+    the data commands' JSON and table1's check lines only, so any other
+    format without ``--out`` is refused, not ignored."""
+
+    def spellings(self, tmp_path, command, fmt):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"format": fmt}))
+        base = [command, *FORMAT_BASES[command]]
+        return [[*base, "--format", fmt], [*base, f"--format={fmt}"],
+                [*base, "--config", str(config)]]
+
+    @pytest.mark.parametrize("command,fmt", [
+        *((command, "csv") for command in FORMAT_BASES), ("table1", "json")])
+    def test_refused_in_every_spelling(self, tmp_path, command, fmt):
+        for argv in self.spellings(tmp_path, command, fmt):
+            assert run_main(argv) == (1, "", f"ladderwalk: error: --format {fmt} needs --out\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("command", ["walk1d", "ladder", "sweep"])
+    def test_json_still_writes_json_to_stdout(self, tmp_path, command):
+        plain = run_main([command, *FORMAT_BASES[command]])
+        assert plain[0] == 0 and json.loads(plain[1])["command"] == command
+        for argv in self.spellings(tmp_path, command, "json"):
+            assert run_main(argv) == plain
 
 
 class TestOneAngleGrammar:

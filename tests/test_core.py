@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ladderwalk as lw
-from ladderwalk import core
+from ladderwalk import cli, core
 from ladderwalk.core import _stages
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -185,6 +185,12 @@ class TestSpinorAndFactories:
         (lambda: lw.evolve(lw.localized_ladder(), lw.Ladder(0.1, np.array(0.2), 0.3), 1),
          "beta must be a number, not ndarray"),
         (lambda: lw.sweep_summary([0.1], [b"0.2"]), "beta must be a number, not bytes"),
+        # the walk commands' run_* functions take an angle as sweep_summary does
+        (lambda: cli.run_walk1d(True, 2), "gamma must be a number, not bool"),
+        (lambda: cli.run_walk1d("0.5", 2), "gamma must be a number, not str"),
+        (lambda: cli.run_ladder("0.1", 0.2, 2), "alpha must be a number, not str"),
+        (lambda: cli.run_ladder(0.1, np.True_, 2), "beta must be a number, not bool"),
+        (lambda: cli.run_ladder(0.1, 0.2, 2, gamma_y="0"), "gamma_y must be a number, not str"),
     ])
     def test_type_refusals_name_the_fault(self, make, message):
         with pytest.raises(TypeError, match=re.escape(message)):
@@ -208,13 +214,40 @@ class TestSpinorAndFactories:
         (lambda x: lw.dispersion(x, 0.0), "gamma"),
         (lambda x: lw.dispersion(0.5, x), "k"),
         (lw.reduce_angle, "gamma"),
+        (lambda x: cli.run_walk1d(x, 2), "gamma"),
+        (lambda x: cli.run_ladder(x, 0.2, 2), "alpha"),
+        (lambda x: cli.run_ladder(0.1, 0.2, 2, gamma_y=x), "gamma_y"),
     ], ids=["asymptotic_rho", "evolve", "evolve-ladder", "effective_angles",
             "sweep_summary-alpha", "sweep_summary-beta", "from_bloch", "mode_eigensystem",
-            "dispersion-gamma", "dispersion-k", "reduce_angle"])
+            "dispersion-gamma", "dispersion-k", "reduce_angle", "run_walk1d",
+            "run_ladder-alpha", "run_ladder-gamma_y"])
     def test_non_finite_refusals_name_the_fault(self, make, name, value, shown):
         with pytest.raises(ValueError) as refusal:
             make(value)
         assert str(refusal.value) == f"{name} must be finite, got {shown}"
+
+
+class TestStateTypes:
+    """Both state types are one frozen dataclass base, with their own
+    position method: the fields, the half-width and the positions
+    ``-R .. R`` come from the amplitudes' last axis."""
+
+    @pytest.mark.parametrize("localized,other,positions", [
+        (lw.localized_walker, lw.LadderState, "sites"),
+        (lw.localized_ladder, lw.WalkerState1D, "rungs"),
+    ], ids=["line", "ladder"])
+    def test_fields_positions_and_copies(self, localized, other, positions):
+        state = localized(half_width=3, origin=1)
+        assert [f.name for f in dataclasses.fields(state)] == [
+            "amplitudes", "origin", "steps_taken"]
+        assert state.half_width == 3 and not isinstance(state, other)
+        assert getattr(state, positions)().tolist() == list(range(-3, 4))
+        for copy in (dataclasses.replace(state, steps_taken=2),
+                     type(state)(state.amplitudes, 1, 2)):
+            assert type(copy) is type(state)
+            assert (copy.amplitudes, copy.origin, copy.steps_taken) == (state.amplitudes, 1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.origin = 0
 
 
 class TestShifts:

@@ -2,8 +2,10 @@
 
 The package re-exports exactly the public names of its modules, every
 public name has a reader outside its own tests, no module imports a name
-it never uses (a deletion easily leaves one behind), and the momentum
-oracles in ``spectral`` share no stepping code with ``core``.
+it never uses (a deletion easily leaves one behind), no two modules
+define the same top-level name, and the momentum oracles in ``spectral``
+share no stepping code with ``core``.  The test run's header names the
+BLAS kernel, whose rounding the golden bits follow.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import ast
 import re
 from pathlib import Path
 
+import conftest
 import pytest
 from test_readme import README, python_blocks
 
@@ -110,6 +113,51 @@ def test_unread_name_scan_finds_one(tmp_path):
                                    "def f(): pass\ndef g(): return f()\n"
                                    "def h(): pass\ndef k(): pass\n")
     assert _unread_public_names(tmp_path, [], "Call `h(x)`.", ["m.k()"]) == ["g"]
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names that a module's top-level statements define, its
+    functions, classes and assigned names, ``__all__`` aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names - {"__all__"}
+
+
+def _shared_names(sources: dict[str, str]) -> list[str]:
+    """Each name that two or more of the modules ``sources`` (name ->
+    source) define, with those modules."""
+    modules = {}
+    for module, source in sources.items():
+        for name in _defined_names(ast.parse(source)):
+            modules.setdefault(name, []).append(module)
+    return sorted(f"{name} ({', '.join(found)})" for name, found in modules.items()
+                  if len(found) > 1)
+
+
+def test_no_name_is_defined_in_two_modules():
+    """One name per helper: two modules' helpers of one name read as one,
+    and a test or a tracer that names one may mean the other."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _shared_names(sources) == []
+
+
+def test_shared_name_scan_finds_one():
+    sources = {"a.py": "__all__ = ['f']\ndef f(): pass\nX = 1\n",
+               "b.py": "__all__ = []\nclass f: pass\nY: int = 2\nZ, W = X, 2\nY.v = 3\n",
+               "c.py": "from a import X\nimport f\ndef g():\n    X = 1\n"}
+    assert _shared_names(sources) == ["f (a.py, b.py)"]
+
+
+def test_blas_header_reads_unknown_without_the_symbols(monkeypatch):
+    monkeypatch.setattr(conftest, "_OPENBLAS_SYMBOLS", [("no_corename", "no_config")])
+    assert conftest._openblas() == "unknown"
 
 
 # core's stepping: the walk itself, its stages and coins, the point-mass
