@@ -143,12 +143,7 @@ def parse_angle(value) -> Angle:
                 radians = float(text)
             else:
                 prefix = m.group(1)
-                if prefix in ("", "+"):
-                    frac = Fraction(1)
-                elif prefix == "-":
-                    frac = Fraction(-1)
-                else:
-                    frac = Fraction(prefix)
+                frac = Fraction(prefix + "1" if prefix in ("", "+", "-") else prefix)
                 if m.group(3) is not None:
                     frac /= int(m.group(3))
                 radians = float(frac) * math.pi
@@ -258,10 +253,10 @@ def _fill(rows: np.ndarray, start: int, **columns) -> int:
     return stop
 
 
-# A block of states (``core._state_blocks``) is observed by the library's
-# block helpers, and here by the second moment and side-profile distance,
-# on the block's window into full-width rows, zero outside it, each summed
-# over whole rows, so every value keeps its bits.  The workspaces are sized
+# Both walk commands are one stepping pass, ``_walk``: it runs
+# ``core._state_blocks`` and observes each block on the block's window into
+# full-width rows, zero outside it, each summed over whole rows, so every
+# value keeps its bits.  Its workspaces, and the commands' own, are sized
 # for the first, longest block and reused, as the windows only grow.
 #
 # Both tables are allocated once, after the lattice and before the walk,
@@ -271,6 +266,42 @@ def _fill(rows: np.ndarray, start: int, **columns) -> int:
 # step t, so the per-site table has room for sides * (n + 1) (n + 2) / 2
 # rows; the command returns the view of its filled rows, and the pages
 # past them are never touched.
+
+def _walk(state, spec, steps: int, names: tuple[str, ...]):
+    """The blocks of the walk of ``state`` under ``spec`` over steps ``0 ..
+    steps``: yields ``(block, lo, hi, spin_probs, probs, totals, rows)``.
+
+    ``spin_probs`` is ``|block|^2`` and ``probs`` its sum over the spin
+    axis, both on the window ``[lo, hi)`` (``core._probabilities``);
+    ``totals`` holds each step's sum of ``probs``, every one checked by
+    ``_check_step_sum`` before the block is yielded.  ``rows`` is the view
+    of the per-site table filled so far: an int64 ``step``, an int64
+    field for each of ``names`` (the side index of a ladder, then the
+    position) and a float64 ``probability``, one row per entry with p > 0.
+    The arrays are valid until the generator resumes."""
+    sides = math.prod(state.amplitudes.shape[1:-1])
+    positions = np.arange(-state.half_width, state.half_width + 1)
+    rows = np.empty(sides * (steps + 1) * (steps + 2) // 2, dtype=[
+        ("step", np.int64), *((name, np.int64) for name in names), ("probability", np.float64)])
+    filled = step = 0
+    spin_probs = None
+    for block, lo, hi in _state_blocks(state, spec, steps):
+        n = len(block)
+        if spin_probs is None:
+            spin_probs = np.zeros(block.shape)
+            probs = np.zeros((n,) + block.shape[2:])
+        p = probs[:n]
+        _probabilities(block, lo, hi, spin_probs[:n], p)
+        totals = np.sum(p.reshape(n, -1), axis=-1)
+        for i, total in enumerate(totals.tolist()):
+            _check_step_sum(step + i, total)
+        positive = p[..., lo:hi] > 0.0
+        index, *axes, column = np.nonzero(positive)
+        filled = _fill(rows, filled, step=index + step, probability=p[..., lo:hi][positive],
+                       **dict(zip(names, (*axes, positions[lo:hi][column]))))
+        yield block, lo, hi, spin_probs[:n], p, totals, rows[:filled]
+        step += n
+
 
 def run_walk1d(gamma: Angle | float, steps: int,
                initial_theta: float = 0.0, initial_phi: float = 0.0) -> dict:
@@ -285,38 +316,24 @@ def run_walk1d(gamma: Angle | float, steps: int,
     r = steps + 2  # the last step leaves two empty sites before each edge
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_walker(coin, half_width=r)
-    spec = Conventional(gamma.radians)
-    sites = state.sites()
     # second_moment's (m - origin) ** 2, about the origin 0.0
-    squared_sites = np.square(sites.astype(float))
-    distribution = np.empty((steps + 1) * (steps + 2) // 2, dtype=[
-        ("step", np.int64), ("site", np.int64), ("probability", np.float64)])
+    squared_sites = np.square(state.sites().astype(float))
     step_rows = np.empty(steps + 1, dtype=[("step", np.int64), *(
         (name, np.float64) for name in ("second_moment", "entropy", "total_probability"))])
 
-    filled = step = 0
-    spin_probs = None
-    for block, lo, hi in _state_blocks(state, spec, steps):
-        n, width = len(block), block.shape[-1]
-        if spin_probs is None:
-            spin_probs = np.zeros(block.shape)
-            probs, moments = np.zeros((2, n, width))
-            cross = np.zeros((n, width), np.complex128)
-        p = probs[:n]
-        _probabilities(block, lo, hi, spin_probs[:n], p)
+    step = 0
+    moments = None
+    for block, lo, hi, spin_probs, p, totals, distribution in _walk(
+            state, Conventional(gamma.radians), steps, ("site",)):
+        n = len(block)
+        if moments is None:
+            moments, cross = np.zeros(p.shape), np.zeros(p.shape, np.complex128)
         np.multiply(p[:, lo:hi], squared_sites[lo:hi], out=moments[:n, lo:hi])
-        rho11, rho22, rho12 = _coin_rho_sums(block, lo, hi, spin_probs[:n], cross[:n])
-        positive = p[:, lo:hi] > 0.0
-        index, column = np.nonzero(positive)
-        filled = _fill(distribution, filled, step=index + step, site=sites[lo:hi][column],
-                       probability=p[:, lo:hi][positive])
-        totals = np.sum(p, axis=-1)
-        entropies = []
-        for i, (total, r11, r22, r12) in enumerate(zip(totals.tolist(), rho11, rho22, rho12)):
-            _check_step_sum(step + i, total)
-            entropies.append(entropy(DensityMatrix2(rho11=r11, rho22=r22, rho12=r12)))
+        rho11, rho22, rho12 = _coin_rho_sums(block, lo, hi, spin_probs, cross[:n])
         step = _fill(step_rows, step, step=np.arange(step, step + n),
-                     second_moment=np.sum(moments[:n], axis=-1), entropy=entropies,
+                     second_moment=np.sum(moments[:n], axis=-1),
+                     entropy=[entropy(DensityMatrix2(rho11=r11, rho22=r22, rho12=r12))
+                              for r11, r22, r12 in zip(rho11, rho22, rho12)],
                      total_probability=totals)
 
     rho_inf = asymptotic_rho(gamma.radians)
@@ -330,7 +347,7 @@ def run_walk1d(gamma: Angle | float, steps: int,
         "asymptotic_rho11": rho_inf.rho11,
         "asymptotic_rho22": rho_inf.rho22,
         "asymptotic_entropy": entropy(rho_inf),
-    }, distribution=distribution[:filled], steps=step_rows)
+    }, distribution=distribution, steps=step_rows)
 
 
 def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
@@ -357,32 +374,33 @@ def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
-    rungs = state.rungs()
-    joint_rows = np.empty((steps + 1) * (steps + 2), dtype=[
-        ("step", np.int64), ("side", np.int64), ("rung", np.int64), ("probability", np.float64)])
     step_rows = np.empty(steps + 1, dtype=[("step", np.int64), *((name, np.float64) for name in (
         "side0_mass", "side1_mass", "weight_k0", "weight_kpi")), ("tv_sides", object)])
 
     # per-sector sums of (rho11, rho22, rho12) over steps 1..n, added one
     # by one: builtin sum() of floats is compensated from Python 3.12 on
     rho_sums = [[0.0, 0.0, 0j], [0.0, 0.0, 0j]]
-    filled = step = 0
-    spin_probs = None
-    for block, lo, hi in _state_blocks(state, spec, steps):
-        # block axes: step, spin, side, rung; sectors: step, sector, spin, rung
-        n, width = len(block), block.shape[-1]
-        if spin_probs is None:
-            spin_probs, sector_probs = np.zeros((2,) + block.shape)
+    step = 0
+    sectors = None
+    # block axes: step, spin, side, rung; sectors: step, sector, spin, rung.
+    # The sectors' |psi|^2 reuses the block's spin workspace, spent once j
+    # is formed.
+    for block, lo, hi, sector_probs, j, totals, joint in _walk(
+            state, spec, steps, ("side", "rung")):
+        n = len(block)
+        if sectors is None:
             sectors = np.zeros(block.shape, np.complex128)
-            joint, profiles = np.zeros((2, n, 2, width))
-            cross = np.zeros((n, 2, width), np.complex128)
-        j = joint[:n]
-        _probabilities(block, lo, hi, spin_probs[:n], j)
-        totals = np.sum(j.reshape(n, -1), axis=-1).tolist()
+            profiles, cross = np.zeros(j.shape), np.zeros(j.shape, np.complex128)
         masses = np.sum(j, axis=-1)
-        weights = _sector_blocks(block, lo, hi, sectors[:n], sector_probs[:n])
-        _probabilities(sectors[:n], lo, hi, sector_probs[:n])
-        rho11, rho22, rho12 = _coin_rho_sums(sectors[:n], lo, hi, sector_probs[:n], cross[:n])
+        weights = _sector_blocks(block, lo, hi, sectors[:n], sector_probs)
+        _probabilities(sectors[:n], lo, hi, sector_probs)
+        rho11, rho22, rho12 = _coin_rho_sums(sectors[:n], lo, hi, sector_probs, cross[:n])
+        for i in range(0 if step else 1, n):  # steps 1..n
+            for k, sums in enumerate(rho_sums):
+                rho = DensityMatrix2(rho11=rho11[i][k], rho22=rho22[i][k], rho12=rho12[i][k])
+                sums[0] += rho.rho11
+                sums[1] += rho.rho22
+                sums[2] += rho.rho12
         # total_variation of the side profiles, each renormalized to one
         shown = masses.min(axis=-1) >= _SIDE_MASS_FLOOR
         prof = profiles[:n, :, lo:hi]
@@ -391,25 +409,9 @@ def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
         np.abs(prof[:, 0], out=prof[:, 0])
         tv = np.empty(n, dtype=object)
         tv[shown] = (0.5 * np.sum(profiles[:n, 0], axis=-1))[shown].tolist()
-        _fill(step_rows, step, step=np.arange(step, step + n), side0_mass=masses[:, 0],
-              side1_mass=masses[:, 1], weight_k0=weights[:, 0], weight_kpi=weights[:, 1],
-              tv_sides=tv)
-
-        positive = j[..., lo:hi] > 0.0
-        index, side, rung = np.nonzero(positive)
-        filled = _fill(joint_rows, filled, step=index + step, side=side,
-                       rung=rungs[lo:hi][rung], probability=j[..., lo:hi][positive])
-
-        for i, total in enumerate(totals):
-            _check_step_sum(step, total)
-            if step > 0:
-                for k, sums in enumerate(rho_sums):
-                    rho = DensityMatrix2(rho11=rho11[i][k], rho22=rho22[i][k],
-                                         rho12=rho12[i][k])
-                    sums[0] += rho.rho11
-                    sums[1] += rho.rho22
-                    sums[2] += rho.rho12
-            step += 1
+        step = _fill(step_rows, step, step=np.arange(step, step + n), side0_mass=masses[:, 0],
+                     side1_mass=masses[:, 1], weight_k0=weights[:, 0], weight_kpi=weights[:, 1],
+                     tv_sides=tv)
 
     if steps >= 1:
         i_finite = mutual_information(*(
@@ -432,7 +434,7 @@ def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
             "m1", "m2", "m", "d1", "d2", "s1", "s2", "mutual_information")},
         "mutual_information_finite_n": i_finite,
         "pattern": summary["pattern"],
-    }, joint=joint_rows[:filled], steps=step_rows)
+    }, joint=joint, steps=step_rows)
 
 
 def run_sweep(alpha_grid: list[Angle], beta_grid: list[Angle]) -> dict:

@@ -145,11 +145,23 @@ class CoinSpinor:
 @dataclass(frozen=True, eq=False)
 class _State:
     """Amplitudes whose last axis runs over the positions ``-R .. R``,
-    ``R = half_width``, of a walk that started at ``origin``."""
+    ``R = half_width``, of a walk that started at ``origin``.  Anything but
+    an ndarray of the subclass's leading shape and an odd width is
+    refused: a ``TypeError`` for another type, a ``ValueError`` naming the
+    shape otherwise."""
 
     amplitudes: np.ndarray
     origin: int = 0
     steps_taken: int = 0
+
+    def __post_init__(self) -> None:
+        # the axes before the positions: spin, and the side of a ladder
+        amps, lead = self.amplitudes, self._lead_shape
+        if not isinstance(amps, np.ndarray):
+            raise TypeError(f"amplitudes must be a numpy array, not {type(amps).__name__}")
+        if amps.shape[:-1] != lead or amps.shape[-1] % 2 == 0:
+            raise ValueError(f"{type(self).__name__} amplitudes must have shape "
+                             f"({', '.join(map(str, lead))}, W) with W odd, got {amps.shape}")
 
     @property
     def half_width(self) -> int:
@@ -168,6 +180,7 @@ class WalkerState1D(_State):
     at site ``m = i - half_width``; sites run over ``-half_width .. half_width``.
     """
 
+    _lead_shape = (2,)
     sites = _State._positions
 
 
@@ -179,6 +192,7 @@ class LadderState(_State):
     ``x in {0, 1}`` at rung ``y = i - half_width``.
     """
 
+    _lead_shape = (2, 2)
     rungs = _State._positions
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,10 +45,17 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Angle:
-    """An angle in radians, remembering its exact pi-fraction if it has one."""
+    """An angle in radians, remembering its exact pi-fraction if it has one.
+    A ``pi_fraction`` that is neither None nor a rational (a bool included)
+    is refused with ``TypeError``."""
 
     radians: float
     pi_fraction: Fraction | None = None
+
+    def __post_init__(self) -> None:
+        frac = self.pi_fraction
+        if frac is not None and (isinstance(frac, bool) or not isinstance(frac, numbers.Rational)):
+            raise TypeError(f"pi_fraction must be a rational or None, not {type(frac).__name__}")
 
 
 # The default long-side coin with its exact pi-fraction, so that the

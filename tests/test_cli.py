@@ -764,11 +764,14 @@ class TestOutputPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 1
 
-    def test_numeric_violation_exit_code(self, monkeypatch, tmp_path):
-        # a step-sum budget below zero trips the check at the first step
+    @pytest.mark.parametrize("command", [
+        ["walk1d", "--gamma", "0"], ["ladder", "--alpha", "0", "--beta", "0"], ["table1"]],
+        ids=["walk1d", "ladder", "table1"])
+    def test_numeric_violation_exit_code(self, monkeypatch, tmp_path, command):
+        # a step-sum budget below zero trips the one check of every walk
+        # command at the first step
         monkeypatch.setattr(cli, "_SUM_TOL", -1.0)
-        code, out, err = run_main(["walk1d", "--gamma", "0", "--steps", "1",
-                                   "--out", str(tmp_path / "x.csv")])
+        code, out, err = run_main([*command, "--steps", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert err.startswith("ladderwalk: numeric invariant violated: "
                               "probabilities at step 0 sum to")

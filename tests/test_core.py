@@ -249,6 +249,28 @@ class TestStateTypes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.origin = 0
 
+    @pytest.mark.parametrize("kind,shape", [
+        (lw.WalkerState1D, (3, 5)),  # a third spin row
+        (lw.WalkerState1D, (2, 2, 5)),  # a ladder's amplitudes
+        (lw.WalkerState1D, (2, 4)),  # an even width has no middle site
+        (lw.WalkerState1D, (5,)),
+        (lw.WalkerState1D, ()),
+        (lw.LadderState, (2, 5)),  # a line's amplitudes
+        (lw.LadderState, (2, 3, 5)),  # a third side
+        (lw.LadderState, (2, 2, 4)),
+    ], ids=["line-3x5", "line-2x2x5", "line-2x4", "line-5", "line-scalar", "ladder-2x5",
+            "ladder-2x3x5", "ladder-2x2x4"])
+    def test_malformed_shapes_are_refused(self, kind, shape):
+        lead = "(2, W)" if kind is lw.WalkerState1D else "(2, 2, W)"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind.__name__} amplitudes must have shape {lead} with W odd, got {shape}")):
+            kind(np.ones(shape, np.complex128))
+
+    @pytest.mark.parametrize("kind", [lw.WalkerState1D, lw.LadderState])
+    def test_amplitudes_must_be_an_array(self, kind):
+        with pytest.raises(TypeError, match="amplitudes must be a numpy array, not list"):
+            kind([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
 
 class TestShifts:
     # Zero coin angles make every stage a pure shift, and a split step

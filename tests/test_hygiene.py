@@ -3,8 +3,9 @@
 The package re-exports exactly the public names of its modules, every
 public name has a reader outside its own tests, no module imports a name
 it never uses (a deletion easily leaves one behind), no two modules
-define the same top-level name, and the momentum oracles in ``spectral``
-share no stepping code with ``core``.  The test run's header names the
+define the same top-level name, the momentum oracles in ``spectral``
+share no stepping code with ``core``, and one function outside ``core``
+walks its blocks.  The test run's header names the
 BLAS kernel, whose rounding the golden bits follow.
 """
 
@@ -196,3 +197,37 @@ def test_stepping_import_scan_finds_one():
                      "from . import Ladder\nimport ladderwalk.core\n")
     assert _stepping_imports(tree) == ["Ladder", "core", "evolve", "ladderwalk.core",
                                        "localized_walker"]
+
+
+def _block_walkers(sources: dict[str, str]) -> list[str]:
+    """Each function of the modules ``sources`` (name -> source) that
+    iterates ``_state_blocks``, in a loop or a comprehension, as
+    ``module:function``."""
+    found = []
+    for module, source in sources.items():
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loops = [node.iter for node in ast.walk(function)
+                     if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))]
+            if any(isinstance(loop, ast.Call) and (
+                    getattr(loop.func, "id", None) == "_state_blocks"
+                    or getattr(loop.func, "attr", None) == "_state_blocks") for loop in loops):
+                found.append(f"{module}:{function.name}")
+    return sorted(found)
+
+
+def test_one_function_outside_core_walks_the_blocks():
+    """The walk commands share one blocked pass, ``cli._walk``: its
+    per-site rows, |psi|^2 workspaces and step-sum check are said once."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"}
+    assert len(_block_walkers(sources)) <= 1, _block_walkers(sources)
+
+
+def test_block_walker_scan_finds_one():
+    sources = {"a.py": "def f(s):\n    for b in _state_blocks(s):\n        pass\n"
+                       "def g(s):\n    return _state_blocks(s)\n",
+               "b.py": "def h(s):\n    return [b for b in core._state_blocks(s)]\n"
+                       "def k(s):\n    for b in blocks(s):\n        pass\n"}
+    assert _block_walkers(sources) == ["a.py:f", "b.py:h"]

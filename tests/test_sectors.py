@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,17 @@ class TestEffectiveAngles:
                 call(radians)
         with pytest.raises(TypeError, match="beta must be a number, not " + kind):
             lw.sweep_summary([0.1], [lw.Angle(radians)])
+
+    @pytest.mark.parametrize("frac,kind", [(0.5, "float"), ("1/2", "str"), (True, "bool"),
+                                           (Decimal("0.5"), "Decimal")])
+    def test_angle_refuses_a_pi_fraction_that_is_not_rational(self, frac, kind):
+        with pytest.raises(TypeError,
+                           match=f"pi_fraction must be a rational or None, not {kind}"):
+            lw.Angle(0.5 * math.pi, frac)
+
+    def test_angle_takes_any_rational_pi_fraction(self):
+        for frac in (Fraction(1, 2), 1, np.int64(-3)):
+            assert lw.Angle(0.0, frac).pi_fraction == frac
 
     def test_checked_angle_keeps_its_identity(self):
         # the exact route reads the pi-fraction off the same Angle
