@@ -47,15 +47,31 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 class Angle:
     """An angle in radians, remembering its exact pi-fraction if it has one.
     A ``pi_fraction`` that is neither None nor a rational (a bool included)
-    is refused with ``TypeError``."""
+    is refused with ``TypeError``.  Radians that differ from ``pi_fraction *
+    pi`` by more than a relative ``1e-12`` are refused with ``ValueError``,
+    as the exact sums would describe another angle than the radians; radians
+    that are not a finite number, and a pi-fraction whose radians are past
+    the float range, are left to the callers, which refuse them."""
 
     radians: float
     pi_fraction: Fraction | None = None
 
     def __post_init__(self) -> None:
-        frac = self.pi_fraction
-        if frac is not None and (isinstance(frac, bool) or not isinstance(frac, numbers.Rational)):
+        frac, radians = self.pi_fraction, self.radians
+        if frac is None:
+            return
+        if isinstance(frac, bool) or not isinstance(frac, numbers.Rational):
             raise TypeError(f"pi_fraction must be a rational or None, not {type(frac).__name__}")
+        if isinstance(radians, bool) or not isinstance(radians, numbers.Real):
+            return
+        try:
+            exact = float(frac) * math.pi
+        except OverflowError:
+            return
+        if (math.isfinite(exact) and math.isfinite(radians)
+                and not math.isclose(radians, exact, rel_tol=1e-12)):
+            raise ValueError(f"radians {radians!r} disagree with pi_fraction {frac}, "
+                             f"which is {exact!r} radians")
 
 
 # The default long-side coin with its exact pi-fraction, so that the

@@ -19,16 +19,20 @@ stepping of :mod:`ladderwalk.core`.  :func:`sweep_summary` is the one
 path from ``(alpha, beta, gamma_y)`` to the sector analytics, over a
 whole ``(alpha, beta)`` grid or a one-point grid.  It evaluates the
 sector closed forms (density matrix, eigenvalue gap, entropy,
-magnetization) once per distinct sector-angle sum of the whole grid, into
-one table, so per point it does only what depends on both sectors:
+magnetization) once per distinct reduced sector angle of the whole grid,
+into one table, so per point it does only what depends on both sectors:
 gathers, the mean magnetization, the pattern rules and the entropy of the
 mixture.  Those per-point steps run on blocks of whole alpha rows, about
 2,048 points each: rows where an angle, the phase or a sector-angle sum
 is not finite are checked point by point, by ``effective_angles``, before
-their block is filled; and the mixture entropies come from one scalar
-pass of the 2x2 closed form, the one that :func:`rho_eigenvalues` and
-:func:`entropy` also take a single matrix through, whose
-negative-eigenvalue refusal is the one numeric check on a mixture.  A
+their block is filled; and the mixture entropies come from the scalar
+2x2 closed form that :func:`rho_eigenvalues` and :func:`entropy` also
+take a single matrix through, whose negative-eigenvalue refusal is the
+one numeric check on a mixture.  A mixture's bits depend only on the
+``rho11``, ``rho22`` and ``|rho12|`` of its two sector matrices and the
+relative sign of their ``rho12``, so where a grid has fewer such
+combinations than points, as a pi-fraction grid has, each distinct
+mixture's entropy is taken once, into a table that the blocks share.  A
 mixture needs no ``DensityMatrix2`` check of its own: each sector matrix
 is an :func:`asymptotic_rho`, with determinant ``s / (2 (1 + s))`` for
 ``s = |sin(gamma/2)|``, and an equal mixture of two density matrices is
@@ -456,7 +460,47 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of ``x``, sorted, as ``np.unique`` gives them
     without its import of ``numpy.ma``."""
     x = np.sort(x, axis=None)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+    keep = np.ones(x.shape, bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _sector_table(keys: np.ndarray, exact: bool, reduce, radians) -> tuple[np.ndarray, ...]:
+    """The sector closed forms of the distinct sector-angle sums ``keys``,
+    exact numerators or the bits of float sums, evaluated once per distinct
+    reduced angle, which is keyed as the sums are.
+
+    Returns ``gamma``, the radians of each sum; ``sector``, the table row of
+    each sum; ``forms``, the table, one row per distinct reduced angle and a
+    last row of nans for the sums that are not finite, which are refused at
+    their first point, with columns rho11, rho22, Re rho12 (its imaginary
+    part is +0.0), d, s, m; and ``classes``, one per row, equal for two rows
+    only when their rho11, rho22 and |rho12| have the same bits.  The angles
+    of one magnitude share those (``asymptotic_rho``), so they make one class
+    once the table confirms it; else each row is its own class.
+    """
+    values = keys if exact else keys.view(np.float64)
+    gamma = np.array([radians(n) for n in values.tolist()], dtype=np.float64)
+    finite = np.isfinite(gamma)
+    reduced = np.array([reduce(n) for n in values[finite].tolist()],
+                       dtype=values.dtype).view(keys.dtype)
+    angles = _distinct(reduced)
+    forms = np.full((len(angles) + 1, 6), math.nan)
+    for j, n in enumerate(angles.view(values.dtype).tolist()):
+        angle = radians(n)
+        rho, d, s = _sector_closed_forms(angle)
+        forms[j] = rho.rho11, rho.rho22, rho.rho12.real, d, s, _sector_magnetization(angle)
+    sector = np.full(len(keys), len(angles))
+    sector[finite] = np.searchsorted(angles, reduced)
+    magnitude = np.abs(angles.view(values.dtype)).view(keys.dtype)
+    levels = _distinct(magnitude)
+    classes = np.append(np.searchsorted(levels, magnitude), len(levels))
+    triples = np.column_stack([forms[:, 0], forms[:, 1], np.abs(forms[:, 2])]).view(np.uint64)
+    shared = np.empty((len(levels) + 1, 3), np.uint64)
+    shared[classes] = triples
+    if not np.array_equal(shared[classes], triples):
+        classes = np.arange(len(forms))
+    return gamma, sector, forms, classes
 
 
 def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
@@ -476,12 +520,19 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     pi-fraction the sector angles are added and reduced in exact
     arithmetic.  Each grid holds pi-fractions only or plain floats only; a
     grid mixing the two is refused with ``ValueError``.  The sector closed
-    forms are evaluated once per distinct sector-angle sum of the whole
+    forms are evaluated once per distinct reduced sector angle of the whole
     grid, into one table of float columns, and the rows are filled from
     it a block of consecutive alpha rows at a time, about 2,048 points and
-    at least one row.  Per block, the entropies of each point's
-    equal-weight mixture of its two sector matrices come from one scalar
-    ``math`` pass, with the bits :func:`entropy` gives.  A point that
+    at least one row.  Per block, the entropies of the points' equal-weight
+    mixtures of their two sector matrices come from one scalar ``math``
+    pass, with the bits :func:`entropy` gives.  Sector matrices of one
+    ``rho11``, ``rho22`` and ``|rho12|`` form a class, and two points whose
+    matrices have the same two classes and the same relative sign of
+    ``rho12`` have mixtures of the same bits.  Where a table with a slot
+    for each such code, ``2 K^2`` slots for ``K`` classes, is no larger
+    than the grid, mixtures repeat, and each distinct one is taken once, in
+    the block that first meets it, into that table (2,113 mixtures for the
+    16,641 points of the 129x129 pi grid).  A point that
     ``effective_angles`` or its pattern refuses is refused with the same
     exception, at the first such point; a non-finite angle is refused there
     too, so an empty grid, which has no points, gives an empty array even
@@ -525,27 +576,31 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     keys = _distinct(np.concatenate([
         _distinct(np.concatenate(sums(lo, lo + block_rows), axis=None))
         for lo in range(0, len(alphas), block_rows)]))
-    # the closed-form table: one row per distinct sum, columns gamma,
-    # rho11, rho22, Re rho12 (its imaginary part is +0.0), d, s, m
-    table = np.full((len(keys), 7), math.nan)
-    for j, n in enumerate((keys if exact else keys.view(np.float64)).tolist()):
-        gamma = radians(n)
-        table[j, 0] = gamma
-        if math.isfinite(gamma):  # else refused below, at its first point
-            reduced = radians(reduce(n))
-            rho, d, s = _sector_closed_forms(reduced)
-            table[j, 1:] = rho.rho11, rho.rho22, rho.rho12.real, d, s, _sector_magnetization(reduced)
-    gamma, rho11, rho22, rho12, d, s, m = table.T
-    # after the table, so that the rows and the sums are never held at once
+    gamma, sector, forms, classes = _sector_table(keys, exact, reduce, radians)
+    rho11, rho22, rho12, d, s, m = forms.T
+    n_classes = int(classes.max()) + 1
+    # after the tables, so that the rows and the sums are never held at once
     rows = np.empty((len(alphas), len(betas)), dtype=_SWEEP_DTYPE)
     rows["alpha"] = np.array([angle.radians for angle in alphas], dtype=np.float64)[:, None]
     rows["beta"] = [angle.radians for angle in betas]
+    # A mixture's bits follow from its two rows' classes and the relative
+    # sign of their rho12: 0.5 * (x1 + x2) is symmetric, negation is exact
+    # and _spectra reads only |rho12|.  Where a table with a slot for each
+    # such code is no larger than the grid, the codes are fewer than the
+    # points, so mixtures repeat: each entropy goes into its slot once, nan
+    # until its mixture is first met.  Else each point's mixture is taken.
+    tabled = 2 * n_classes ** 2 <= rows.size
+    entropies = np.full(2 * n_classes ** 2 if tabled else 0, math.nan)
+    owner = np.empty(len(entropies), np.intp)
+
+    def mixture_entropies(r1: np.ndarray, r2: np.ndarray) -> list[float]:
+        # average_rho's mixture, as mutual_information takes it
+        return _spectra(*((0.5 * (x[r1] + x[r2])).ravel().tolist() for x in (rho11, rho22, rho12)))[1]
+
     finite_phi = bool(np.isfinite(phi).all())
     for lo in range(0, len(alphas), block_rows):
         i1, i2 = (np.searchsorted(keys, x) for x in sums(lo, lo + block_rows))
         gamma1, gamma2 = gamma[i1], gamma[i2]
-        # average_rho's mixture, as mutual_information takes it
-        mixture = [0.5 * (x[i1] + x[i2]) for x in (rho11, rho22, rho12)]
         with np.errstate(over="ignore", invalid="ignore"):
             refusable = ~(finite_phi & np.isfinite((gamma1 + gamma2) / 2.0).all(axis=1))
         # each flagged row is checked point by point, in order, as a point is
@@ -556,13 +611,37 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
                 effective_angles(alphas[lo + row], beta, gamma_y).pattern
         rules = _pattern_rules(phi / 2.0, gamma1, gamma2)
         block = rows[lo:lo + block_rows]
-        m1, m2 = m[i1], m[i2]
+        r1, r2 = sector[i1], sector[i2]
+        m1, m2 = m[r1], m[r2]
         block["gamma1"], block["gamma2"] = gamma1, gamma2
         block["m1"], block["m2"], block["m"] = m1, m2, (m1 + m2) / 2.0
-        block["d1"], block["d2"] = d[i1], d[i2]
-        s1, s2 = s[i1], s[i2]
+        block["d1"], block["d2"] = d[r1], d[r2]
+        s1, s2 = s[r1], s[r2]
         block["s1"], block["s2"] = s1, s2
-        entropies = _spectra(*(x.ravel().tolist() for x in mixture))[1]
-        block["mutual_information"] = s1 + s2 - np.reshape(entropies, s1.shape)
+        if tabled:
+            c1, c2 = classes[r1], classes[r2]
+            # taken here, so that a grid without the table, a one-point
+            # one above all, does not load np.sign's kernel
+            sign = np.sign(rho12)
+            codes = ((np.minimum(c1, c2) * n_classes + np.maximum(c1, c2)) * 2
+                     + (sign[r1] * sign[r2] < 0)).ravel()
+            # the points of the mixtures met here first, and one point of
+            # each, whichever the scatter keeps: every point of a mixture
+            # has its bits
+            new = np.flatnonzero(np.isnan(entropies[codes]))
+            owner[codes[new]] = new
+            kept = new[owner[codes[new]] == new]
+            r1, r2 = r1.ravel(), r2.ravel()
+            try:
+                entropies[codes[kept]] = mixture_entropies(r1[kept], r2[kept])
+            except DensityMatrixError:
+                # refused at the block's first refused point, as a pass over
+                # its new points in order refuses it
+                mixture_entropies(r1[new], r2[new])
+                raise
+            block_entropies = entropies[codes]
+        else:
+            block_entropies = mixture_entropies(r1, r2)
+        block["mutual_information"] = s1 + s2 - np.reshape(block_entropies, s1.shape)
         block["pattern"] = np.select(rules, _PATTERN_LABELS[:4], _PATTERN_LABELS[4])
     return rows.reshape(-1)

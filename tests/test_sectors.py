@@ -90,7 +90,20 @@ class TestEffectiveAngles:
 
     def test_angle_takes_any_rational_pi_fraction(self):
         for frac in (Fraction(1, 2), 1, np.int64(-3)):
-            assert lw.Angle(0.0, frac).pi_fraction == frac
+            assert lw.Angle(float(frac) * math.pi, frac).pi_fraction == frac
+
+    def test_angle_refuses_radians_that_disagree_with_its_pi_fraction(self):
+        # once walked at alpha = pi/2 with gamma1, m1 and pattern of alpha = pi
+        with pytest.raises(ValueError, match=r"radians 1\.5707963267948966 disagree with "
+                                             r"pi_fraction 1, which is 3\.14159"):
+            lw.Angle(0.5 * math.pi, Fraction(1))
+        with pytest.raises(ValueError, match="disagree"):
+            lw.Angle(1e-300, Fraction(0))
+        # radians written another way round to the same angle, and those the
+        # callers refuse
+        for radians, frac in ((math.pi / 3, Fraction(1, 3)), (3 * math.pi / 4, Fraction(3, 4)),
+                              (math.inf, Fraction(1)), (0.0, Fraction(10**400))):
+            assert lw.Angle(radians, frac).pi_fraction == frac
 
     def test_checked_angle_keeps_its_identity(self):
         # the exact route reads the pi-fraction off the same Angle

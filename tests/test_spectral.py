@@ -716,18 +716,19 @@ class TestSweepSummary:
     @pytest.mark.parametrize("alpha_grid,beta_grid", [
         ("0:1/13pi:17", "0:1/11pi:17"),  # coprime steps: every row brings new sums
         ("-3:3:120", "-2.9:3.1:120"),    # float sums that recur across the rows
+        ("-pi:pi:33", "-pi:pi:33"),      # sums that reduce to one angle
     ])
-    def test_one_closed_form_per_distinct_sum(self, alpha_grid, beta_grid):
+    def test_one_closed_form_per_distinct_reduced_angle(self, alpha_grid, beta_grid):
         alphas, betas = parse_grid(alpha_grid), parse_grid(beta_grid)
-        sums = set()
+        angles = set()
         for alpha in alphas:
             for beta in betas:
                 eff = lw.effective_angles(alpha, beta)
-                sums |= {eff.gamma1.hex(), eff.gamma2.hex()}
+                angles |= {eff.gamma1_reduced.hex(), eff.gamma2_reduced.hex()}
         forms = lw.spectral._sector_closed_forms
         with mock.patch.object(lw.spectral, "_sector_closed_forms", wraps=forms) as counted:
             lw.sweep_summary(alphas, betas)
-        assert counted.call_count == len(sums)
+        assert counted.call_count == len(angles)
 
     def test_memory_follows_the_rows(self):
         # coprime steps: no sector-angle sum repeats, so there are 20,000
@@ -796,9 +797,51 @@ class TestSweepSummary:
         assert str(raised.value) == str(expected)
 
 
+def _bits(triple) -> tuple:
+    return tuple(map(float.hex, triple))
+
+
+def _record_spectra(alpha_grid: str, beta_grid: str) -> tuple:
+    """``sweep_summary`` over the two grids, with the ``(rho11, rho22,
+    |rho12|)`` of every mixture it passes to ``_spectra``, in order, the
+    sector closed forms it evaluates, and each point's mixture by the
+    reference route."""
+    alphas, betas = parse_grid(alpha_grid), parse_grid(beta_grid)
+    mixtures, sectors, inside = [], [], []
+    forms = lw.spectral._sector_closed_forms
+
+    def sector_forms(gamma_reduced):
+        sectors.append(gamma_reduced)
+        inside.append(gamma_reduced)
+        try:
+            return forms(gamma_reduced)
+        finally:
+            inside.pop()
+
+    def recording(rho11, rho22, rho12):
+        if not inside:
+            mixtures.extend(zip(rho11, rho22, map(abs, rho12)))
+        return _spectra(rho11, rho22, rho12)
+
+    with mock.patch.object(lw.spectral, "_spectra", recording), \
+            mock.patch.object(lw.spectral, "_sector_closed_forms", sector_forms):
+        rows = lw.sweep_summary(alphas, betas)
+    points = []
+    for alpha in alphas:
+        for beta in betas:
+            eff = lw.effective_angles(alpha, beta)
+            mixture = lw.average_rho(*map(lw.asymptotic_rho,
+                                          (eff.gamma1_reduced, eff.gamma2_reduced)))
+            points.append((mixture.rho11, mixture.rho22, abs(mixture.rho12)))
+    assert len(points) == len(rows)
+    return mixtures, len(sectors), points
+
+
 class TestSweepMixtures:
-    """What makes a check of each sweep mixture needless: every mixture
-    that ``sweep_summary`` takes the entropy of is a density matrix."""
+    """What makes a check of each sweep mixture needless, and what makes
+    the sweep take each entropy once: the mixtures that ``sweep_summary``
+    takes the entropy of are the points' own, each a density matrix, and
+    each distinct one is taken once."""
 
     @pytest.mark.parametrize("alpha_grid,beta_grid", [
         ("-pi:pi:129", "-pi:pi:129"),
@@ -806,19 +849,22 @@ class TestSweepMixtures:
         ("0pi:1/13pi:120", "0pi:1/11pi:120"),
     ])
     def test_every_mixture_has_no_negative_eigenvalue(self, alpha_grid, beta_grid):
-        calls = []
-
-        def recording(rho11, rho22, rho12):
-            calls.append((rho11, rho22, rho12))
-            return _spectra(rho11, rho22, rho12)
-
-        with mock.patch.object(lw.spectral, "_spectra", recording):
-            rows = lw.sweep_summary(parse_grid(alpha_grid), parse_grid(beta_grid))
-        # the sector matrices come one at a time, the mixtures a block at a time
-        mixtures = [m for call in calls if len(call[0]) > 1 for m in zip(*call)]
-        assert len(mixtures) == len(rows)
-        lowest = min((x + y - math.hypot(x - y, 2.0 * abs(z))) / 2.0 for x, y, z in mixtures)
+        mixtures, _, points = _record_spectra(alpha_grid, beta_grid)
+        assert set(map(_bits, mixtures)) == set(map(_bits, points))
+        lowest = min((x + y - math.hypot(x - y, 2.0 * z)) / 2.0 for x, y, z in mixtures)
         assert lowest >= -4 * math.ulp(1.0)
+
+    def test_each_distinct_mixture_of_the_pi_grid_once(self):
+        # 16,641 points, 385 distinct sums
+        mixtures, sectors, points = _record_spectra("-pi:pi:129", "-pi:pi:129")
+        assert len(mixtures) == len(set(map(_bits, mixtures))) == 2113
+        assert sectors == 128
+        assert set(map(_bits, mixtures)) == set(map(_bits, points))
+
+    def test_each_point_mixture_once_where_none_repeats(self):
+        mixtures, _, points = _record_spectra("0.1:0.9:40", "-0.3:1.2:37")
+        assert len(set(map(_bits, points))) == len(points)
+        assert sorted(map(_bits, mixtures)) == sorted(map(_bits, points))
 
 
 # added to the corrupted sector matrix's rho12: its mixture with any sector
@@ -932,6 +978,92 @@ class TestMixtureRefusal:
         assert str(raised.value).startswith(refused[1])
 
 
+def _corrupt_rho12(target: float, offset, both_signs: bool):
+    """Patch ``_sector_closed_forms`` so that the sector matrix at reduced
+    angle ``target``, and at ``-target`` too with ``both_signs``, has
+    ``offset(rho12)`` added to its ``rho12``, unvalidated."""
+    forms = lw.spectral._sector_closed_forms
+
+    def corrupted(gamma_reduced):
+        rho, d, s = forms(gamma_reduced)
+        if gamma_reduced == target or both_signs and gamma_reduced == -target:
+            rho = SimpleNamespace(rho11=rho.rho11, rho22=rho.rho22,
+                                  rho12=rho.rho12 + offset(rho.rho12.real))
+        return rho, d, s
+
+    return mock.patch.object(lw.spectral, "_sector_closed_forms", corrupted)
+
+
+def _corrupted_mixtures(grid, target: float, offset, both_signs: bool) -> list:
+    """Each point's mixture, in alpha-major order, as ``_corrupt_rho12``
+    makes it."""
+    mixtures = []
+    for alpha in grid:
+        for beta in grid:
+            eff = lw.effective_angles(alpha, beta)
+            angles = (eff.gamma1_reduced, eff.gamma2_reduced)
+            rhos = [lw.asymptotic_rho(g) for g in angles]
+            z = [rho.rho12.real + (offset(rho.rho12.real) if g == target
+                                   or both_signs and g == -target else 0.0)
+                 for rho, g in zip(rhos, angles)]
+            mixtures.append((0.5 * (rhos[0].rho11 + rhos[1].rho11),
+                             0.5 * (rhos[0].rho22 + rhos[1].rho22), 0.5 * (z[0] + z[1])))
+    return mixtures
+
+
+class TestMixtureTable:
+    """Where the grid's mixtures repeat, the sweep takes each distinct one
+    once into a table, keyed on its two sector matrices' classes: a class
+    holds only matrices of one ``rho11``, ``rho22`` and ``|rho12|``, and a
+    refusal still comes at the first refused point, whichever point the
+    table took the mixture at."""
+
+    GRID = "-pi:pi:9"
+
+    def target(self):
+        grid = parse_grid(self.GRID)
+        return lw.effective_angles(grid[4], grid[3]).gamma1_reduced
+
+    def test_the_grid_takes_the_table(self):
+        mixtures, _, points = _record_spectra(self.GRID, self.GRID)
+        assert len(mixtures) == len(set(map(_bits, points))) < len(points)
+
+    def test_a_class_broken_by_one_sign_splits(self):
+        # rho12 at -3pi/4 only moves: its matrix no longer shares |rho12|
+        # with the one at 3pi/4, and each point keeps its own mixture
+        grid = parse_grid(self.GRID)
+
+        def offset(z):
+            return 1e-3
+
+        with _corrupt_rho12(self.target(), offset, both_signs=False):
+            rows = lw.sweep_summary(grid, grid)
+        mixtures = _corrupted_mixtures(grid, self.target(), offset, both_signs=False)
+        assert [float.hex(float(row["mutual_information"])) for row in rows] == [
+            float.hex(float(row["s1"]) + float(row["s2"]) - reference_spectrum(*mixture)[1])
+            for row, mixture in zip(rows, mixtures)]
+
+    def test_sweep_summary_raises_at_the_first_refused_mixture(self):
+        # |rho12| at +-3pi/4 grows by _CORRUPTION: one class still, and its
+        # mixtures of one sign are refused
+        grid = parse_grid(self.GRID)
+
+        def offset(z):
+            return math.copysign(_CORRUPTION, z)
+
+        messages = []
+        for mixture in _corrupted_mixtures(grid, self.target(), offset, both_signs=True):
+            try:
+                reference_spectrum(*mixture)
+            except ValueError as error:
+                messages.append(str(error))
+        assert len(set(messages)) > 1
+        with _corrupt_rho12(self.target(), offset, both_signs=True):
+            with pytest.raises(lw.DensityMatrixError) as raised:
+                lw.sweep_summary(grid, grid)
+        assert str(raised.value) == messages[0]
+
+
 @pytest.fixture(scope="class")
 def one_point_blocks():
     """``sweep_summary`` with one point per block: every alpha row is
@@ -947,6 +1079,17 @@ class TestSweepSummaryInOnePointBlocks(TestSweepSummary):
     # Hypothesis runs a test method for one class only
     test_run_sweep_rows_match_reference_summary_bits = None
     test_matches_reference_summary_bits = None
+
+
+@pytest.mark.usefixtures("one_point_blocks")
+class TestSweepMixturesInOnePointBlocks(TestSweepMixtures):
+    """``TestSweepMixtures``'s cases, one row at a time: each distinct
+    mixture of the grid is still taken once."""
+
+
+@pytest.mark.usefixtures("one_point_blocks")
+class TestMixtureTableInOnePointBlocks(TestMixtureTable):
+    """``TestMixtureTable``'s cases one row at a time."""
 
 
 @pytest.mark.usefixtures("one_point_blocks")
