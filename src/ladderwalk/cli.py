@@ -23,7 +23,10 @@ multiples are tracked exactly so that analytic identities (``M2 = 0`` at
 beta = pi/4, for instance) hold bit-exactly in the outputs.  Datasets are
 written as a single JSON document or as CSV files, one per table, CSV
 floats at 17 significant digits.  Every table's rows are a numpy
-structured array, one field per column, written in chunks of rows.
+structured array, one field per column, and every integer field is int32.
+A table is written in chunks of rows, each one ``%`` over a template
+joined from texts rendered once per value of a repeated cell, so that
+``%`` formats only the other cells.
 
 Each command's options are the parameters of its ``run_*`` function
 (``--initial-theta`` for ``initial_theta``; a parameter without a default
@@ -113,7 +116,9 @@ _SIDE_MASS_FLOOR = 1e-12
 # spreading one); measured coefficient <= 0.71 over n = 1..128.
 _IDENTICAL_TV_COEFF = 0.9
 # Rows of a structured table formatted per pass: enough that the per-pass
-# cost vanishes, few enough that a pass's text stays about 100 kB.
+# cost vanishes, few enough that a pass's text and its template stay small
+# next to the rows.  A pass's text is about 35 kB of CSV for a per-site
+# table, 250 kB for the sweep's rows of about 250 B, and 380 kB as JSON.
 _CHUNK_ROWS = 1024
 
 
@@ -275,14 +280,21 @@ def _walk(state, spec, steps: int, names: tuple[str, ...]):
     axis, both on the window ``[lo, hi)`` (``core._probabilities``);
     ``totals`` holds each step's sum of ``probs``, every one checked by
     ``_check_step_sum`` before the block is yielded.  ``rows`` is the view
-    of the per-site table filled so far: an int64 ``step``, an int64
+    of the per-site table filled so far: an int32 ``step``, an int32
     field for each of ``names`` (the side index of a ladder, then the
-    position) and a float64 ``probability``, one row per entry with p > 0.
-    The arrays are valid until the generator resumes."""
+    position) and a float64 ``probability``, one row per entry with p > 0,
+    16 B a row on a line and 20 B on the ladder.  The arrays are valid
+    until the generator resumes.
+
+    No coordinate overflows int32.  Steps and positions stay within
+    ``steps + 2``, so they fit while ``steps < 2**31 - 3``; from there on
+    the light-cone bound of ``(steps + 1) (steps + 2) / 2`` rows per side
+    is past numpy's largest array, and its allocation fails (exit 1 from
+    the command line) before any coordinate is cast."""
     sides = math.prod(state.amplitudes.shape[1:-1])
     positions = np.arange(-state.half_width, state.half_width + 1)
     rows = np.empty(sides * (steps + 1) * (steps + 2) // 2, dtype=[
-        ("step", np.int64), *((name, np.int64) for name in names), ("probability", np.float64)])
+        ("step", np.int32), *((name, np.int32) for name in names), ("probability", np.float64)])
     filled = step = 0
     spin_probs = None
     for block, lo, hi in _state_blocks(state, spec, steps):
@@ -310,7 +322,8 @@ def run_walk1d(gamma: Angle | float, steps: int,
     The walker starts at site 0 of the sites ``-(steps + 2) .. steps + 2``,
     which it cannot leave in ``steps`` steps.  The walk is one stepping
     pass, observed a block of steps at a time.  Both tables' rows are
-    structured arrays, an int64 ``step`` and ``site`` and float64 elsewhere."""
+    structured arrays, an int32 ``step`` and ``site`` and float64
+    elsewhere: a ``distribution`` row is 16 B."""
     steps = _step_count(steps)
     gamma = _as_angle("gamma", gamma)
     r = steps + 2  # the last step leaves two empty sites before each edge
@@ -318,7 +331,7 @@ def run_walk1d(gamma: Angle | float, steps: int,
     state = localized_walker(coin, half_width=r)
     # second_moment's (m - origin) ** 2, about the origin 0.0
     squared_sites = np.square(state.sites().astype(float))
-    step_rows = np.empty(steps + 1, dtype=[("step", np.int64), *(
+    step_rows = np.empty(steps + 1, dtype=[("step", np.int32), *(
         (name, np.float64) for name in ("second_moment", "entropy", "total_probability"))])
 
     step = 0
@@ -360,9 +373,10 @@ def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
     stepping pass, observed a block of steps at a time: the joint and side
     masses, the sector projection and weights, the coin matrices of the
     normalized sectors and the side-profile distance.  Both tables' rows
-    are structured arrays: int64 ``step``, ``side`` and ``rung``, float64
+    are structured arrays: int32 ``step``, ``side`` and ``rung``, float64
     masses, weights and ``probability``, and an object ``tv_sides`` that
-    holds a float, or None while a side carries no mass."""
+    holds a float, or None while a side carries no mass.  A ``joint`` row
+    is 20 B."""
     steps = _step_count(steps)
     r = steps + 2  # the last step leaves two empty sites before each edge
     alpha, beta = _as_angle("alpha", alpha), _as_angle("beta", beta)
@@ -374,7 +388,7 @@ def run_ladder(alpha: Angle | float, beta: Angle | float, steps: int,
     coin = CoinSpinor.from_bloch(initial_theta, initial_phi)
     state = localized_ladder(coin, half_width=r, side=0)
     spec = Ladder(alpha=alpha.radians, beta=beta.radians, gamma_y=gy.radians)
-    step_rows = np.empty(steps + 1, dtype=[("step", np.int64), *((name, np.float64) for name in (
+    step_rows = np.empty(steps + 1, dtype=[("step", np.int32), *((name, np.float64) for name in (
         "side0_mass", "side1_mass", "weight_k0", "weight_kpi")), ("tv_sides", object)])
 
     # per-sector sums of (rho11, rho22, rho12) over steps 1..n, added one
@@ -524,11 +538,11 @@ def _format_cell(value) -> str:
 
 
 # A cell's format by numpy kind: ``%.17g`` for CSV floats, ``%r``
-# (``float.__repr__``) as ``json`` writes them; integer cells arrive as
-# text or as ints, and ``%s`` writes either as ``%d`` would.  The text
-# fields hold ``WalkPattern`` values, which need no CSV quoting or JSON
-# escapes.  An object cell (``tv_sides``, a ``table1`` check) goes through
-# the format's scalar encoder.
+# (``float.__repr__``) as ``json`` writes them; an integer cell is a text
+# of its span table or an int, which ``%s`` writes as ``%d`` would.  The
+# text fields hold ``WalkPattern`` values, which need no CSV quoting or
+# JSON escapes.  An object cell (``tv_sides``, a ``table1`` check) goes
+# through the format's scalar encoder.
 _CSV_CELLS = {"f": "%.17g", "i": "%s", "U": "%s", "O": _format_cell}
 _JSON_CELLS = {"f": "%r", "i": "%s", "U": '"%s"', "O": json.dumps}
 
@@ -537,65 +551,94 @@ def _cell_formats(rows: np.ndarray, formats: dict) -> list:
     return [formats[rows.dtype[name].kind] for name in rows.dtype.names]
 
 
-def _formatted_chunks(rows: np.ndarray, formats: dict, row_format, sep: str = ""):
-    """``row_format(cells) % row`` for each row of a structured table,
-    joined by ``sep``, in pieces of ``_CHUNK_ROWS`` rows, each made in one
-    pass; ``cells`` are the columns' cell formats from ``formats`` by numpy
-    kind.
+def _formatted_chunks(rows: np.ndarray, formats: dict, layout: tuple[str, str, str],
+                      sep: str = ""):
+    """The rows of a structured table as text, in pieces of ``_CHUNK_ROWS``
+    rows, each made by one ``%``.  ``layout`` is the text before a row's
+    first cell, between two cells and after its last cell, and ``sep``
+    comes between two rows; none of them holds a ``%``.  A cell's format
+    is the entry of ``formats`` for its numpy kind.
 
     A column with few distinct values is rendered once per value before
-    the first chunk, and each chunk gathers its cells from those texts
-    (cell format ``%s``), which are held for the whole table.  That is an
-    integer column whose span ``max - min`` is at most the row count,
-    ``str(v)`` for each ``v`` in the span (a per-site column spans at most
-    ``2 * steps + 3`` values), and a float column whose first chunk and
-    whole column each hold at most half as many distinct values as rows,
-    its format applied once per distinct bit pattern (``0.0`` and ``-0.0``
-    print apart).  An object column's cells go through its encoder, the
-    ``"O"`` entry of ``formats``, one by one.  Every other column passes
-    its Python values through.
+    the first chunk, each text followed by the layout after its cell (and,
+    in the first column, led by ``sep`` and the layout before the row),
+    and those texts are held for the whole table.  That is an integer
+    column whose span ``max - min`` is at most the row count, ``str(v)``
+    for each ``v`` in the span (a per-site column spans at most ``2 *
+    steps + 3`` values), and a float column whose first chunk and whole
+    column each hold at most half as many distinct values as rows, its
+    format applied once per distinct bit pattern (``0.0`` and ``-0.0``
+    print apart).
+
+    A chunk's ``%`` template is one ``"".join`` of its cells' texts and,
+    for every other cell, of the cell's format within its layout.  ``%``
+    then fills only those cells: distinct floats, integers of a wider
+    span, text cells, and object cells, each of which goes through the
+    ``"O"`` entry of ``formats`` and is filled by ``%s``.  A text or
+    object cell is always an argument of ``%``, never part of a template,
+    so a ``%`` in it is written as it is.
     """
+    before, between, after = layout
     names = rows.dtype.names
-    texts = {}  # name -> a function from a chunk's column to its cell texts
-    for name in names:
+    width = len(names)
+    texts = []  # (column index, name, a function from a chunk's column to its texts)
+    fills = []  # (column index, name, each cell's template text, a function from a
+    #              chunk's column to the values that % fills in)
+    for j, (name, cell) in enumerate(zip(names, _cell_formats(rows, formats))):
         column = rows[name]
+        head = sep + before if j == 0 else ""
+        tail = after if j == width - 1 else between
+        text = None
         if column.dtype.kind == "i" and len(column):
             lo, hi = int(column.min()), int(column.max())
             if hi - lo <= len(column):
-                table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
-                texts[name] = lambda c, lo=lo, table=table: table[c - lo]
+                table = np.array([head + str(v) + tail for v in range(lo, hi + 1)], dtype=object)
+                text = lambda c, lo=lo, table=table: table[c - lo].tolist()
         elif column.dtype.kind == "f":
-            found = _float_table(column, formats["f"])
+            found = _float_table(column, cell, head, tail)
             if found is not None:
                 keys, table = found
-                texts[name] = lambda c, keys=keys, table=table: table[
-                    np.searchsorted(keys, c.view(np.uint64))]
+                text = lambda c, keys=keys, table=table: table[
+                    np.searchsorted(keys, c.view(np.uint64))].tolist()
+        if text is not None:
+            texts.append((j, name, text))
         elif column.dtype.kind == "O":
-            texts[name] = lambda c, encode=formats["O"]: [encode(v) for v in c]
-    row_format = row_format([
-        "%s" if name in texts else cell for name, cell in zip(names, _cell_formats(rows, formats))])
+            fills.append((j, name, head + "%s" + tail,
+                          lambda c, encode=cell: [encode(v) for v in c]))
+        else:
+            fills.append((j, name, head + cell + tail, np.ndarray.tolist))
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        cells = np.empty((len(chunk), len(names)), dtype=object)
-        for j, name in enumerate(names):
-            cells[:, j] = texts[name](chunk[name]) if name in texts else chunk[name]
-        text = sep.join([row_format] * len(chunk)) % tuple(cells.ravel().tolist())
-        yield sep + text if start else text
+        n = len(chunk)
+        pieces = [None] * (n * width)
+        for j, name, text in texts:
+            pieces[j::width] = text(chunk[name])
+        values = [None] * (n * len(fills))
+        for k, (j, name, piece, fill) in enumerate(fills):
+            pieces[j::width] = [piece] * n
+            values[k::len(fills)] = fill(chunk[name])
+        if not start:  # the table's first row follows no other
+            pieces[0] = pieces[0][len(sep):]
+        template = "".join(pieces)
+        del pieces  # so that % holds only the template and its text
+        yield template % tuple(values)
 
 
-def _float_table(column: np.ndarray, cell: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The sorted distinct bit patterns of a float ``column`` and ``cell % v``
-    for each; None when the column is empty, or when its first chunk or
-    the whole column holds more than half as many distinct values as rows.
-    The first chunk is tested first, so a column mostly distinct there (a
-    walk's probabilities) is never sorted."""
-    head = column[:_CHUNK_ROWS].view(np.uint64).tolist()
-    if not head or 2 * len(set(head)) > len(head):
+def _float_table(column: np.ndarray, cell: str, head: str,
+                 tail: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted distinct bit patterns of a float ``column`` and ``head +
+    cell % v + tail`` for each; None when the column is empty, or when its
+    first chunk or the whole column holds more than half as many distinct
+    values as rows.  The first chunk is tested first, so a column mostly
+    distinct there (a walk's probabilities) is never sorted."""
+    head_bits = column[:_CHUNK_ROWS].view(np.uint64).tolist()
+    if not head_bits or 2 * len(set(head_bits)) > len(head_bits):
         return None
     keys = _distinct(column.view(np.uint64))
     if 2 * len(keys) > len(column):
         return None
-    return keys, np.array([cell % v for v in keys.view(np.float64).tolist()], dtype=object)
+    return keys, np.array([head + cell % v + tail for v in keys.view(np.float64).tolist()],
+                          dtype=object)
 
 
 # Stands in for a table's rows in the text ``json`` writes; the NUL keeps
@@ -620,13 +663,9 @@ def _write_json(dataset: dict, fh) -> None:
         indent = line[:line.index('"')]
         if len(rows):
             row = indent + "  "
-
-            def row_format(cells: list[str]) -> str:
-                return "\n" + row + "[" + ",".join(
-                    "\n" + row + "  " + cell for cell in cells) + "\n" + row + "]"
-
             fh.write("[")
-            fh.writelines(_formatted_chunks(rows, _JSON_CELLS, row_format, ","))
+            fh.writelines(_formatted_chunks(rows, _JSON_CELLS, (
+                "\n" + row + "[\n" + row + "  ", ",\n" + row + "  ", "\n" + row + "]"), ","))
             fh.write("\n" + indent + "]")
         else:
             fh.write("[]")
@@ -690,8 +729,7 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
         path = _csv_path(base, name, main_table)
         with _open_for_writing(path, newline="") as fh:
             csv.writer(fh).writerow(table["columns"])
-            fh.writelines(_formatted_chunks(
-                table["rows"], _CSV_CELLS, lambda cells: ",".join(cells) + "\r\n"))
+            fh.writelines(_formatted_chunks(table["rows"], _CSV_CELLS, ("", ",", "\r\n")))
         written.append(path)
     params = dataset["params"]
     path = _csv_path(base, "params", main_table)

@@ -26,7 +26,7 @@ def _per_site_table(**columns) -> dict:
     names = ["step", *columns]
     counts = [len(part) for part in columns["probability"]]
     rows = np.empty(sum(counts), dtype=[
-        (name, np.float64 if name == "probability" else np.int64) for name in names])
+        (name, np.float64 if name == "probability" else np.int32) for name in names])
     rows["step"] = np.repeat(np.arange(len(counts)), counts)
     for name, parts in columns.items():
         rows[name] = np.concatenate(parts)
@@ -37,7 +37,7 @@ def _steps_table(step_rows: list, **dtypes) -> dict:
     """A steps table of ``step`` and the columns ``dtypes`` names, from its
     rows."""
     rows = np.array([tuple(row) for row in step_rows],
-                    dtype=[("step", np.int64), *dtypes.items()])
+                    dtype=[("step", np.int32), *dtypes.items()])
     return {"columns": list(rows.dtype.names), "rows": rows}
 
 

@@ -563,7 +563,13 @@ class TestOutputPlumbing:
         # Python scalars of every kind a dataset's object column holds
         ([("step", "i8"), ("cell", "O")],
          [list(range(8)), [None, True, False, "one-sided", 7, -0.0, 1e-300, 1 / 3]]),
-    ], ids=["negative", "one-row", "zero-rows", "wide-spans", "text", "objects"])
+        # a % in a text or object cell is written as it is: those cells are
+        # arguments of the chunk's %, never part of its template
+        ([("step", "i4"), ("pattern", "U8"), ("p", "f8"), ("q", "f8"), ("cell", "O")],
+         [[0, 1, 1, 2, 2, 2, 3, 3],
+          ["50%", "%s", "generic", "%s", "50%", "%%", "%(x)s", "%"], [0.5] * 8,
+          (np.arange(8) / 3.0).tolist(), ["%d", "100%", None, "%s%%", 0.25, True, "%", "%d"]]),
+    ], ids=["negative", "one-row", "zero-rows", "wide-spans", "text", "objects", "percent"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_integer_cells_as_percent_d(self, monkeypatch, fmt, fields, columns,
                                         chunk_rows):
@@ -574,22 +580,28 @@ class TestOutputPlumbing:
         for (name, _dtype), column in zip(fields, columns):
             rows[name] = column
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-        cells, row_format, sep = self.layout(fmt)
+        cells, layout, sep = self.layout(fmt)
         encode = cli._format_cell if fmt == "csv" else json.dumps
         formats = cli._cell_formats(rows, {**cells, "i": "%d", "O": None})
-        one_row = row_format(["%s"] * len(formats))
+        one_row = self.row_format(layout, ["%s"] * len(formats))
         expected = sep.join(one_row % tuple(encode(v) if f is None else f % v
                                             for f, v in zip(formats, row))
                             for row in rows.tolist())
-        assert "".join(cli._formatted_chunks(rows, cells, row_format, sep)) == expected
+        assert "".join(cli._formatted_chunks(rows, cells, layout, sep)) == expected
 
     @staticmethod
     def layout(fmt):
         """Cell formats, a row layout and the row separator like the
         writer's, for ``_formatted_chunks``."""
-        before, after, sep = ("", "\r\n", "") if fmt == "csv" else ("\n[", "]", ",")
-        cells = cli._CSV_CELLS if fmt == "csv" else cli._JSON_CELLS
-        return cells, lambda formats: before + ",".join(formats) + after, sep
+        if fmt == "csv":
+            return cli._CSV_CELLS, ("", ",", "\r\n"), ""
+        return cli._JSON_CELLS, ("\n[", ",", "]"), ","
+
+    @staticmethod
+    def row_format(layout, formats):
+        """One row's ``%`` format: ``formats`` within ``layout``."""
+        before, between, after = layout
+        return before + between.join(formats) + after
 
     @pytest.mark.parametrize("chunk_rows", [1024, 3])
     @pytest.mark.parametrize("columns", [
@@ -615,11 +627,11 @@ class TestOutputPlumbing:
         ``%.17g`` (CSV) and ``repr`` (JSON) give row by row."""
         rows = self.float_rows(columns)
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-        cells, row_format, sep = self.layout(fmt)
-        one_row = row_format(["%.17g" if fmt == "csv" else "%s"] * len(columns))
+        cells, layout, sep = self.layout(fmt)
+        one_row = self.row_format(layout, ["%.17g" if fmt == "csv" else "%s"] * len(columns))
         cell = (lambda v: v) if fmt == "csv" else repr
         expected = sep.join(one_row % tuple(map(cell, row)) for row in rows.tolist())
-        got = "".join(cli._formatted_chunks(rows, cells, row_format, sep))
+        got = "".join(cli._formatted_chunks(rows, cells, layout, sep))
         # line lists: a failure reports the first differing line quickly
         assert got.splitlines() == expected.splitlines()
         assert got == expected
@@ -859,6 +871,31 @@ class TestOutputPlumbing:
             assert list(table) == ["columns", "rows"]
             assert table["columns"] == list(table["rows"].dtype.names)
 
+    @pytest.mark.parametrize("command,integers", [
+        ("walk1d", {"distribution": ["step", "site"], "steps": ["step"]}),
+        ("ladder", {"joint": ["step", "side", "rung"], "steps": ["step"]}),
+        ("sweep", {"sweep": []}),
+        ("table1", {"checks": []}),
+    ])
+    def test_integer_fields_are_int32(self, command, integers):
+        """Every integer field of a table is int32: a per-site row is 16 B
+        on a line and 20 B on the ladder.  The analytic tables have none."""
+        dataset = {
+            "walk1d": lambda: cli.run_walk1d(cli.parse_angle("1/3pi"), 3),
+            "ladder": lambda: cli.run_ladder(cli.parse_angle("-0.7"), cli.parse_angle("1.1"), 3),
+            "sweep": lambda: cli.run_sweep(cli.parse_grid("-pi:pi:3"), cli.parse_grid("0.3")),
+            "table1": lambda: cli.run_table1(2),
+        }[command]()
+        tables = dataset["tables"]
+        assert list(tables) == list(integers)
+        for name, table in tables.items():
+            dtype = table["rows"].dtype
+            assert [f for f in dtype.names if dtype[f].kind in "iu"] == integers[name]
+            assert all(dtype[f] == np.int32 for f in integers[name])
+        per_site = next(iter(tables.values()))["rows"]
+        if command in ("walk1d", "ladder"):
+            assert per_site.itemsize == {"walk1d": 16, "ladder": 20}[command]
+
     def test_unallocatable_lattice_is_usage_error(self, tmp_path):
         # the lattice of steps + 2: the first runs out of memory, the second
         # is past numpy's largest array dimension and is refused before
@@ -875,7 +912,7 @@ class TestOutputPlumbing:
             assert "Traceback" not in proc.stderr
             assert not out.exists()
         # A lattice of about 192 MB of lazily zeroed pages, whose per-site
-        # table bound, (n + 1) (n + 2) / 2 rows of 24 B, is about 98 TiB:
+        # table bound, (n + 1) (n + 2) / 2 rows of 16 B, is about 65 TiB:
         # the table is allocated before the walk, so the command exits at
         # once instead of stepping for hours first.  Where malloc never
         # refuses (Linux with vm.overcommit_memory = 1) the walk would run.
