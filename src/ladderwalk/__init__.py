@@ -10,47 +10,8 @@ commands; their ``run_*`` functions also report each step's spread
 profiles (``tv_sides``).
 """
 
-from .core import (
-    DEFAULT_GAMMA_Y,
-    CoinSpinor,
-    Conventional,
-    Ladder,
-    LadderState,
-    LatticeOverflowError,
-    ProtocolSpec,
-    SplitStep,
-    WalkerState1D,
-    evolve,
-    localized_ladder,
-    localized_walker,
-    position_distribution,
-)
-from .sectors import (
-    Angle,
-    EffectiveAngles,
-    SectorPair,
-    WalkPattern,
-    effective_angles,
-    reduce_angle,
-    sector_project,
-)
-from .spectral import (
-    AliasingError,
-    DegenerateCoinError,
-    DensityMatrix2,
-    DensityMatrixError,
-    MomentumMode,
-    asymptotic_rho,
-    average_rho,
-    cesaro_rho,
-    dispersion,
-    entropy,
-    evolve_spectral,
-    finite_n_rho,
-    mode_eigensystem,
-    mutual_information,
-    rho_eigenvalues,
-    sweep_summary,
-)
+from .core import *
+from .sectors import *
+from .spectral import *
 
 __version__ = "0.1.0"

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import inspect
 import json
@@ -213,6 +212,8 @@ def _radians(value) -> float:
 def _text(value) -> str:
     if not isinstance(value, str):
         raise UsageError(f"must be a string, got {value!r}")
+    if not value:
+        raise UsageError("must be a non-empty path")
     return value
 
 
@@ -713,7 +714,11 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
     For CSV the first table lands at ``out`` itself, further tables and
     the scalar parameters at sibling files named ``<out stem>.<table>``
     plus the suffix of ``out``, or ``.csv`` when ``out`` has none
-    (``run.txt`` gives ``run.steps.txt``).  Returns the paths written.
+    (``run.txt`` gives ``run.steps.txt``).  Every CSV file is its header
+    line, the names joined by commas, and its rows from
+    ``_formatted_chunks``; the parameters are a one-row table of object
+    fields, each encoded by ``_format_cell``.  No name or cell needs CSV
+    quoting.  Returns the paths written.
     """
     if fmt not in _FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
@@ -722,22 +727,18 @@ def write_dataset(dataset: dict, out: str, fmt: str) -> list[Path]:
         with _open_for_writing(base) as fh:
             _write_json(dataset, fh)
         return [base]
-    written = []
-    tables = dataset["tables"]
+    params = dataset["params"]
+    # the scalar parameters as a one-row table of object fields
+    tables = {**dataset["tables"], "params": {"columns": list(params), "rows": np.array(
+        [tuple(params.values())], dtype=[(name, object) for name in params])}}
     main_table = next(iter(tables))
+    written = []
     for name, table in tables.items():
         path = _csv_path(base, name, main_table)
         with _open_for_writing(path, newline="") as fh:
-            csv.writer(fh).writerow(table["columns"])
+            fh.write(",".join(table["columns"]) + "\r\n")
             fh.writelines(_formatted_chunks(table["rows"], _CSV_CELLS, ("", ",", "\r\n")))
         written.append(path)
-    params = dataset["params"]
-    path = _csv_path(base, "params", main_table)
-    with _open_for_writing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(params))
-        writer.writerow([_format_cell(v) for v in params.values()])
-    written.append(path)
     return written
 
 

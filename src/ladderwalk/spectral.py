@@ -29,10 +29,11 @@ their block is filled; and the mixture entropies come from the scalar
 2x2 closed form that :func:`rho_eigenvalues` and :func:`entropy` also
 take a single matrix through, whose negative-eigenvalue refusal is the
 one numeric check on a mixture.  A mixture's bits depend only on the
-``rho11``, ``rho22`` and ``|rho12|`` of its two sector matrices and the
-relative sign of their ``rho12``, so where a grid has fewer such
-combinations than points, as a pi-fraction grid has, each distinct
-mixture's entropy is taken once, into a table that the blocks share.  A
+``rho11``, ``rho22`` and ``|rho12|`` bits of its two sector matrices, a
+class per distinct such triple, and the relative sign of their ``rho12``,
+so where a grid has fewer such combinations than points, as a pi-fraction
+grid has, each distinct mixture's entropy is taken once, at its first
+point, into a table that the blocks share.  A
 mixture needs no ``DensityMatrix2`` check of its own: each sector matrix
 is an :func:`asymptotic_rho`, with determinant ``s / (2 (1 + s))`` for
 ``s = |sin(gamma/2)|``, and an equal mixture of two density matrices is
@@ -474,10 +475,9 @@ def _sector_table(keys: np.ndarray, exact: bool, reduce, radians) -> tuple[np.nd
     each sum; ``forms``, the table, one row per distinct reduced angle and a
     last row of nans for the sums that are not finite, which are refused at
     their first point, with columns rho11, rho22, Re rho12 (its imaginary
-    part is +0.0), d, s, m; and ``classes``, one per row, equal for two rows
-    only when their rho11, rho22 and |rho12| have the same bits.  The angles
-    of one magnitude share those (``asymptotic_rho``), so they make one class
-    once the table confirms it; else each row is its own class.
+    part is +0.0), d, s, m; and ``classes``, one per row, the index of its
+    rho11, rho22 and |rho12| bits among the table's distinct such triples,
+    so that two rows share a class exactly when those bits are equal.
     """
     values = keys if exact else keys.view(np.float64)
     gamma = np.array([radians(n) for n in values.tolist()], dtype=np.float64)
@@ -492,15 +492,11 @@ def _sector_table(keys: np.ndarray, exact: bool, reduce, radians) -> tuple[np.nd
         forms[j] = rho.rho11, rho.rho22, rho.rho12.real, d, s, _sector_magnetization(angle)
     sector = np.full(len(keys), len(angles))
     sector[finite] = np.searchsorted(angles, reduced)
-    magnitude = np.abs(angles.view(values.dtype)).view(keys.dtype)
-    levels = _distinct(magnitude)
-    classes = np.append(np.searchsorted(levels, magnitude), len(levels))
-    triples = np.column_stack([forms[:, 0], forms[:, 1], np.abs(forms[:, 2])]).view(np.uint64)
-    shared = np.empty((len(levels) + 1, 3), np.uint64)
-    shared[classes] = triples
-    if not np.array_equal(shared[classes], triples):
-        classes = np.arange(len(forms))
-    return gamma, sector, forms, classes
+    # each row's three bit patterns as one 24-byte value, sorted and
+    # compared bytewise
+    triples = np.column_stack([forms[:, 0], forms[:, 1], np.abs(forms[:, 2])]).view(
+        np.dtype((np.void, 24))).ravel()
+    return gamma, sector, forms, np.searchsorted(_distinct(triples), triples)
 
 
 def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float],
@@ -525,14 +521,14 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     it a block of consecutive alpha rows at a time, about 2,048 points and
     at least one row.  Per block, the entropies of the points' equal-weight
     mixtures of their two sector matrices come from one scalar ``math``
-    pass, with the bits :func:`entropy` gives.  Sector matrices of one
-    ``rho11``, ``rho22`` and ``|rho12|`` form a class, and two points whose
-    matrices have the same two classes and the same relative sign of
+    pass, with the bits :func:`entropy` gives.  Sector matrices of the same
+    ``rho11``, ``rho22`` and ``|rho12|`` bits form a class, and two points
+    whose matrices have the same two classes and the same relative sign of
     ``rho12`` have mixtures of the same bits.  Where a table with a slot
     for each such code, ``2 K^2`` slots for ``K`` classes, is no larger
-    than the grid, mixtures repeat, and each distinct one is taken once, in
-    the block that first meets it, into that table (2,113 mixtures for the
-    16,641 points of the 129x129 pi grid).  A point that
+    than the grid, mixtures repeat, and each distinct one is taken once, at
+    its first point, into that table (2,113 mixtures for the 16,641 points
+    of the 129x129 pi grid).  A point that
     ``effective_angles`` or its pattern refuses is refused with the same
     exception, at the first such point; a non-finite angle is refused there
     too, so an empty grid, which has no points, gives an empty array even
@@ -589,9 +585,13 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
     # such code is no larger than the grid, the codes are fewer than the
     # points, so mixtures repeat: each entropy goes into its slot once, nan
     # until its mixture is first met.  Else each point's mixture is taken.
+    # np.sign is taken only here, so that a grid without the table, a
+    # one-point one above all, does not load its kernel.
     tabled = 2 * n_classes ** 2 <= rows.size
-    entropies = np.full(2 * n_classes ** 2 if tabled else 0, math.nan)
-    owner = np.empty(len(entropies), np.intp)
+    if tabled:
+        sign = np.sign(rho12)
+        entropies = np.full(2 * n_classes ** 2, math.nan)
+        owner = np.empty(len(entropies), np.intp)
 
     def mixture_entropies(r1: np.ndarray, r2: np.ndarray) -> list[float]:
         # average_rho's mixture, as mutual_information takes it
@@ -620,25 +620,16 @@ def sweep_summary(alpha_grid: list[Angle | float], beta_grid: list[Angle | float
         block["s1"], block["s2"] = s1, s2
         if tabled:
             c1, c2 = classes[r1], classes[r2]
-            # taken here, so that a grid without the table, a one-point
-            # one above all, does not load np.sign's kernel
-            sign = np.sign(rho12)
             codes = ((np.minimum(c1, c2) * n_classes + np.maximum(c1, c2)) * 2
                      + (sign[r1] * sign[r2] < 0)).ravel()
-            # the points of the mixtures met here first, and one point of
-            # each, whichever the scatter keeps: every point of a mixture
-            # has its bits
+            # the points of the mixtures met here first, then the first
+            # point of each, taken in order: every point of a mixture has
+            # its bits, so the pass refuses at the block's first refused point
             new = np.flatnonzero(np.isnan(entropies[codes]))
-            owner[codes[new]] = new
-            kept = new[owner[codes[new]] == new]
-            r1, r2 = r1.ravel(), r2.ravel()
-            try:
-                entropies[codes[kept]] = mixture_entropies(r1[kept], r2[kept])
-            except DensityMatrixError:
-                # refused at the block's first refused point, as a pass over
-                # its new points in order refuses it
-                mixture_entropies(r1[new], r2[new])
-                raise
+            owner[codes[new]] = len(codes)
+            np.minimum.at(owner, codes[new], new)
+            first = new[owner[codes[new]] == new]
+            entropies[codes[first]] = mixture_entropies(r1.ravel()[first], r2.ravel()[first])
             block_entropies = entropies[codes]
         else:
             block_entropies = mixture_entropies(r1, r2)

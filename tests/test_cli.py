@@ -1036,6 +1036,24 @@ class TestRejection:
         assert code == 1
         assert err == "ladderwalk: error: a walk pattern needs finite angles\n"
 
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_empty_out_is_refused_before_the_walk(self, monkeypatch, tmp_path, by_config):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk was started")
+        monkeypatch.setattr(cli, "_state_blocks", no_walk)
+        monkeypatch.chdir(tmp_path)
+        argv = ["ladder", "--alpha", "0", "--beta", "0", "--steps", "4"]
+        if by_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
+            argv += ["--config", "cfg.json"]
+        else:
+            argv += ["--out", ""]
+        code, out, err = run_main(argv)
+        assert code == 1
+        assert err == "ladderwalk: error: out: must be a non-empty path\n"
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if by_config else [])
+
     @pytest.mark.parametrize("command", ["walk1d", "ladder", "sweep", "table1"])
     def test_options_are_the_run_parameters(self, command):
         # the flags and config keys besides --config: no second route to a parameter

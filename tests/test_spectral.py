@@ -1063,6 +1063,48 @@ class TestMixtureTable:
                 lw.sweep_summary(grid, grid)
         assert str(raised.value) == messages[0]
 
+    @pytest.mark.parametrize("grid", ["-pi:pi:33", "-1:1:7", "-3:3:21"])
+    def test_classes_are_the_distinct_bit_triples(self, grid):
+        # a float grid's near-equal sums may share their matrices' bits
+        tables = []
+        sector_table = lw.spectral._sector_table
+
+        def recording(*args):
+            tables.append(sector_table(*args))
+            return tables[-1]
+
+        with mock.patch.object(lw.spectral, "_sector_table", recording):
+            lw.sweep_summary(parse_grid(grid), parse_grid(grid))
+        (_gamma, _sector, forms, classes), = tables
+        triples = [_bits((x, y, abs(z))) for x, y, z in forms[:, :3].tolist()]
+        pairs = set(zip(classes.tolist(), triples))
+        assert len(pairs) == len(set(classes.tolist())) == len(set(triples))
+
+    def test_a_class_broken_by_one_ulp_keeps_the_table(self):
+        # rho12 at -7pi/8 alone moves by one ulp: that matrix leaves the
+        # class of the one at 7pi/8, and the grid still takes the table
+        grid_text = "-pi:pi:129"
+        grid = parse_grid(grid_text)
+        target = -0.875 * math.pi  # the radians of the reduced sum -7pi/8
+
+        def offset(z):
+            return math.ulp(z)
+
+        with _corrupt_rho12(target, offset, both_signs=False):
+            mixtures, _, points = _record_spectra(grid_text, grid_text)
+            rows = lw.sweep_summary(grid, grid)
+        assert len(mixtures) < len(points)
+        mixtures = _corrupted_mixtures(grid, target, offset, both_signs=False)
+        assert [float.hex(float(row["mutual_information"])) for row in rows] == [
+            float.hex(float(row["s1"]) + float(row["s2"]) - reference_spectrum(*mixture)[1])
+            for row, mixture in zip(rows, mixtures)]
+
+    @pytest.mark.parametrize("count", [9, 33, 129])
+    def test_each_mixture_is_taken_at_its_first_point(self, count):
+        grid = f"-pi:pi:{count}"
+        mixtures, _, points = _record_spectra(grid, grid)
+        assert list(map(_bits, mixtures)) == list(dict.fromkeys(map(_bits, points)))
+
 
 @pytest.fixture(scope="class")
 def one_point_blocks():
